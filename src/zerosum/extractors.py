@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .engine import find_zero_sum_subseq
 from .groups import Element, Group, make_group, min_nondivisor
-from .sequences import Sequence, Witness
+from .sequences import Sequence, Witness, counts_sum
 
 
 class PreconditionError(ValueError):
@@ -85,13 +85,6 @@ def _pull_back(
     return taken
 
 
-def _counts_sum(group: Group, counts: dict[Element, int]) -> Element:
-    total = group.identity()
-    for el, m in counts.items():
-        total = group.add(total, group.scale(el, m))
-    return total
-
-
 def _subtract(counts: dict[Element, int], taken: dict[Element, int]) -> None:
     for el, m in taken.items():
         counts[el] -= m
@@ -113,7 +106,7 @@ def _take_block(
     block = _pull_back(counts, qw, d)
     _subtract(counts, block)
     deco.blocks.append(block)
-    deco.block_sums.append(_counts_sum(group, block))
+    deco.block_sums.append(counts_sum(group, block))
 
 
 def _lift_blocks(group: Group, deco: BlockDecomposition, d: int) -> Sequence:
@@ -195,7 +188,7 @@ def cyclic_block_decomposition(seq: Sequence, d: int) -> BlockDecomposition:
         _take_block(seq.group, counts, d, deco)
         remaining -= d
     # The final d elements sum to zero mod d because the whole sequence does.
-    last_sum = _counts_sum(seq.group, counts)
+    last_sum = counts_sum(seq.group, counts)
     if any(c % d for c in last_sum):
         raise AssertionError("final block sum not divisible by d")
     deco.blocks.append(counts)
@@ -284,7 +277,7 @@ def extract_square_3n(seq: Sequence) -> Witness:
     leftover = dict(counts)
     _subtract(leftover, block)
     deco.blocks.append(block)
-    deco.block_sums.append(_counts_sum(seq.group, block))
+    deco.block_sums.append(counts_sum(seq.group, block))
     deco.leftover = leftover
 
     lifted = _lift_blocks(seq.group, deco, m)
@@ -328,7 +321,7 @@ def extract_square_block(seq: Sequence, d: int) -> Witness:
     leftover = dict(counts)
     _subtract(leftover, block)
     deco.blocks.append(block)
-    deco.block_sums.append(_counts_sum(seq.group, block))
+    deco.block_sums.append(counts_sum(seq.group, block))
     deco.leftover = leftover
 
     lifted = _lift_blocks(seq.group, deco, d)

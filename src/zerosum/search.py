@@ -1,16 +1,19 @@
 """Closed-form constants, exhaustive multiset searches, and theorem checks.
 
-The brute-force determination scans sequence lengths upward. For each length
-it must decide whether every zero-sum multiset of that size contains a
-zero-sum subsequence of the target length. That universal verdict is computed
-by a depth-first search over multiplicity vectors which maintains the packed
+One search kernel serves every exhaustive walk here. It visits
+multiplicity vectors depth-first in colex order while it maintains the packed
 reachability mask of the prefix: as soon as the prefix itself contains a
-witness, every completion does too, so the whole subtree is resolved without
-being enumerated. Only witness-free prefixes are ever expanded, which keeps
-the search tree tiny compared to the raw multiset count. Failures are
-reported in colex order of the multiplicity vector, so results do not depend
-on how the work is partitioned across workers.
-"""
+zero-sum subsequence of the target length, every completion does too, so the
+whole subtree is resolved without being enumerated. Only witness-free
+prefixes are ever expanded, which keeps the search tree tiny compared to the
+raw multiset count.
+
+The brute-force determination scans sequence lengths upward and asks, per
+length, whether every zero-sum multiset of that size has a witness: the first
+multiset the kernel emits is a counterexample. Failures are reported in colex
+order of the multiplicity vector, so results do not depend on how the work is
+partitioned across workers. Enumeration with a visitor is the same kernel
+with a target that prunes nothing, or with the lemma's own target."""
 
 from __future__ import annotations
 
@@ -23,10 +26,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence as Seq
 
 from ._bitdp import get_pack
-from .engine import count_zero_sum_subseqs, find_zero_sum_subseq, has_zero_sum_of_length
-from .extractors import extract_square_3n
+from .engine import count_zero_sum_subseqs, find_zero_sum_subseq
+from .extractors import PreconditionError, extract_square_3n
 from .groups import Element, Group, make_group, min_nondivisor
-from .sequences import Sequence, canonicalize, serialize_sequence
+from .sequences import Sequence, serialize_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -103,177 +106,31 @@ class EnumerationStats:
     wall_ms: int = 0
 
 
-@dataclass(frozen=True)
-class EnumerationTask:
-    """One partition of a multiset enumeration: a range of outermost
-    multiplicities (inclusive), in colex order of multiplicity vectors."""
-
-    moduli: tuple[int, ...]
-    length: int
-    zero_sum_only: bool = True
-    symmetry: bool = False
-    outer_range: tuple[int, int] | None = None
-
-
 # ---------------------------------------------------------------------------
-# Plain enumeration with a visitor (no pruning)
+# The search kernel
 
 
-def _group_elements(moduli: tuple[int, ...]) -> list[Element]:
-    pack = get_pack(moduli, 0)
-    return [pack.coords_of(i) for i in range(pack.order)]
-
-
-def enumerate_multisets(
-    group: Group,
+def _walk(
+    moduli: tuple[int, ...],
+    target: int,
     length: int,
-    visitor: Callable[[Sequence], None],
-    *,
-    zero_sum_only: bool = True,
-    symmetry: bool = False,
-    outer_range: tuple[int, int] | None = None,
-    budget: SearchBudget | None = None,
-) -> EnumerationStats:
-    """Invoke the visitor once per multiset of the given size, in colex order
-    of multiplicity vectors (identity element varying fastest is implied by
-    the colex convention: the outermost loop is the last element).
+    zero_sum_only: bool,
+    emit: Callable[[list[int]], bool | None],
+    max_nodes: int,
+    deadline: float,
+    outer: int | None = None,
+) -> tuple[int, int]:
+    """Depth-first walk over the multiplicity vectors of size `length`, in
+    colex order (the last element's multiplicity varies slowest).
 
-    With zero_sum_only, only zero-sum multisets are visited; with symmetry,
-    only canonical orbit representatives.
+    The packed reachability mask of the prefix grows one copy at a time. A
+    prefix that already has a zero-sum subsequence of length `target` cuts
+    its whole subtree, so `emit` sees exactly the multisets without one
+    (zero-sum ones only, with zero_sum_only). Target length + 1 prunes
+    nothing. `emit` gets the live multiplicity list; a true return stops the
+    walk. With `outer`, only vectors whose last multiplicity equals it are
+    walked. Returns (nodes expanded, complete multisets reached).
     """
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    budget = budget or SearchBudget()
-    deadline = time.monotonic() + budget.max_seconds
-    start = time.monotonic()
-    moduli = group.moduli
-    elems = _group_elements(moduli)
-    order = len(elems)
-    rank = len(moduli)
-    stats = EnumerationStats()
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), order + 200))
-    mults = [0] * order
-
-    def emit(budget_left: int, scoords: tuple[int, ...]) -> None:
-        if zero_sum_only and any(scoords):
-            return
-        mults[0] = budget_left
-        seq = Sequence(group, {elems[i]: m for i, m in enumerate(mults) if m})
-        if symmetry and canonicalize(seq) != seq:
-            return
-        stats.visited += 1
-        visitor(seq)
-
-    def rec(i: int, budget_left: int, scoords: tuple[int, ...]) -> None:
-        stats.nodes += 1
-        if stats.nodes > budget.max_nodes or time.monotonic() > deadline:
-            raise BudgetExceeded(
-                f"enumeration aborted after {stats.nodes} nodes, {stats.visited} visited"
-            )
-        if i == 0:
-            emit(budget_left, scoords)
-            return
-        lo, hi = 0, budget_left
-        if i == order - 1 and outer_range is not None:
-            lo, hi = outer_range
-            hi = min(hi, budget_left)
-        ec = elems[i]
-        for j in range(lo, hi + 1):
-            mults[i] = j
-            sc = tuple((c + j * e) % m for c, e, m in zip(scoords, ec, moduli))
-            rec(i - 1, budget_left - j, sc)
-        mults[i] = 0
-
-    if order == 1:
-        stats.nodes += 1
-        lo, hi = outer_range if outer_range is not None else (0, length)
-        if lo <= length <= hi:
-            emit(length, (0,) * rank)
-    else:
-        rec(order - 1, length, (0,) * rank)
-    stats.wall_ms = int((time.monotonic() - start) * 1000)
-    return stats
-
-
-def enumerate_zero_sum_multisets(
-    group: Group,
-    length: int,
-    visitor: Callable[[Sequence], None],
-    *,
-    symmetry: bool = False,
-    outer_range: tuple[int, int] | None = None,
-    budget: SearchBudget | None = None,
-) -> EnumerationStats:
-    """Visit every zero-sum multiset of the given size (or one canonical
-    representative per orbit when symmetry is set)."""
-    return enumerate_multisets(
-        group,
-        length,
-        visitor,
-        zero_sum_only=True,
-        symmetry=symmetry,
-        outer_range=outer_range,
-        budget=budget,
-    )
-
-
-def make_enumeration_tasks(
-    group: Group,
-    length: int,
-    parts: int,
-    *,
-    zero_sum_only: bool = True,
-    symmetry: bool = False,
-) -> list[EnumerationTask]:
-    """Disjoint covering partition of the enumeration by outermost multiplicity."""
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if group.order == 1:
-        return [EnumerationTask(group.moduli, length, zero_sum_only, symmetry, None)]
-    values = length + 1
-    parts = min(parts, values)
-    bounds = [round(i * values / parts) for i in range(parts + 1)]
-    tasks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo < hi:
-            tasks.append(
-                EnumerationTask(
-                    group.moduli, length, zero_sum_only, symmetry, (lo, hi - 1)
-                )
-            )
-    return tasks
-
-
-def run_enumeration_task(
-    task: EnumerationTask,
-    visitor: Callable[[Sequence], None],
-    budget: SearchBudget | None = None,
-) -> EnumerationStats:
-    group = make_group(task.moduli)
-    return enumerate_multisets(
-        group,
-        task.length,
-        visitor,
-        zero_sum_only=task.zero_sum_only,
-        symmetry=task.symmetry,
-        outer_range=task.outer_range,
-        budget=budget,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pruned universal-verdict scan (the brute-force core)
-
-
-def _probe_chunk(args: tuple) -> tuple[tuple[int, ...] | None, int, int]:
-    """Search one outer-multiplicity branch for a multiset of the given size
-    with no witness of the target length (and, optionally, zero total sum).
-
-    Returns (first failing multiplicity vector in colex order or None,
-    nodes expanded, complete multisets examined). Pure function of its
-    arguments, so results are independent of scheduling.
-    """
-    moduli, target, length, zero_sum_only, outer_value, max_nodes, deadline = args
     pack = get_pack(moduli, target)
     order = pack.order
     rank = pack.rank
@@ -285,11 +142,11 @@ def _probe_chunk(args: tuple) -> tuple[tuple[int, ...] | None, int, int]:
 
     nodes = 0
     leaves = 0
-    fail: tuple[int, ...] | None = None
+    stop = False
     mults = [0] * order
 
     def leaf(budget_left: int, scoords: tuple[int, ...], mask: int) -> None:
-        nonlocal leaves, fail
+        nonlocal leaves, stop
         leaves += 1
         if zero_sum_only and any(scoords):
             return
@@ -297,7 +154,7 @@ def _probe_chunk(args: tuple) -> tuple[tuple[int, ...] | None, int, int]:
             if (mask >> ((target - j) * order)) & 1:
                 return
         mults[0] = budget_left
-        fail = tuple(mults)
+        stop = bool(emit(mults))
 
     def grow(mask: int, i: int) -> int:
         """One more copy of element i folded into the packed reachability."""
@@ -313,7 +170,7 @@ def _probe_chunk(args: tuple) -> tuple[tuple[int, ...] | None, int, int]:
             return
         mults[i] = 0
         dfs(i - 1, budget_left, scoords, mask)
-        if fail is not None:
+        if stop:
             return
         ec = elems[i]
         sc = list(scoords)
@@ -331,32 +188,96 @@ def _probe_chunk(args: tuple) -> tuple[tuple[int, ...] | None, int, int]:
                 sc[a] = (sc[a] + ec[a]) % moduli[a]
             mults[i] = j
             dfs(i - 1, budget_left - j, tuple(sc), cur)
-            if fail is not None:
+            if stop:
                 return
-        mults[i] = 0
-
-    if order == 1:
-        leaf(length, (0,) * rank, pack.initial)
-        return fail, nodes, leaves
 
     top = order - 1
-    mask = pack.initial
-    pruned = False
-    for j in range(outer_value):
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceeded(f"node budget exhausted at {nodes} nodes")
-        mask = grow(mask, top)
-        if mask & probe_top:
-            pruned = True
-            break
-    if not pruned:
-        mults[top] = outer_value
-        sc = tuple(
-            (outer_value * e) % m for e, m in zip(elems[top], moduli)
-        )
-        dfs(top - 1, length - outer_value, sc, mask)
-    return fail, nodes, leaves
+    if order == 1:
+        leaf(length, (0,) * rank, pack.initial)
+    elif outer is None:
+        dfs(top, length, (0,) * rank, pack.initial)
+    else:
+        mask = pack.initial
+        for _ in range(outer):
+            nodes += 1
+            if nodes > max_nodes:
+                raise BudgetExceeded(f"node budget exhausted at {nodes} nodes")
+            mask = grow(mask, top)
+            if mask & probe_top:
+                return nodes, leaves
+        mults[top] = outer
+        sc = tuple((outer * e) % m for e, m in zip(elems[top], moduli))
+        dfs(top - 1, length - outer, sc, mask)
+    return nodes, leaves
+
+
+def _group_elements(moduli: tuple[int, ...]) -> list[Element]:
+    pack = get_pack(moduli, 0)
+    return [pack.coords_of(i) for i in range(pack.order)]
+
+
+def enumerate_multisets(
+    group: Group,
+    length: int,
+    visitor: Callable[[Sequence], None],
+    *,
+    target: int | None = None,
+    zero_sum_only: bool = True,
+    budget: SearchBudget | None = None,
+) -> EnumerationStats:
+    """Invoke the visitor once per multiset of the given size, in colex order
+    of multiplicity vectors (the last element's multiplicity varies slowest).
+
+    With zero_sum_only, only zero-sum multisets are visited; with a target,
+    only those with no zero-sum subsequence of that length.
+    """
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    budget = budget or SearchBudget()
+    start = time.monotonic()
+    elems = _group_elements(group.moduli)
+    stats = EnumerationStats()
+
+    def emit(mults: list[int]) -> None:
+        stats.visited += 1
+        visitor(Sequence(group, {elems[i]: m for i, m in enumerate(mults) if m}))
+
+    stats.nodes, _ = _walk(
+        group.moduli,
+        length + 1 if target is None else target,
+        length,
+        zero_sum_only,
+        emit,
+        budget.max_nodes,
+        start + budget.max_seconds,
+    )
+    stats.wall_ms = int((time.monotonic() - start) * 1000)
+    return stats
+
+
+# ---------------------------------------------------------------------------
+# Pruned universal-verdict scan (the brute-force core)
+
+
+def _probe_chunk(args: tuple) -> tuple[tuple[int, ...] | None, int, int]:
+    """Search one outer-multiplicity branch for a multiset of the given size
+    with no witness of the target length (and, optionally, zero total sum).
+
+    Returns (first failing multiplicity vector in colex order or None,
+    nodes expanded, complete multisets examined). Pure function of its
+    arguments, so results are independent of scheduling.
+    """
+    moduli, target, length, zero_sum_only, outer_value, max_nodes, deadline = args
+    found: list[tuple[int, ...]] = []
+
+    def emit(mults: list[int]) -> bool:
+        found.append(tuple(mults))
+        return True
+
+    nodes, leaves = _walk(
+        moduli, target, length, zero_sum_only, emit, max_nodes, deadline, outer_value
+    )
+    return (found[0] if found else None), nodes, leaves
 
 
 def _probe_length(
@@ -373,6 +294,7 @@ def _probe_length(
     The partition is the same regardless of worker count, and each branch is
     searched exhaustively up to its own first failure, so the aggregated
     verdict, failing vector, and node counts are scheduling-independent.
+    The node budget caps the sum over all branches.
     """
     order = math.prod(moduli)
     if order == 1:
@@ -387,6 +309,10 @@ def _probe_length(
     else:
         results = list(pool.map(_probe_chunk, tasks))
     nodes = sum(r[1] for r in results)
+    if nodes > max_nodes:
+        raise BudgetExceeded(
+            f"node budget exhausted at length {length}: {nodes} nodes, {max_nodes} allowed"
+        )
     leaves = sum(r[2] for r in results)
     fail = next((r[0] for r in results if r[0] is not None), None)
     return fail, nodes, leaves
@@ -548,6 +474,11 @@ def brute_force_modified_constant(
         raise ValueError(f"target length must be >= 1, got {t}")
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
+    if t % group.exponent:
+        # g of order exp(G), repeated k * exp(G) times, fails at every k.
+        raise PreconditionError(
+            f"s'({group}, {t}) is infinite: exp(G) = {group.exponent} does not divide t"
+        )
     budget = budget or SearchBudget()
     start = time.monotonic()
     deadline = start + budget.max_seconds
@@ -645,20 +576,6 @@ def check_all_have_witness(
 # Congruence lemma check
 
 
-def _random_multiset(rng: random.Random, order: int, size: int) -> list[int]:
-    """Uniform multiplicity vector of the given total via stars and bars."""
-    if order == 1:
-        return [size]
-    bars = sorted(rng.sample(range(size + order - 1), order - 1))
-    mults = []
-    prev = -1
-    for b in bars:
-        mults.append(b - prev - 1)
-        prev = b
-    mults.append(size + order - 2 - prev)
-    return mults
-
-
 def check_lemma_por2p(
     p: int,
     mode: str = "exhaustive",
@@ -669,9 +586,11 @@ def check_lemma_por2p(
     """Over (Z/p)^2 at sizes 3p-2 and 3p-1: when no p-subset sums to zero,
     the number of 2p-subsets summing to zero is p - 1 mod p.
 
-    Exhaustive mode enumerates every multiset of both sizes (p = 2 only);
-    sample mode draws uniform multisets until `count` of them satisfy the
-    hypothesis at each size.
+    The hypothesis cases are exactly the multisets with no zero-sum
+    subsequence of length p, which the search kernel enumerates. Exhaustive
+    mode (p = 2 only) checks every one of them; sample mode checks `count`
+    uniform draws from them at each size. `vacuous` counts the multisets of
+    both sizes that lie outside the hypothesis.
     """
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
@@ -681,63 +600,31 @@ def check_lemma_por2p(
     start = time.monotonic()
     group = make_group([p, p])
     sizes = (3 * p - 2, 3 * p - 1)
-    tested = 0
+    rng = random.Random(seed)
+    checked = 0
     vacuous = 0
     violations = 0
     counterexample = None
-
-    def check_one(seq: Sequence) -> None:
-        nonlocal tested, vacuous, violations, counterexample
-        tested += 1
-        if max(seq.counts.values(), default=0) >= p or has_zero_sum_of_length(seq, p):
-            vacuous += 1
-            return
-        residue = count_zero_sum_subseqs(seq, 2 * p, modulus=p)
-        if residue != p - 1:
-            violations += 1
-            if counterexample is None:
-                counterexample = serialize_sequence(seq)
-
-    if mode == "exhaustive":
-        for size in sizes:
-            enumerate_multisets(
-                group, size, check_one, zero_sum_only=False, budget=budget
-            )
-    else:
-        rng = random.Random(seed)
-        elems = _group_elements(group.moduli)
-        deadline = start + budget.max_seconds
-        for size in sizes:
-            accepted = 0
-            attempts = 0
-            while accepted < count:
-                attempts += 1
-                if attempts > budget.max_nodes or time.monotonic() > deadline:
-                    raise BudgetExceeded(
-                        f"sampling budget exhausted at size {size}: "
-                        f"{accepted}/{count} hypothesis cases after {attempts} draws"
-                    )
-                mults = _random_multiset(rng, group.order, size)
-                tested += 1
-                if max(mults) >= p:
-                    vacuous += 1  # p equal elements already sum to zero
-                    continue
-                seq = Sequence(group, {elems[i]: m for i, m in enumerate(mults) if m})
-                if has_zero_sum_of_length(seq, p):
-                    vacuous += 1
-                    continue
-                accepted += 1
-                residue = count_zero_sum_subseqs(seq, 2 * p, modulus=p)
-                if residue != p - 1:
-                    violations += 1
-                    if counterexample is None:
-                        counterexample = serialize_sequence(seq)
+    for size in sizes:
+        cases: list[Sequence] = []
+        enumerate_multisets(
+            group, size, cases.append, target=p, zero_sum_only=False, budget=budget
+        )
+        vacuous += math.comb(size + group.order - 1, size) - len(cases)
+        if mode == "sample" and cases:
+            cases = rng.choices(cases, k=count)
+        for seq in cases:
+            checked += 1
+            if count_zero_sum_subseqs(seq, 2 * p, modulus=p) != p - 1:
+                violations += 1
+                if counterexample is None:
+                    counterexample = serialize_sequence(seq)
 
     return PropertyReport(
         name="por2p",
         params={"p": p, "mode": mode, "sizes": list(sizes), "count": count if mode == "sample" else None},
         passed=violations == 0,
-        checked=tested - vacuous,
+        checked=checked,
         violations=violations,
         vacuous=vacuous,
         counterexample=counterexample,
@@ -759,6 +646,20 @@ def _check_3n_sequence(seq: Sequence, n: int) -> str | None:
     w_proof = extract_square_3n(seq)
     w_proof.validate_against(seq, size=n)
     return None
+
+
+def _random_multiset(rng: random.Random, order: int, size: int) -> list[int]:
+    """Uniform multiplicity vector of the given total via stars and bars."""
+    if order == 1:
+        return [size]
+    bars = sorted(rng.sample(range(size + order - 1), order - 1))
+    mults = []
+    prev = -1
+    for b in bars:
+        mults.append(b - prev - 1)
+        prev = b
+    mults.append(size + order - 2 - prev)
+    return mults
 
 
 def check_lemma_3n(
@@ -793,7 +694,7 @@ def check_lemma_3n(
                 counterexample = problem
 
     if exhaustive:
-        enumerate_zero_sum_multisets(group, 3 * n, run_one, budget=budget)
+        enumerate_multisets(group, 3 * n, run_one, budget=budget)
     else:
         rng = random.Random(seed)
         elems = _group_elements(group.moduli)

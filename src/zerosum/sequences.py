@@ -1,11 +1,9 @@
-"""Multiset sequences of group elements, their serialization, and symmetry tools."""
+"""Multiset sequences of group elements and their serialization."""
 
 from __future__ import annotations
 
-import itertools
-import math
 import re
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .groups import Element, Group, GroupParseError, parse_group
 
@@ -14,6 +12,14 @@ _TOKEN_RE = re.compile(r"(\([^()]*\)|[+-]?\d+)(?:\s*\^\s*([+-]?\d+))?")
 
 class SequenceParseError(GroupParseError):
     """Raised for malformed sequence text or JSON."""
+
+
+def counts_sum(group: Group, counts: Mapping[Element, int]) -> Element:
+    """Sum of a multiset whose elements are already known to be valid: one
+    modular sum per coordinate, with no per-element checks."""
+    return tuple(
+        sum(el[a] * m for el, m in counts.items()) % q for a, q in enumerate(group.moduli)
+    )
 
 
 class Sequence:
@@ -39,10 +45,7 @@ class Sequence:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "counts", dict(sorted(clean.items())))
         object.__setattr__(self, "length", sum(clean.values()))
-        total = group.identity()
-        for el, mult in clean.items():
-            total = group.add(total, group.scale(el, mult))
-        object.__setattr__(self, "total_sum", total)
+        object.__setattr__(self, "total_sum", counts_sum(group, clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")
@@ -188,72 +191,3 @@ def sequence_from_jsonable(data: dict, lenient: bool = False) -> Sequence:
     for coords, mult in pairs:
         counts[tuple(coords)] = counts.get(tuple(coords), 0) + int(mult)
     return Sequence(group, counts, lenient=lenient)
-
-
-def _units(m: int) -> tuple[int, ...]:
-    if m == 1:
-        return (1,)
-    return tuple(u for u in range(1, m) if math.gcd(u, m) == 1)
-
-
-def group_automorphisms(group: Group) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The implemented automorphism subgroup: per-coordinate unit scalings
-    composed with permutations of coordinates that share a modulus.
-
-    Returned as (units, perm) pairs; the image of x has coordinate j equal to
-    units[perm[j]] * x[perm[j]] mod moduli[j].
-    """
-    by_modulus: dict[int, list[int]] = {}
-    for i, m in enumerate(group.moduli):
-        by_modulus.setdefault(m, []).append(i)
-    perm_groups = []
-    for positions in by_modulus.values():
-        perm_groups.append(list(itertools.permutations(positions)))
-    perms: list[tuple[int, ...]] = []
-    for combo in itertools.product(*perm_groups):
-        perm = [0] * group.rank
-        for positions, permuted in zip(by_modulus.values(), combo):
-            for slot, src in zip(positions, permuted):
-                perm[slot] = src
-        perms.append(tuple(perm))
-    unit_choices = [_units(m) for m in group.moduli]
-    return [
-        (units, perm)
-        for units in itertools.product(*unit_choices)
-        for perm in perms
-    ]
-
-
-def apply_automorphism(
-    group: Group, aut: tuple[tuple[int, ...], tuple[int, ...]], el: Element
-) -> Element:
-    units, perm = aut
-    return tuple(
-        (units[perm[j]] * el[perm[j]]) % group.moduli[j] for j in range(group.rank)
-    )
-
-
-def canonicalize(seq: Sequence) -> Sequence:
-    """Representative of the orbit under unit scalings and equal-modulus
-    coordinate permutations: the lexicographically least serialized form."""
-    best = seq
-    best_key = serialize_sequence(seq)
-    for aut in group_automorphisms(seq.group):
-        mapped = Sequence(
-            seq.group,
-            _merge(
-                (apply_automorphism(seq.group, aut, el), m)
-                for el, m in seq.counts.items()
-            ),
-        )
-        key = serialize_sequence(mapped)
-        if key < best_key:
-            best, best_key = mapped, key
-    return best
-
-
-def _merge(pairs: Iterable[tuple[Element, int]]) -> dict[Element, int]:
-    out: dict[Element, int] = {}
-    for el, m in pairs:
-        out[el] = out.get(el, 0) + m
-    return out

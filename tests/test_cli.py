@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, formats, exit codes, error prefixes."""
 
 import json
+import time
 
 import zerosum.cli as cli
 from zerosum import PropertyReport, parse_sequence
@@ -185,10 +186,20 @@ def test_lenient_flag(capsys):
 
 def test_budget_exit_code(capsys):
     code, _, err = run(
-        capsys, "constant", "--group", "Z/2", "--t", "1", "--budget", "500"
+        capsys, "constant", "--group", "Z/8", "--t", "16", "--budget", "500"
     )
     assert code == 3
     assert err.startswith("ERROR:budget:")
+
+
+def test_infinite_constant_exit_code(capsys):
+    # s'(Z/4, 2) is infinite: 4 does not divide 2. The refusal is immediate.
+    start = time.monotonic()
+    code, out, err = run(capsys, "constant", "--group", "Z/4", "--t", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:precondition:")
+    assert time.monotonic() - start < 1.0
 
 
 def test_usage_errors(capsys):
@@ -248,7 +259,7 @@ def test_env_workers(capsys, monkeypatch):
 
 def test_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("ZEROSUM_BUDGET", "500")
-    code, _, err = run(capsys, "constant", "--group", "Z/2", "--t", "1")
+    code, _, err = run(capsys, "constant", "--group", "Z/8", "--t", "16")
     assert code == 3
     assert err.startswith("ERROR:budget:")
     # An explicit flag overrides the environment.

@@ -222,7 +222,7 @@ def test_witnesses_cross_checked_by_engine():
 def test_cyclic_extraction_exhaustive_at_minimal_length():
     # Every zero-sum sequence of the minimal admissible length 2n - l + 1
     # over Z/n, n <= 8, must be handled without failure.
-    from zerosum import enumerate_zero_sum_multisets
+    from zerosum import enumerate_multisets
 
     for n in range(2, 9):
         g = make_group([n])
@@ -232,4 +232,4 @@ def test_cyclic_extraction_exhaustive_at_minimal_length():
             w = extract_cyclic_nt(seq, 1)
             w.validate_against(seq, size=n)
 
-        enumerate_zero_sum_multisets(g, length, run_one)
+        enumerate_multisets(g, length, run_one)

@@ -1,12 +1,17 @@
 """Constants search: formulas, enumeration, brute force, and suite checks."""
 
+import itertools
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosum import (
     BudgetExceeded,
     ConstantReport,
+    PreconditionError,
     SearchBudget,
     brute_force_modified_constant,
     check_all_have_witness,
@@ -15,18 +20,18 @@ from zerosum import (
     conjecture_value,
     count_zero_sum_subseqs,
     enumerate_multisets,
-    enumerate_zero_sum_multisets,
     formula_modified_cyclic,
     formula_modified_square,
     harborth_bounds,
     has_zero_sum_of_length,
-    make_enumeration_tasks,
     make_group,
+    Sequence,
     parse_sequence,
     reports_to_csv,
-    run_enumeration_task,
     verify_theorem,
 )
+
+from conftest import oracle_exists
 
 
 def test_formula_cyclic_examples():
@@ -64,7 +69,7 @@ def test_conjecture_value_examples():
 
 def collect(group, length, **kw):
     seen = []
-    stats = enumerate_zero_sum_multisets(group, length, seen.append, **kw)
+    stats = enumerate_multisets(group, length, seen.append, **kw)
     return seen, stats
 
 
@@ -94,16 +99,42 @@ def test_enumerate_colex_order():
     assert len(vectors) == 6  # C(2 + 2, 2)
 
 
-def test_enumerate_symmetry_reduction():
-    g = make_group([3])
-    full, _ = collect(g, 3)
-    reduced, _ = collect(g, 3, symmetry=True)
-    assert len(reduced) < len(full)
-    # Verdicts per length agree between full and symmetry-reduced runs.
-    for target in (2, 3):
-        assert all(has_zero_sum_of_length(s, target) for s in full) == all(
-            has_zero_sum_of_length(s, target) for s in reduced
-        )
+SMALL_GROUPS = [(1,), (2,), (3,), (5,), (8,), (2, 2), (2, 3), (2, 4), (2, 2, 2)]
+
+
+@st.composite
+def enumeration_cases(draw):
+    moduli = draw(st.sampled_from(SMALL_GROUPS))
+    length = draw(st.integers(0, 7))
+    target = draw(st.one_of(st.none(), st.integers(1, max(length, 1))))
+    return make_group(list(moduli)), length, target, draw(st.booleans())
+
+
+@given(enumeration_cases())
+@settings(max_examples=60, deadline=None)
+def test_enumerate_matches_oracle(case):
+    # The kernel must emit exactly the witness-free multisets of an
+    # independent enumeration, in colex order of multiplicity vectors.
+    group, length, target, zero_sum_only = case
+    elements = list(group.elements())
+    expected = []
+    for combo in itertools.combinations_with_replacement(elements, length):
+        counts: dict = {}
+        for el in combo:
+            counts[el] = counts.get(el, 0) + 1
+        seq = Sequence(group, counts)
+        if zero_sum_only and not seq.is_zero_sum():
+            continue
+        if target is not None and oracle_exists(seq, target):
+            continue
+        expected.append(seq)
+    expected.sort(key=lambda s: [s.counts.get(el, 0) for el in reversed(elements)])
+    seen = []
+    stats = enumerate_multisets(
+        group, length, seen.append, target=target, zero_sum_only=zero_sum_only
+    )
+    assert [s.counts for s in seen] == [s.counts for s in expected]
+    assert stats.visited == len(expected)
 
 
 def test_enumerate_budget_abort():
@@ -112,19 +143,6 @@ def test_enumerate_budget_abort():
         enumerate_multisets(
             g, 10, lambda s: None, zero_sum_only=False, budget=SearchBudget(max_nodes=50)
         )
-
-
-def test_enumeration_tasks_partition():
-    g = make_group([3, 3])
-    tasks = make_enumeration_tasks(g, 5, 4, zero_sum_only=True)
-    ranges = [t.outer_range for t in tasks]
-    covered = sorted(v for lo, hi in ranges for v in range(lo, hi + 1))
-    assert covered == list(range(6))  # disjoint cover of 0..L
-    parts: list = []
-    for t in tasks:
-        run_enumeration_task(t, parts.append)
-    whole, _ = collect(g, 5)
-    assert [s.counts for s in parts] == [s.counts for s in whole]
 
 
 def test_brute_force_spec_cases():
@@ -170,12 +188,41 @@ def test_brute_force_trivial_group():
 
 
 def test_brute_force_budget_exhaustion():
-    # No length-1 zero-sum subsequence ever appears in 0-free sequences, so
-    # the constant does not exist and the budget must trip.
+    # s'(Z/8, 16) = 22 takes about two million nodes to determine.
     with pytest.raises(BudgetExceeded):
         brute_force_modified_constant(
-            make_group([2]), 1, window=2, budget=SearchBudget(max_nodes=2000)
+            make_group([8]), 16, window=2, budget=SearchBudget(max_nodes=2000)
         )
+
+
+def test_brute_force_infinite_constant_is_a_precondition_error():
+    # exp(G) must divide t: an element of order exp(G) repeated k*exp(G)
+    # times has no zero-sum subsequence of length t for any k.
+    for moduli, t in (((2,), 1), ((4,), 2), ((2, 4), 6), ((3, 3), 4)):
+        with pytest.raises(PreconditionError):
+            brute_force_modified_constant(make_group(list(moduli)), t)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_caps_the_whole_length(workers):
+    # Size 17 over (Z/2)^4 spends 65,565 nodes over its 18 outer chunks, and
+    # no single chunk reaches 32,768: the cap is on their sum.
+    budget = SearchBudget(max_nodes=32768)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        with pytest.raises(BudgetExceeded):
+            check_all_have_witness(
+                make_group([2, 2, 2, 2]), 17, 2, zero_sum_only=True, name="cap",
+                budget=budget, pool=pool,
+            )
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    rep = check_all_have_witness(
+        make_group([2, 2, 2, 2]), 17, 2, zero_sum_only=True, name="cap",
+        budget=SearchBudget(max_nodes=65565),
+    )
+    assert rep.passed
 
 
 def test_check_all_have_witness():
