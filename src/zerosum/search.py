@@ -12,8 +12,12 @@ The brute-force determination scans sequence lengths upward and asks, per
 length, whether every zero-sum multiset of that size has a witness: the first
 multiset the kernel emits is a counterexample. Failures are reported in colex
 order of the multiplicity vector, so results do not depend on how the work is
-partitioned across workers. Enumeration with a visitor is the same kernel
-with a target that prunes nothing, or with the lemma's own target."""
+partitioned across workers.
+
+The unit of search is the chunk of vectors that share the last element's
+multiplicity. Enumeration and the serial scan walk the chunks of a length in
+order against one running node budget; a pooled scan hands the same chunks
+to its workers."""
 
 from __future__ import annotations
 
@@ -28,8 +32,8 @@ from typing import Callable, Iterable, Sequence as Seq
 from ._bitdp import get_pack
 from .engine import count_zero_sum_subseqs, find_zero_sum_subseq
 from .extractors import PreconditionError, extract_square_3n
-from .groups import Element, Group, make_group, min_nondivisor
-from .sequences import Sequence, serialize_sequence
+from .groups import Group, make_group, min_nondivisor
+from .sequences import Sequence, counts_sum, serialize_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -110,26 +114,40 @@ class EnumerationStats:
 # The search kernel
 
 
+def _chunks(moduli: tuple[int, ...], length: int) -> range:
+    """The outer multiplicities that partition the walk of one length: every
+    multiplicity of the last element, or one chunk for the trivial group."""
+    return range(length + 1) if math.prod(moduli) > 1 else range(1)
+
+
+def _budget_error(length: int, nodes: int, max_nodes: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"node budget exhausted at length {length}: {nodes} nodes, {max_nodes} allowed"
+    )
+
+
 def _walk(
     moduli: tuple[int, ...],
     target: int,
     length: int,
     zero_sum_only: bool,
+    outer: int,
     emit: Callable[[list[int]], bool | None],
     max_nodes: int,
     deadline: float,
-    outer: int | None = None,
+    spent: int,
 ) -> tuple[int, int]:
-    """Depth-first walk over the multiplicity vectors of size `length`, in
-    colex order (the last element's multiplicity varies slowest).
+    """Depth-first walk over one chunk of the multiplicity vectors of size
+    `length`: those whose last multiplicity equals `outer`, in colex order
+    (the last element's multiplicity varies slowest).
 
     The packed reachability mask of the prefix grows one copy at a time. A
     prefix that already has a zero-sum subsequence of length `target` cuts
     its whole subtree, so `emit` sees exactly the multisets without one
     (zero-sum ones only, with zero_sum_only). Target length + 1 prunes
     nothing. `emit` gets the live multiplicity list; a true return stops the
-    walk. With `outer`, only vectors whose last multiplicity equals it are
-    walked. Returns (nodes expanded, complete multisets reached).
+    chunk. Nodes count on from `spent`, and the walk raises once they pass
+    `max_nodes`. Returns (spent + nodes expanded, complete multisets reached).
     """
     pack = get_pack(moduli, target)
     order = pack.order
@@ -140,7 +158,7 @@ def _walk(
     probe_top = 1 << (target * order)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), order + 200))
 
-    nodes = 0
+    nodes = spent
     leaves = 0
     stop = False
     mults = [0] * order
@@ -178,7 +196,7 @@ def _walk(
         for j in range(1, budget_left + 1):
             nodes += 1
             if nodes > max_nodes:
-                raise BudgetExceeded(f"node budget exhausted at {nodes} nodes")
+                raise _budget_error(length, nodes, max_nodes)
             if not nodes & 0x3FF and time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted")
             cur = grow(cur, i)
@@ -191,29 +209,50 @@ def _walk(
             if stop:
                 return
 
-    top = order - 1
     if order == 1:
         leaf(length, (0,) * rank, pack.initial)
-    elif outer is None:
-        dfs(top, length, (0,) * rank, pack.initial)
-    else:
-        mask = pack.initial
-        for _ in range(outer):
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceeded(f"node budget exhausted at {nodes} nodes")
-            mask = grow(mask, top)
-            if mask & probe_top:
-                return nodes, leaves
-        mults[top] = outer
-        sc = tuple((outer * e) % m for e, m in zip(elems[top], moduli))
-        dfs(top - 1, length - outer, sc, mask)
+        return nodes, leaves
+    top = order - 1
+    mask = pack.initial
+    for _ in range(outer):
+        nodes += 1
+        if nodes > max_nodes:
+            raise _budget_error(length, nodes, max_nodes)
+        mask = grow(mask, top)
+        if mask & probe_top:
+            return nodes, leaves
+    mults[top] = outer
+    sc = tuple((outer * e) % m for e, m in zip(elems[top], moduli))
+    dfs(top - 1, length - outer, sc, mask)
     return nodes, leaves
 
 
-def _group_elements(moduli: tuple[int, ...]) -> list[Element]:
-    pack = get_pack(moduli, 0)
-    return [pack.coords_of(i) for i in range(pack.order)]
+def _walk_chunks(
+    moduli: tuple[int, ...],
+    target: int,
+    length: int,
+    zero_sum_only: bool,
+    outers: Iterable[int],
+    emit: Callable[[list[int]], bool | None],
+    max_nodes: int,
+    deadline: float,
+) -> tuple[int, int]:
+    """Walk the given chunks in order against one running node budget.
+    Returns (nodes expanded, complete multisets reached) over all of them."""
+    nodes = leaves = 0
+    for outer in outers:
+        nodes, reached = _walk(
+            moduli, target, length, zero_sum_only, outer, emit, max_nodes, deadline, nodes
+        )
+        leaves += reached
+    return nodes, leaves
+
+
+def _sequence_of(group: Group, mults: Seq[int]) -> Sequence:
+    """The multiset with the given multiplicity vector, indexed as the kernel
+    indexes the group's elements."""
+    coords_of = get_pack(group.moduli, 0).coords_of
+    return Sequence(group, {coords_of(i): m for i, m in enumerate(mults) if m})
 
 
 def enumerate_multisets(
@@ -235,18 +274,18 @@ def enumerate_multisets(
         raise ValueError(f"length must be >= 0, got {length}")
     budget = budget or SearchBudget()
     start = time.monotonic()
-    elems = _group_elements(group.moduli)
     stats = EnumerationStats()
 
     def emit(mults: list[int]) -> None:
         stats.visited += 1
-        visitor(Sequence(group, {elems[i]: m for i, m in enumerate(mults) if m}))
+        visitor(_sequence_of(group, mults))
 
-    stats.nodes, _ = _walk(
+    stats.nodes, _ = _walk_chunks(
         group.moduli,
         length + 1 if target is None else target,
         length,
         zero_sum_only,
+        _chunks(group.moduli, length),
         emit,
         budget.max_nodes,
         start + budget.max_seconds,
@@ -259,23 +298,24 @@ def enumerate_multisets(
 # Pruned universal-verdict scan (the brute-force core)
 
 
-def _probe_chunk(args: tuple) -> tuple[tuple[int, ...] | None, int, int]:
-    """Search one outer-multiplicity branch for a multiset of the given size
-    with no witness of the target length (and, optionally, zero total sum).
+def _probe_chunks(args: tuple) -> tuple[tuple[int, ...] | None, int, int]:
+    """Search the given outer-multiplicity chunks for a multiset of the given
+    size with no witness of the target length (and, optionally, zero total
+    sum). Each chunk is searched up to its own first failure.
 
     Returns (first failing multiplicity vector in colex order or None,
     nodes expanded, complete multisets examined). Pure function of its
     arguments, so results are independent of scheduling.
     """
-    moduli, target, length, zero_sum_only, outer_value, max_nodes, deadline = args
+    moduli, target, length, zero_sum_only, outers, max_nodes, deadline = args
     found: list[tuple[int, ...]] = []
 
     def emit(mults: list[int]) -> bool:
         found.append(tuple(mults))
         return True
 
-    nodes, leaves = _walk(
-        moduli, target, length, zero_sum_only, emit, max_nodes, deadline, outer_value
+    nodes, leaves = _walk_chunks(
+        moduli, target, length, zero_sum_only, outers, emit, max_nodes, deadline
     )
     return (found[0] if found else None), nodes, leaves
 
@@ -291,36 +331,23 @@ def _probe_length(
 ) -> tuple[tuple[int, ...] | None, int, int]:
     """Universal verdict for one length, partitioned by outer multiplicity.
 
-    The partition is the same regardless of worker count, and each branch is
+    The partition is the same regardless of worker count, and each chunk is
     searched exhaustively up to its own first failure, so the aggregated
     verdict, failing vector, and node counts are scheduling-independent.
-    The node budget caps the sum over all branches.
+    The node budget caps the running total of a serial run, and the sum
+    over all chunks of a pooled one.
     """
-    order = math.prod(moduli)
-    if order == 1:
-        tasks = [(moduli, target, length, zero_sum_only, 0, max_nodes, deadline)]
-    else:
-        tasks = [
-            (moduli, target, length, zero_sum_only, v, max_nodes, deadline)
-            for v in range(length + 1)
-        ]
+    chunks = _chunks(moduli, length)
     if pool is None:
-        results = [_probe_chunk(t) for t in tasks]
-    else:
-        results = list(pool.map(_probe_chunk, tasks))
+        return _probe_chunks((moduli, target, length, zero_sum_only, chunks, max_nodes, deadline))
+    tasks = [(moduli, target, length, zero_sum_only, (v,), max_nodes, deadline) for v in chunks]
+    results = list(pool.map(_probe_chunks, tasks))
     nodes = sum(r[1] for r in results)
     if nodes > max_nodes:
-        raise BudgetExceeded(
-            f"node budget exhausted at length {length}: {nodes} nodes, {max_nodes} allowed"
-        )
+        raise _budget_error(length, nodes, max_nodes)
     leaves = sum(r[2] for r in results)
     fail = next((r[0] for r in results if r[0] is not None), None)
     return fail, nodes, leaves
-
-
-def _mults_to_sequence(group: Group, mults: tuple[int, ...]) -> Sequence:
-    elems = _group_elements(group.moduli)
-    return Sequence(group, {elems[i]: m for i, m in enumerate(mults) if m})
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +516,7 @@ def brute_force_modified_constant(
     # Length 0 always fails for t >= 1: the empty sequence is zero-sum and has
     # no length-t subsequence.
     last_fail = 0
-    last_fail_vec: tuple[int, ...] | None = None
+    last_fail_vec: tuple[int, ...] = ()
     try:
         length = 1
         while True:
@@ -514,10 +541,7 @@ def brute_force_modified_constant(
         if own_pool:
             pool.shutdown()
     computed = last_fail + 1
-    if last_fail_vec is None:
-        witness = Sequence(group, {})
-    else:
-        witness = _mults_to_sequence(group, last_fail_vec)
+    witness = _sequence_of(group, last_fail_vec)
     stats.wall_ms = int((time.monotonic() - start) * 1000)
     return ConstantReport(
         group=str(group),
@@ -559,7 +583,7 @@ def check_all_have_witness(
     )
     counterexample = None
     if fail_vec is not None:
-        counterexample = serialize_sequence(_mults_to_sequence(group, fail_vec))
+        counterexample = serialize_sequence(_sequence_of(group, fail_vec))
     return PropertyReport(
         name=name,
         params={"group": str(group), "size": size, "target": target},
@@ -578,7 +602,6 @@ def check_all_have_witness(
 
 def check_lemma_por2p(
     p: int,
-    mode: str = "exhaustive",
     count: int = 10000,
     seed: int = 0,
     budget: SearchBudget | None = None,
@@ -587,23 +610,18 @@ def check_lemma_por2p(
     the number of 2p-subsets summing to zero is p - 1 mod p.
 
     The hypothesis cases are exactly the multisets with no zero-sum
-    subsequence of length p, which the search kernel enumerates. Exhaustive
-    mode (p = 2 only) checks every one of them; sample mode checks `count`
-    uniform draws from them at each size. `vacuous` counts the multisets of
-    both sizes that lie outside the hypothesis.
+    subsequence of length p, which the search kernel enumerates. At p = 2
+    every one of them is checked; otherwise `count` uniform draws from them
+    at each size are. `vacuous` counts the multisets of both sizes that lie
+    outside the hypothesis.
     """
-    if mode not in ("exhaustive", "sample"):
-        raise ValueError(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
-    if mode == "exhaustive" and p != 2:
-        raise ValueError("exhaustive mode is only supported for p = 2")
+    mode = "exhaustive" if p == 2 else "sample"
     budget = budget or SearchBudget()
     start = time.monotonic()
     group = make_group([p, p])
     sizes = (3 * p - 2, 3 * p - 1)
     rng = random.Random(seed)
-    checked = 0
-    vacuous = 0
-    violations = 0
+    checked = vacuous = violations = 0
     counterexample = None
     for size in sizes:
         cases: list[Sequence] = []
@@ -650,16 +668,8 @@ def _check_3n_sequence(seq: Sequence, n: int) -> str | None:
 
 def _random_multiset(rng: random.Random, order: int, size: int) -> list[int]:
     """Uniform multiplicity vector of the given total via stars and bars."""
-    if order == 1:
-        return [size]
-    bars = sorted(rng.sample(range(size + order - 1), order - 1))
-    mults = []
-    prev = -1
-    for b in bars:
-        mults.append(b - prev - 1)
-        prev = b
-    mults.append(size + order - 2 - prev)
-    return mults
+    bars = [-1, *sorted(rng.sample(range(size + order - 1), order - 1)), size + order - 1]
+    return [b - a - 1 for a, b in zip(bars, bars[1:])]
 
 
 def check_lemma_3n(
@@ -679,8 +689,7 @@ def check_lemma_3n(
     budget = budget or SearchBudget()
     start = time.monotonic()
     group = make_group([n, n])
-    checked = 0
-    violations = 0
+    checked = violations = 0
     counterexample = None
     exhaustive = n <= 3
 
@@ -697,7 +706,7 @@ def check_lemma_3n(
         enumerate_multisets(group, 3 * n, run_one, budget=budget)
     else:
         rng = random.Random(seed)
-        elems = _group_elements(group.moduli)
+        elems = list(group.elements())  # in the kernel's index order
         deadline = start + budget.max_seconds
         attempts = 0
         while checked < samples:
@@ -705,10 +714,9 @@ def check_lemma_3n(
             if attempts > budget.max_nodes or time.monotonic() > deadline:
                 raise BudgetExceeded(f"sampling budget exhausted after {attempts} draws")
             mults = _random_multiset(rng, group.order, 3 * n)
-            seq = Sequence(group, {elems[i]: m for i, m in enumerate(mults) if m})
-            if not seq.is_zero_sum():
+            if any(counts_sum(group, dict(zip(elems, mults)))):
                 continue
-            run_one(seq)
+            run_one(_sequence_of(group, mults))
 
     return PropertyReport(
         name="lemma3n",
@@ -748,97 +756,36 @@ def verify_theorem(
     conjecture  brute-force s' over (Z/2)^r at target 2 versus the conjecture value
     """
     budget = budget or SearchBudget()
-    pool: ProcessPoolExecutor | None = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        if suite == "cyclic":
-            ns = list(n_values) if n_values is not None else list(range(2, 7))
-            ts = list(t_values) if t_values is not None else [1]
-            return [
-                brute_force_modified_constant(
-                    make_group([n]),
-                    n * t,
-                    window=window,
-                    budget=budget,
-                    claimed_value=formula_modified_cyclic(n, t),
-                    pool=pool,
-                )
-                for t in ts
-                for n in ns
-            ]
-        if suite == "square":
-            ns = list(n_values) if n_values is not None else [2, 3]
-            return [
-                brute_force_modified_constant(
-                    make_group([n, n]),
-                    n,
-                    window=window,
-                    budget=budget,
-                    claimed_value=formula_modified_square(n),
-                    pool=pool,
-                )
-                for n in ns
-            ]
-        if suite == "egz":
-            ns = list(n_values) if n_values is not None else list(range(2, 11))
-            return [
-                check_all_have_witness(
-                    make_group([n]),
-                    2 * n - 1,
-                    n,
-                    zero_sum_only=False,
-                    name="egz",
-                    budget=budget,
-                    pool=pool,
-                )
-                for n in ns
-            ]
-        if suite == "reiher":
-            ns = list(n_values) if n_values is not None else [2, 3]
-            return [
-                check_all_have_witness(
-                    make_group([n, n]),
-                    4 * n - 3,
-                    n,
-                    zero_sum_only=False,
-                    name="reiher",
-                    budget=budget,
-                    pool=pool,
-                )
-                for n in ns
-            ]
-        if suite == "lemma3n":
-            ns = list(n_values) if n_values is not None else [2, 3, 4, 6]
-            return [
-                check_lemma_3n(n, samples=samples or 1000, seed=seed, budget=budget)
-                for n in ns
-            ]
-        if suite == "por2p":
-            ps = list(n_values) if n_values is not None else [2, 3]
-            reports = []
-            for p in ps:
-                mode = "exhaustive" if p == 2 else "sample"
-                reports.append(
-                    check_lemma_por2p(
-                        p, mode=mode, count=samples or 10000, seed=seed, budget=budget
-                    )
-                )
-            return reports
-        if suite == "conjecture":
-            rs = list(n_values) if n_values is not None else [1, 2, 3]
-            return [
-                brute_force_modified_constant(
-                    make_group([2] * r),
-                    2,
-                    window=window,
-                    budget=budget,
-                    claimed_value=conjecture_value(2, r),
-                    pool=pool,
-                )
-                for r in rs
-            ]
+
+    def constant(moduli: list[int], t: int, claimed: int) -> ConstantReport:
+        return brute_force_modified_constant(
+            make_group(moduli), t, window=window, budget=budget, claimed_value=claimed, pool=pool
+        )
+
+    def witness(moduli: list[int], size: int, target: int, name: str) -> PropertyReport:
+        return check_all_have_witness(
+            make_group(moduli), size, target, zero_sum_only=False, name=name,
+            budget=budget, pool=pool,
+        )
+
+    # suite -> (default n values, the report for one n and t); only cyclic reads t.
+    suites: dict[str, tuple[Seq[int], Callable[[int, int], ConstantReport | PropertyReport]]] = {
+        "cyclic": (range(2, 7), lambda n, t: constant([n], n * t, formula_modified_cyclic(n, t))),
+        "square": ([2, 3], lambda n, t: constant([n, n], n, formula_modified_square(n))),
+        "egz": (range(2, 11), lambda n, t: witness([n], 2 * n - 1, n, "egz")),
+        "reiher": ([2, 3], lambda n, t: witness([n, n], 4 * n - 3, n, "reiher")),
+        "lemma3n": ([2, 3, 4, 6], lambda n, t: check_lemma_3n(n, samples or 1000, seed, budget)),
+        "por2p": ([2, 3], lambda p, t: check_lemma_por2p(p, samples or 10000, seed, budget)),
+        "conjecture": ([1, 2, 3], lambda r, t: constant([2] * r, 2, conjecture_value(2, r))),
+    }
+    if suite not in suites:
         raise ValueError(f"unknown suite {suite!r}")
+    defaults, report = suites[suite]
+    ns = list(defaults if n_values is None else n_values)
+    ts = list(t_values) if suite == "cyclic" and t_values is not None else [1]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        return [report(n, t) for t in ts for n in ns]
     finally:
         if pool is not None:
             pool.shutdown()

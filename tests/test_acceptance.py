@@ -149,10 +149,10 @@ def test_ac07_lemma_3n():
 
 def test_ac08_por2p_congruence():
     failures = []
-    rep = check_lemma_por2p(2, mode="exhaustive")
+    rep = check_lemma_por2p(2)
     if not rep.passed:
         failures.append((2, rep.counterexample))
-    rep = check_lemma_por2p(3, mode="sample", count=10000, seed=0)
+    rep = check_lemma_por2p(3, count=10000, seed=0)
     if not (rep.passed and rep.checked >= 20000):
         failures.append((3, rep.counterexample, rep.checked))
     _report(8, "p-vs-2p congruence", not failures, f"failures={failures}")

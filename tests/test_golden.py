@@ -30,6 +30,12 @@ COMMANDS = [
     ["verify", "--suite", "reiher", "--n", "2"],
     ["verify", "--suite", "lemma3n", "--n", "2,3"],
     ["verify", "--suite", "por2p", "--n", "2"],
+    ["verify", "--suite", "cyclic", "--n", "2..5", "--t", "1,2"],
+    ["verify", "--suite", "square", "--n", "2,3"],
+    ["verify", "--suite", "conjecture", "--n", "1..3"],
+    ["verify", "--suite", "por2p", "--n", "2,3", "--samples", "50", "--seed", "4"],
+    ["verify", "--suite", "lemma3n", "--n", "4", "--samples", "20", "--seed", "2"],
+    ["verify", "--suite", "egz", "--n", "2..6", "--workers", "2"],
 ]
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import re
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -30,6 +32,8 @@ from zerosum import (
     reports_to_csv,
     verify_theorem,
 )
+
+from zerosum.search import _probe_length
 
 from conftest import oracle_exists
 
@@ -137,6 +141,33 @@ def test_enumerate_matches_oracle(case):
     assert stats.visited == len(expected)
 
 
+def test_probe_length_serial_pooled_and_enumerated_agree():
+    # The serial chunk loop, the pool's per-chunk map and enumeration walk the
+    # same chunks: the same first failure, nodes and leaves at any worker count,
+    # and that failure is the first multiset the enumeration emits.
+    with ProcessPoolExecutor(max_workers=2) as pool:
+
+        @given(enumeration_cases())
+        @settings(max_examples=40, deadline=None)
+        def check(case):
+            group, length, target, zero_sum_only = case
+            t = length + 1 if target is None else target
+            deadline = time.monotonic() + 900
+            probes = [
+                _probe_length(group.moduli, t, length, zero_sum_only, p, 10**8, deadline)
+                for p in (None, pool)
+            ]
+            assert probes[0] == probes[1]
+            seen = []
+            enumerate_multisets(group, length, seen.append, target=t, zero_sum_only=zero_sum_only)
+            first = None
+            if seen:
+                first = tuple(seen[0].counts.get(el, 0) for el in group.elements())
+            assert probes[0][0] == first
+
+        check()
+
+
 def test_enumerate_budget_abort():
     g = make_group([5])
     with pytest.raises(BudgetExceeded):
@@ -210,7 +241,7 @@ def test_budget_caps_the_whole_length(workers):
     budget = SearchBudget(max_nodes=32768)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as exc:
             check_all_have_witness(
                 make_group([2, 2, 2, 2]), 17, 2, zero_sum_only=True, name="cap",
                 budget=budget, pool=pool,
@@ -218,6 +249,13 @@ def test_budget_caps_the_whole_length(workers):
     finally:
         if pool is not None:
             pool.shutdown()
+    spent = int(re.search(r"(\d+) nodes, 32768 allowed", str(exc.value)).group(1))
+    if workers == 1:
+        # A serial run stops at the first node past the cap, whatever chunk it is in.
+        assert spent <= 32768 + 1
+        assert str(exc.value) == "node budget exhausted at length 17: 32769 nodes, 32768 allowed"
+    else:
+        assert spent == 65565
     rep = check_all_have_witness(
         make_group([2, 2, 2, 2]), 17, 2, zero_sum_only=True, name="cap",
         budget=SearchBudget(max_nodes=65565),
@@ -241,8 +279,9 @@ def test_check_all_have_witness():
 
 
 def test_por2p_exhaustive_p2():
-    rep = check_lemma_por2p(2, mode="exhaustive")
+    rep = check_lemma_por2p(2)
     assert rep.passed and rep.violations == 0
+    assert rep.params["mode"] == "exhaustive" and rep.params["count"] is None
     # C(7,3) + C(8,3) multisets of sizes 4 and 5 over a 4-element group.
     assert rep.checked + rep.vacuous == 35 + 56
 
@@ -254,15 +293,9 @@ def test_por2p_hand_example():
 
 
 def test_por2p_sampled_small():
-    rep = check_lemma_por2p(3, mode="sample", count=50, seed=1)
+    rep = check_lemma_por2p(3, count=50, seed=1)
+    assert rep.params["mode"] == "sample"
     assert rep.passed and rep.checked >= 100  # 50 hypothesis cases per size
-
-
-def test_por2p_mode_validation():
-    with pytest.raises(ValueError):
-        check_lemma_por2p(3, mode="exhaustive")
-    with pytest.raises(ValueError):
-        check_lemma_por2p(2, mode="nonsense")
 
 
 def test_lemma3n_exhaustive_small():
