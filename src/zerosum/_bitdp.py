@@ -12,7 +12,7 @@ agrees with ascending coordinate order.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class GroupPack:
@@ -47,8 +47,18 @@ class GroupPack:
     def index_of(self, coords: tuple[int, ...]) -> int:
         return sum(c * s for c, s in zip(coords, self.strides))
 
-    def coords_of(self, index: int) -> tuple[int, ...]:
-        return tuple((index // s) % m for s, m in zip(self.strides, self.moduli))
+    @cached_property
+    def elements(self) -> list[tuple[int, ...]]:
+        """The coordinates of every element, by index."""
+        return [
+            tuple((i // s) % m for s, m in zip(self.strides, self.moduli))
+            for i in range(self.order)
+        ]
+
+    @cached_property
+    def plus(self) -> list[list[int]]:
+        """plus[i][s] is the index of element s + element i."""
+        return [[self.add_index(s, e) for s in range(self.order)] for e in self.elements]
 
     def add_index(self, index: int, coords: tuple[int, ...], times: int = 1) -> int:
         out = 0
@@ -88,6 +98,11 @@ class GroupPack:
             parts = tuple(built)
             self._parts[coords] = parts
         return parts
+
+    @cached_property
+    def parts(self) -> list[tuple]:
+        """`element_parts` of every element, by index."""
+        return [self.element_parts(e) for e in self.elements]
 
     def shift(self, mask: int, coords: tuple[int, ...]) -> int:
         """Translate every recorded sum by the given element, all segments at once."""

@@ -33,7 +33,7 @@ from ._bitdp import get_pack
 from .engine import count_zero_sum_subseqs, find_zero_sum_subseq
 from .extractors import PreconditionError, extract_square_3n
 from .groups import Group, make_group, min_nondivisor
-from .sequences import Sequence, counts_sum, serialize_sequence
+from .sequences import Sequence, serialize_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,10 @@ def _budget_error(length: int, nodes: int, max_nodes: int) -> BudgetExceeded:
     )
 
 
+class _Stop(Exception):
+    """`emit` asked the walk to stop; args[0] is the node count so far."""
+
+
 def _walk(
     moduli: tuple[int, ...],
     target: int,
@@ -148,82 +152,114 @@ def _walk(
     nothing. `emit` gets the live multiplicity list; a true return stops the
     chunk. Nodes count on from `spent`, and the walk raises once they pass
     `max_nodes`. Returns (spent + nodes expanded, complete multisets reached).
+
+    The prefix sum is one element index, advanced through `pack.plus`, so
+    the zero-sum test is `s != 0`. Element 0 is the identity: a leaf whose
+    last b copies are element 0 has a witness iff its mask meets `pad[b]`,
+    the bits of count target - j and sum 0 for j <= min(b, target). The
+    level of element 1 runs its leaves in its own loop, with no call per
+    leaf, and the node count travels through arguments and return values.
+    The rotation masks of `pack.parts` span the packed width, so a grown
+    mask needs no truncation.
     """
     pack = get_pack(moduli, target)
     order = pack.order
-    rank = pack.rank
-    elems = [pack.coords_of(i) for i in range(order)]
-    parts = [pack.element_parts(e) for e in elems]
-    full = pack.full
+    plus = pack.plus
+    parts = pack.parts
     probe_top = 1 << (target * order)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), order + 200))
+    pad = [0] * (length + 1)
+    bits = 0
+    for b in range(length + 1):
+        if b <= target:
+            bits |= 1 << ((target - b) * order)
+        pad[b] = bits
 
-    nodes = spent
+    any_sum = not zero_sum_only
     leaves = 0
-    stop = False
     mults = [0] * order
 
-    def leaf(budget_left: int, scoords: tuple[int, ...], mask: int) -> None:
-        nonlocal leaves, stop
-        leaves += 1
-        if zero_sum_only and any(scoords):
-            return
-        for j in range(min(budget_left, target) + 1):
-            if (mask >> ((target - j) * order)) & 1:
-                return
-        mults[0] = budget_left
-        stop = bool(emit(mults))
-
-    def grow(mask: int, i: int) -> int:
-        """One more copy of element i folded into the packed reachability."""
-        moved = (mask << order) & full
-        for lo, up, down, lod in parts[i]:
-            moved = ((moved & lo) << up) | ((moved >> down) & lod)
-        return mask | moved
-
-    def dfs(i: int, budget_left: int, scoords: tuple[int, ...], mask: int) -> None:
-        nonlocal nodes
-        if i == 0:
-            leaf(budget_left, scoords, mask)
-            return
-        mults[i] = 0
-        dfs(i - 1, budget_left, scoords, mask)
-        if stop:
-            return
-        ec = elems[i]
-        sc = list(scoords)
-        cur = mask
-        for j in range(1, budget_left + 1):
+    def last(i: int, b: int, s: int, mask: int, nodes: int) -> int:
+        """Element i = 1 with its leaves: b - r copies of it, then r of element 0."""
+        nonlocal leaves
+        plus_i = plus[i]
+        ((lo, up, down, lod),) = parts[i]  # element 1 has one nonzero coordinate
+        for r in range(b, -1, -1):
+            if (any_sum or not s) and not mask & pad[r]:
+                mults[i] = b - r
+                mults[0] = r
+                if emit(mults):
+                    leaves += b - r + 1
+                    raise _Stop(nodes)
+            if not r:
+                break
             nodes += 1
             if nodes > max_nodes:
                 raise _budget_error(length, nodes, max_nodes)
             if not nodes & 0x3FF and time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted")
-            cur = grow(cur, i)
-            if cur & probe_top:
-                break  # prefix already has a witness: subtree has no failures
-            for a in range(rank):
-                sc[a] = (sc[a] + ec[a]) % moduli[a]
-            mults[i] = j
-            dfs(i - 1, budget_left - j, tuple(sc), cur)
-            if stop:
-                return
+            moved = mask << order
+            mask |= ((moved & lo) << up) | ((moved >> down) & lod)
+            if mask & probe_top:
+                leaves += b - r + 1
+                return nodes  # prefix already has a witness: subtree has no failures
+            s = plus_i[s]
+        leaves += b + 1
+        return nodes
 
-    if order == 1:
-        leaf(length, (0,) * rank, pack.initial)
-        return nodes, leaves
+    def dfs(i: int, b: int, s: int, mask: int, nodes: int) -> int:
+        """Element i >= 2: 0..b copies of it, each followed by the levels below."""
+        below = dfs if i > 2 else last
+        mults[i] = 0
+        nodes = below(i - 1, b, s, mask, nodes)
+        plus_i = plus[i]
+        parts_i = parts[i]
+        for j in range(1, b + 1):
+            nodes += 1
+            if nodes > max_nodes:
+                raise _budget_error(length, nodes, max_nodes)
+            if not nodes & 0x3FF and time.monotonic() > deadline:
+                raise BudgetExceeded("wall-clock budget exhausted")
+            moved = mask << order
+            for lo, up, down, lod in parts_i:
+                moved = ((moved & lo) << up) | ((moved >> down) & lod)
+            mask |= moved
+            if mask & probe_top:
+                break  # prefix already has a witness: subtree has no failures
+            s = plus_i[s]
+            mults[i] = j
+            nodes = below(i - 1, b - j, s, mask, nodes)
+        return nodes
+
     top = order - 1
+    nodes = spent
     mask = pack.initial
-    for _ in range(outer):
-        nodes += 1
-        if nodes > max_nodes:
-            raise _budget_error(length, nodes, max_nodes)
-        mask = grow(mask, top)
-        if mask & probe_top:
-            return nodes, leaves
-    mults[top] = outer
-    sc = tuple((outer * e) % m for e, m in zip(elems[top], moduli))
-    dfs(top - 1, length - outer, sc, mask)
+    s = 0
+    if top:
+        plus_top = plus[top]
+        parts_top = parts[top]
+        for _ in range(outer):
+            nodes += 1
+            if nodes > max_nodes:
+                raise _budget_error(length, nodes, max_nodes)
+            moved = mask << order
+            for lo, up, down, lod in parts_top:
+                moved = ((moved & lo) << up) | ((moved >> down) & lod)
+            mask |= moved
+            if mask & probe_top:
+                return nodes, leaves
+            s = plus_top[s]
+        mults[top] = outer
+    b = length - outer
+    try:
+        if top >= 2:
+            nodes = (dfs if top > 2 else last)(top - 1, b, s, mask, nodes)
+        else:  # the chunk is one multiset
+            leaves = 1
+            if (any_sum or not s) and not mask & pad[b]:
+                mults[0] = b
+                emit(mults)
+    except _Stop as stop:
+        (nodes,) = stop.args
     return nodes, leaves
 
 
@@ -239,6 +275,9 @@ def _walk_chunks(
 ) -> tuple[int, int]:
     """Walk the given chunks in order against one running node budget.
     Returns (nodes expanded, complete multisets reached) over all of them."""
+    depth = math.prod(moduli) + 200  # the walk takes one frame per element
+    if sys.getrecursionlimit() < depth:
+        sys.setrecursionlimit(depth)
     nodes = leaves = 0
     for outer in outers:
         nodes, reached = _walk(
@@ -251,8 +290,8 @@ def _walk_chunks(
 def _sequence_of(group: Group, mults: Seq[int]) -> Sequence:
     """The multiset with the given multiplicity vector, indexed as the kernel
     indexes the group's elements."""
-    coords_of = get_pack(group.moduli, 0).coords_of
-    return Sequence(group, {coords_of(i): m for i, m in enumerate(mults) if m})
+    elements = get_pack(group.moduli, 0).elements
+    return Sequence(group, {elements[i]: m for i, m in enumerate(mults) if m})
 
 
 def enumerate_multisets(
@@ -706,7 +745,7 @@ def check_lemma_3n(
         enumerate_multisets(group, 3 * n, run_one, budget=budget)
     else:
         rng = random.Random(seed)
-        elems = list(group.elements())  # in the kernel's index order
+        plus = get_pack(group.moduli, 0).plus
         deadline = start + budget.max_seconds
         attempts = 0
         while checked < samples:
@@ -714,7 +753,11 @@ def check_lemma_3n(
             if attempts > budget.max_nodes or time.monotonic() > deadline:
                 raise BudgetExceeded(f"sampling budget exhausted after {attempts} draws")
             mults = _random_multiset(rng, group.order, 3 * n)
-            if any(counts_sum(group, dict(zip(elems, mults)))):
+            total = 0
+            for i, m in enumerate(mults):
+                for _ in range(m):
+                    total = plus[i][total]
+            if total:
                 continue
             run_one(_sequence_of(group, mults))
 

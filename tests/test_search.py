@@ -103,7 +103,7 @@ def test_enumerate_colex_order():
     assert len(vectors) == 6  # C(2 + 2, 2)
 
 
-SMALL_GROUPS = [(1,), (2,), (3,), (5,), (8,), (2, 2), (2, 3), (2, 4), (2, 2, 2)]
+SMALL_GROUPS = [(1,), (2,), (3,), (4,), (5,), (8,), (2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2)]
 
 
 @st.composite
@@ -166,6 +166,51 @@ def test_probe_length_serial_pooled_and_enumerated_agree():
             assert probes[0][0] == first
 
         check()
+
+
+@given(enumeration_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_probe_length_node_cap_is_exact(case, data):
+    # The node count threaded through the walk is the one the cap sees: any
+    # cap below the uncapped count stops the serial scan at the first node
+    # past it, and any cap at or above it changes nothing.
+    group, length, target, zero_sum_only = case
+    t = length + 1 if target is None else target
+    deadline = time.monotonic() + 900
+    uncapped = _probe_length(group.moduli, t, length, zero_sum_only, None, 10**8, deadline)
+    nodes = uncapped[1]
+    if nodes:
+        cap = data.draw(st.integers(0, nodes - 1), label="cap below")
+        with pytest.raises(BudgetExceeded) as exc:
+            _probe_length(group.moduli, t, length, zero_sum_only, None, cap, deadline)
+        assert str(exc.value) == (
+            f"node budget exhausted at length {length}: {cap + 1} nodes, {cap} allowed"
+        )
+    cap = data.draw(st.integers(nodes, nodes + 3), label="cap at or above")
+    assert _probe_length(group.moduli, t, length, zero_sum_only, None, cap, deadline) == uncapped
+
+
+@pytest.mark.parametrize(
+    "moduli, t, value, witness, nodes, leaves",
+    [
+        (
+            (2, 2, 2, 2), 2, 17,
+            "Z/2^4: (0,0,0,0) (0,0,0,1) (0,0,1,0) (0,0,1,1) (0,1,0,0) (0,1,0,1) (0,1,1,0) (0,1,1,1)"
+            " (1,0,0,0) (1,0,0,1) (1,0,1,0) (1,0,1,1) (1,1,0,0) (1,1,0,1) (1,1,1,0) (1,1,1,1)",
+            446160, 223193,
+        ),
+        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 913915, 306054),
+        ((8,), 16, 22, "Z/8: 2^15 3^6", 2085566, 1528156),
+    ],
+    ids=["Z2^4-t2", "Z4^2-t4", "Z8-t16"],
+)
+def test_benchmark_scan_counters(moduli, t, value, witness, nodes, leaves):
+    # The three constants of the benchmark's scan: the kernel must walk
+    # exactly the same tree, so the counters are pinned with the value.
+    r = brute_force_modified_constant(make_group(list(moduli)), t)
+    assert r.computed_value == value
+    assert r.extremal_witness == witness
+    assert (r.stats.nodes_visited, r.stats.sequences_checked) == (nodes, leaves)
 
 
 def test_enumerate_budget_abort():
