@@ -44,9 +44,6 @@ class GroupPack:
 
     # -- index arithmetic ---------------------------------------------------
 
-    def index_of(self, coords: tuple[int, ...]) -> int:
-        return sum(c * s for c, s in zip(coords, self.strides))
-
     @cached_property
     def elements(self) -> list[tuple[int, ...]]:
         """The coordinates of every element, by index."""

@@ -303,7 +303,6 @@ def _cmd_constant(args) -> int:
     report = brute_force_modified_constant(
         group,
         args.t,
-        window=args.window,
         budget=_budget_from(args),
         workers=_workers_from(args),
         claimed_value=claimed,
@@ -332,7 +331,6 @@ def _cmd_verify(args) -> int:
         args.suite,
         n_values=n_values,
         t_values=t_values,
-        window=args.window,
         budget=_budget_from(args),
         workers=_workers_from(args),
         seed=args.seed,
@@ -421,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constant", help="brute-force a modified constant")
     p.add_argument("--group", required=True)
     p.add_argument("--t", type=int, required=True, help="target subsequence length")
-    p.add_argument("--window", type=int, default=2)
     p.add_argument("--budget", type=int, help="node budget (default 1e8)")
     p.add_argument("--time-limit", type=float, help="wall-clock budget in seconds")
     p.add_argument("--workers", type=int)
@@ -436,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", help="n range, e.g. 2..10 (for conjecture: the rank r; for por2p: the prime)")
     p.add_argument("--t", help="t range for the cyclic suite, e.g. 1..2")
-    p.add_argument("--window", type=int, default=2)
     p.add_argument("--budget", type=int, help="node budget (default 1e8)")
     p.add_argument("--time-limit", type=float, help="wall-clock budget in seconds")
     p.add_argument("--workers", type=int)

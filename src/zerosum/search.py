@@ -8,16 +8,16 @@ whole subtree is resolved without being enumerated. Only witness-free
 prefixes are ever expanded, which keeps the search tree tiny compared to the
 raw multiset count.
 
-The brute-force determination scans sequence lengths upward and asks, per
-length, whether every zero-sum multiset of that size has a witness: the first
-multiset the kernel emits is a counterexample. Failures are reported in colex
-order of the multiplicity vector, so results do not depend on how the work is
-partitioned across workers.
+The brute-force determination walks once: every multiset with no zero-sum
+subsequence of length t (when exp(G) divides t) is a sub-multiset-closed,
+finite family, so one pruned walk lists every length at which some multiset
+fails, with the first failing vector of each length in colex order. Results
+do not depend on how the work is partitioned across workers.
 
 The unit of search is the chunk of vectors that share the last element's
-multiplicity. Enumeration and the serial scan walk the chunks of a length in
-order against one running node budget; a pooled scan hands the same chunks
-to its workers."""
+multiplicity. Enumeration and serial walks take the chunks in order against
+one running node budget; a pooled walk hands the same chunks to its workers
+and merges them in order."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence as Seq
+from typing import Callable, Iterable, NamedTuple, Sequence as Seq
 
 from ._bitdp import get_pack
 from .engine import count_zero_sum_subseqs, find_zero_sum_subseq
@@ -114,87 +114,92 @@ class EnumerationStats:
 # The search kernel
 
 
-def _chunks(moduli: tuple[int, ...], length: int) -> range:
-    """The outer multiplicities that partition the walk of one length: every
-    multiplicity of the last element, or one chunk for the trivial group."""
-    return range(length + 1) if math.prod(moduli) > 1 else range(1)
+def _chunks(moduli: tuple[int, ...], target: int, length: int) -> range:
+    """The outer multiplicities that partition a walk up to `length`: those
+    of the last element that hold no witness, or one chunk for the trivial
+    group. The last element has order exp(G), so `target` copies of it are a
+    witness when exp(G) divides the target, and no number of copies is
+    otherwise."""
+    if math.prod(moduli) == 1:
+        return range(1)
+    if target % math.lcm(*moduli) == 0:
+        length = min(length, target - 1)
+    return range(length + 1)
 
 
-def _budget_error(length: int, nodes: int, max_nodes: int) -> BudgetExceeded:
-    return BudgetExceeded(
-        f"node budget exhausted at length {length}: {nodes} nodes, {max_nodes} allowed"
-    )
-
-
-class _Stop(Exception):
-    """`emit` asked the walk to stop; args[0] is the node count so far."""
+def _budget_error(nodes: int, max_nodes: int) -> BudgetExceeded:
+    return BudgetExceeded(f"node budget exhausted: {nodes} nodes, {max_nodes} allowed")
 
 
 def _walk(
     moduli: tuple[int, ...],
     target: int,
     length: int,
-    zero_sum_only: bool,
-    outer: int,
-    emit: Callable[[list[int]], bool | None],
+    outers: Iterable[int],
+    need: list[int],
+    emit: Callable[[list[int], int, int, int], None],
     max_nodes: int,
     deadline: float,
-    spent: int,
 ) -> tuple[int, int]:
-    """Depth-first walk over one chunk of the multiplicity vectors of size
-    `length`: those whose last multiplicity equals `outer`, in colex order
-    (the last element's multiplicity varies slowest).
+    """Depth-first walk over the given chunks (last multiplicities, in
+    order) of the multisets of size at most `length` with no zero-sum
+    subsequence of length `target`, in colex order: the last element's
+    multiplicity varies slowest. A prefix whose packed reachability mask,
+    grown one copy at a time, has such a subsequence cuts its whole subtree.
 
-    The packed reachability mask of the prefix grows one copy at a time. A
-    prefix that already has a zero-sum subsequence of length `target` cuts
-    its whole subtree, so `emit` sees exactly the multisets without one
-    (zero-sum ones only, with zero_sum_only). Target length + 1 prunes
-    nothing. `emit` gets the live multiplicity list; a true return stops the
-    chunk. Nodes count on from `spent`, and the walk raises once they pass
-    `max_nodes`. Returns (spent + nodes expanded, complete multisets reached).
+    A leaf assigns every nonidentity element. With size a and sum s, it
+    stays witness-free under r copies of element 0 (the identity) exactly
+    for r <= rmax < target (the pads nest), so it covers the lengths
+    a..a + rmax. `emit(mults, a, a + rmax, s)` sees each leaf that covers a
+    length >= need[s == 0]; the caller may change `need` as it goes, to
+    values up to length + target, which no leaf reaches. mults[0] is the
+    caller's. Restricted to one length, walk order is colex order. The walk
+    raises once its nodes pass `max_nodes`, and returns (nodes expanded,
+    leaves reached).
 
     The prefix sum is one element index, advanced through `pack.plus`, so
-    the zero-sum test is `s != 0`. Element 0 is the identity: a leaf whose
-    last b copies are element 0 has a witness iff its mask meets `pad[b]`,
-    the bits of count target - j and sum 0 for j <= min(b, target). The
-    level of element 1 runs its leaves in its own loop, with no call per
-    leaf, and the node count travels through arguments and return values.
-    The rotation masks of `pack.parts` span the packed width, so a grown
-    mask needs no truncation.
+    the zero-sum test is `s != 0`. A leaf with room for r more copies covers
+    `need` iff its mask misses `gate[need + r]`, the pad of need - a. The
+    level of element 1 runs its leaves in its own loop, and the node count
+    travels through arguments and return values. The rotation masks of
+    `pack.parts` span the packed width, so a grown mask needs no truncation.
     """
+    depth = math.prod(moduli) + 200  # the walk takes one frame per element
+    if sys.getrecursionlimit() < depth:
+        sys.setrecursionlimit(depth)
     pack = get_pack(moduli, target)
     order = pack.order
     plus = pack.plus
     parts = pack.parts
     probe_top = 1 << (target * order)
-    pad = [0] * (length + 1)
+    # pad[m]: the bits of count target - j and sum 0 for j <= min(m, target).
+    pad = []
     bits = 0
-    for b in range(length + 1):
-        if b <= target:
-            bits |= 1 << ((target - b) * order)
-        pad[b] = bits
-
-    any_sum = not zero_sum_only
+    for m in range(length + target + 1):
+        if m <= target:
+            bits |= 1 << ((target - m) * order)
+        pad.append(bits)
+    gate = [0] * length + pad
+    zeros = pad[target]
+    last_r = target - 1
     leaves = 0
     mults = [0] * order
 
     def last(i: int, b: int, s: int, mask: int, nodes: int) -> int:
-        """Element i = 1 with its leaves: b - r copies of it, then r of element 0."""
+        """Element i = 1 with its leaves: b - r copies of it, room for r more."""
         nonlocal leaves
         plus_i = plus[i]
         ((lo, up, down, lod),) = parts[i]  # element 1 has one nonzero coordinate
         for r in range(b, -1, -1):
-            if (any_sum or not s) and not mask & pad[r]:
+            if not mask & gate[need[not s] + r]:
                 mults[i] = b - r
-                mults[0] = r
-                if emit(mults):
-                    leaves += b - r + 1
-                    raise _Stop(nodes)
+                a = length - r
+                emit(mults, a, a + last_r - ((mask & zeros).bit_length() - 1) // order, s)
             if not r:
                 break
             nodes += 1
             if nodes > max_nodes:
-                raise _budget_error(length, nodes, max_nodes)
+                raise _budget_error(nodes, max_nodes)
             if not nodes & 0x3FF and time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted")
             moved = mask << order
@@ -216,7 +221,7 @@ def _walk(
         for j in range(1, b + 1):
             nodes += 1
             if nodes > max_nodes:
-                raise _budget_error(length, nodes, max_nodes)
+                raise _budget_error(nodes, max_nodes)
             if not nodes & 0x3FF and time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted")
             moved = mask << order
@@ -231,59 +236,28 @@ def _walk(
         return nodes
 
     top = order - 1
-    nodes = spent
-    mask = pack.initial
-    s = 0
-    if top:
-        plus_top = plus[top]
-        parts_top = parts[top]
-        for _ in range(outer):
-            nodes += 1
-            if nodes > max_nodes:
-                raise _budget_error(length, nodes, max_nodes)
-            moved = mask << order
-            for lo, up, down, lod in parts_top:
-                moved = ((moved & lo) << up) | ((moved >> down) & lod)
-            mask |= moved
-            if mask & probe_top:
-                return nodes, leaves
-            s = plus_top[s]
-        mults[top] = outer
-    b = length - outer
-    try:
+    nodes = 0
+    for outer in outers:
+        mask = pack.initial
+        s = 0
+        if top:  # each chunk grows its own prefix: its nodes do not depend on the others
+            for _ in range(outer):
+                nodes += 1
+                if nodes > max_nodes:
+                    raise _budget_error(nodes, max_nodes)
+                moved = mask << order
+                for lo, up, down, lod in parts[top]:
+                    moved = ((moved & lo) << up) | ((moved >> down) & lod)
+                mask |= moved  # `_chunks` gives only outers that hold no witness
+                s = plus[top][s]
+            mults[top] = outer
+        b = length - outer
         if top >= 2:
             nodes = (dfs if top > 2 else last)(top - 1, b, s, mask, nodes)
-        else:  # the chunk is one multiset
-            leaves = 1
-            if (any_sum or not s) and not mask & pad[b]:
-                mults[0] = b
-                emit(mults)
-    except _Stop as stop:
-        (nodes,) = stop.args
-    return nodes, leaves
-
-
-def _walk_chunks(
-    moduli: tuple[int, ...],
-    target: int,
-    length: int,
-    zero_sum_only: bool,
-    outers: Iterable[int],
-    emit: Callable[[list[int]], bool | None],
-    max_nodes: int,
-    deadline: float,
-) -> tuple[int, int]:
-    """Walk the given chunks in order against one running node budget.
-    Returns (nodes expanded, complete multisets reached) over all of them."""
-    depth = math.prod(moduli) + 200  # the walk takes one frame per element
-    if sys.getrecursionlimit() < depth:
-        sys.setrecursionlimit(depth)
-    nodes = leaves = 0
-    for outer in outers:
-        nodes, reached = _walk(
-            moduli, target, length, zero_sum_only, outer, emit, max_nodes, deadline, nodes
-        )
-        leaves += reached
+        else:  # the chunk is one leaf
+            leaves += 1
+            if not mask & gate[need[not s] + b]:
+                emit(mults, outer, outer + last_r - ((mask & zeros).bit_length() - 1) // order, s)
     return nodes, leaves
 
 
@@ -314,17 +288,21 @@ def enumerate_multisets(
     budget = budget or SearchBudget()
     start = time.monotonic()
     stats = EnumerationStats()
+    t = length + 1 if target is None else target
 
-    def emit(mults: list[int]) -> None:
+    def emit(mults: list[int], a: int, hi: int, s: int) -> None:
+        mults[0] = length - a
         stats.visited += 1
         visitor(_sequence_of(group, mults))
 
-    stats.nodes, _ = _walk_chunks(
+    # The leaves that cover `length`; length + t is out of every leaf's reach.
+    need = [length + t if zero_sum_only else length, length]
+    stats.nodes, _ = _walk(
         group.moduli,
-        length + 1 if target is None else target,
+        t,
         length,
-        zero_sum_only,
-        _chunks(group.moduli, length),
+        _chunks(group.moduli, t, length),
+        need,
         emit,
         budget.max_nodes,
         start + budget.max_seconds,
@@ -334,69 +312,104 @@ def enumerate_multisets(
 
 
 # ---------------------------------------------------------------------------
-# Pruned universal-verdict scan (the brute-force core)
+# Failing lengths (the brute-force core)
 
 
-def _probe_chunks(args: tuple) -> tuple[tuple[int, ...] | None, int, int]:
-    """Search the given outer-multiplicity chunks for a multiset of the given
-    size with no witness of the target length (and, optionally, zero total
-    sum). Each chunk is searched up to its own first failure.
+class _Profile(NamedTuple):
+    """Per length up to the walk's, the first multiset in colex order with no
+    zero-sum subsequence of the target length (`every`), and the first
+    zero-sum one (`zero`); then the nodes expanded and the leaves reached."""
 
-    Returns (first failing multiplicity vector in colex order or None,
-    nodes expanded, complete multisets examined). Pure function of its
-    arguments, so results are independent of scheduling.
-    """
-    moduli, target, length, zero_sum_only, outers, max_nodes, deadline = args
-    found: list[tuple[int, ...]] = []
-
-    def emit(mults: list[int]) -> bool:
-        found.append(tuple(mults))
-        return True
-
-    nodes, leaves = _walk_chunks(
-        moduli, target, length, zero_sum_only, outers, emit, max_nodes, deadline
-    )
-    return (found[0] if found else None), nodes, leaves
+    zero: dict[int, tuple[int, ...]]
+    every: dict[int, tuple[int, ...]]
+    nodes: int
+    leaves: int
 
 
-def _probe_length(
+def _profile_chunks(
     moduli: tuple[int, ...],
     target: int,
     length: int,
-    zero_sum_only: bool,
+    outers: Seq[int],
+    max_nodes: int,
+    deadline: float,
+) -> _Profile:
+    """The profile of the given outer-multiplicity chunks, walked in order.
+    Pure function of its arguments, so results are independent of
+    scheduling."""
+    zero: dict[int, tuple[int, ...]] = {}
+    every: dict[int, tuple[int, ...]] = {}
+    # No leaf is shorter than outers[0], and each longer one comes after one
+    # a copy shorter, so the lengths in `every` run from outers[0] to `top`.
+    top = outers[0] - 1
+    floor = outers[0]  # the smallest length from outers[0] on not in `zero`
+    need = [0, 0]
+
+    def record(mults: list[int], a: int, hi: int, s: int) -> None:
+        nonlocal top, floor
+        hi = min(hi, length)
+        rest = mults[1:]
+        for n in range(top + 1, hi + 1):
+            every[n] = (n - a, *rest)
+        top = max(top, hi)
+        if not s:
+            for n in range(max(a, floor), hi + 1):
+                zero.setdefault(n, (n - a, *rest))
+            while floor in zero:
+                floor += 1
+        need[0] = top + 1
+        need[1] = min(top + 1, floor)
+
+    nodes, leaves = _walk(
+        moduli, target, length, outers, need, record, max_nodes, deadline
+    )
+    return _Profile(zero, every, nodes, leaves)
+
+
+def _profile(
+    moduli: tuple[int, ...],
+    target: int,
+    length: int,
     pool: ProcessPoolExecutor | None,
     max_nodes: int,
     deadline: float,
-) -> tuple[tuple[int, ...] | None, int, int]:
-    """Universal verdict for one length, partitioned by outer multiplicity.
+) -> _Profile:
+    """The profile of one walk up to `length`, split by outer multiplicity.
 
-    The partition is the same regardless of worker count, and each chunk is
-    searched exhaustively up to its own first failure, so the aggregated
-    verdict, failing vector, and node counts are scheduling-independent.
-    The node budget caps the running total of a serial run, and the sum
-    over all chunks of a pooled one.
+    The split is the same at any worker count, and chunks merge in walk
+    order, so the first vectors and the node counts do not depend on
+    scheduling. A serial run walks the chunks against one running node
+    budget. A pooled run gives each chunk the whole budget, collects the
+    results in order, and once the finished nodes pass the cap cancels the
+    chunks not yet started and raises: it overspends by at most one chunk
+    per worker.
     """
-    chunks = _chunks(moduli, length)
+    chunks = _chunks(moduli, target, length)
     if pool is None:
-        return _probe_chunks((moduli, target, length, zero_sum_only, chunks, max_nodes, deadline))
-    tasks = [(moduli, target, length, zero_sum_only, (v,), max_nodes, deadline) for v in chunks]
-    results = list(pool.map(_probe_chunks, tasks))
-    nodes = sum(r[1] for r in results)
-    if nodes > max_nodes:
-        raise _budget_error(length, nodes, max_nodes)
-    leaves = sum(r[2] for r in results)
-    fail = next((r[0] for r in results if r[0] is not None), None)
-    return fail, nodes, leaves
+        return _profile_chunks(moduli, target, length, chunks, max_nodes, deadline)
+    futures = [
+        pool.submit(_profile_chunks, moduli, target, length, (v,), max_nodes, deadline)
+        for v in chunks
+    ]
+    zero: dict[int, tuple[int, ...]] = {}
+    every: dict[int, tuple[int, ...]] = {}
+    nodes = leaves = 0
+    try:
+        for future in futures:
+            part = future.result()
+            nodes += part.nodes
+            if nodes > max_nodes:
+                raise _budget_error(nodes, max_nodes)
+            leaves += part.leaves
+            zero, every = part.zero | zero, part.every | every  # earlier chunks win
+    finally:
+        for future in futures:
+            future.cancel()
+    return _Profile(zero, every, nodes, leaves)
 
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-TAIL_NOTE = (
-    "all-lengths-at-least-v quantifier verified only on the finite window; "
-    "larger lengths rest on the closed-form theorems"
-)
 
 
 @dataclass
@@ -410,7 +423,10 @@ class ConstantReport:
     extremal_witness: str
     window: tuple[int, int]
     stats: SearchStats
-    note: str = TAIL_NOTE
+    note: str = (
+        "every length searched: each zero-sum multiset of length >= window_lo, "
+        "and each multiset of length >= window_hi, has a witness"
+    )
 
     @property
     def discrepancy(self) -> bool:
@@ -524,22 +540,23 @@ def reports_to_csv(reports: Iterable[ConstantReport | PropertyReport]) -> str:
 def brute_force_modified_constant(
     group: Group,
     t: int,
-    window: int = 2,
     budget: SearchBudget | None = None,
     workers: int = 1,
     claimed_value: int | None = None,
     pool: ProcessPoolExecutor | None = None,
 ) -> ConstantReport:
-    """Smallest v such that every zero-sum multiset of each length in
-    [v, v + window] has a zero-sum subsequence of length t, while some
-    zero-sum multiset of length v - 1 has none (recorded as the extremal
-    witness). The infinite tail beyond the window is not searched; the
-    report says so.
+    """s'(G, t): the smallest v such that every zero-sum multiset of each
+    length >= v has a zero-sum subsequence of length t. The extremal witness
+    is the first zero-sum multiset of length v - 1 with none, in colex order.
+
+    A multiset with no zero-sum subsequence of length t holds at most t - 1
+    copies of each element, since exp(G) divides t, so one walk up to
+    (t - 1)|G| finds every length that fails. The same walk gives s_t(G), the
+    smallest length from which every multiset has one; the report's window
+    is (s'(G, t), s_t(G)).
     """
     if t < 1:
         raise ValueError(f"target length must be >= 1, got {t}")
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
     if t % group.exponent:
         # g of order exp(G), repeated k * exp(G) times, fails at every k.
         raise PreconditionError(
@@ -547,48 +564,34 @@ def brute_force_modified_constant(
         )
     budget = budget or SearchBudget()
     start = time.monotonic()
-    deadline = start + budget.max_seconds
-    stats = SearchStats()
     own_pool = pool is None and workers > 1
     if own_pool:
         pool = ProcessPoolExecutor(max_workers=workers)
-    # Length 0 always fails for t >= 1: the empty sequence is zero-sum and has
-    # no length-t subsequence.
-    last_fail = 0
-    last_fail_vec: tuple[int, ...] = ()
     try:
-        length = 1
-        while True:
-            remaining = budget.max_nodes - stats.nodes_visited
-            if remaining <= 0 or time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"budget exhausted before determination "
-                    f"(scanned lengths 1..{length - 1} of {group}, t={t})"
-                )
-            fail_vec, nodes, leaves = _probe_length(
-                group.moduli, t, length, True, pool, remaining, deadline
-            )
-            stats.nodes_visited += nodes
-            stats.sequences_checked += leaves
-            if fail_vec is not None:
-                last_fail = length
-                last_fail_vec = fail_vec
-            elif length - last_fail == window + 1:
-                break
-            length += 1
+        profile = _profile(
+            group.moduli, t, (t - 1) * group.order, pool, budget.max_nodes,
+            start + budget.max_seconds,
+        )
     finally:
         if own_pool:
             pool.shutdown()
+    # Length 0 always fails for t >= 1: the empty sequence is zero-sum and has
+    # no length-t subsequence.
+    last_fail = max(profile.zero)
     computed = last_fail + 1
-    witness = _sequence_of(group, last_fail_vec)
-    stats.wall_ms = int((time.monotonic() - start) * 1000)
+    witness = _sequence_of(group, profile.zero[last_fail])
+    stats = SearchStats(
+        nodes_visited=profile.nodes,
+        sequences_checked=profile.leaves,
+        wall_ms=int((time.monotonic() - start) * 1000),
+    )
     return ConstantReport(
         group=str(group),
         target=t,
         claimed_value=claimed_value,
         computed_value=computed,
         extremal_witness=serialize_sequence(witness),
-        window=(computed, computed + window),
+        window=(computed, max(profile.every) + 1),
         stats=stats,
     )
 
@@ -611,15 +614,10 @@ def check_all_have_witness(
     the group must contain a zero-sum subsequence of the target length."""
     budget = budget or SearchBudget()
     start = time.monotonic()
-    fail_vec, nodes, leaves = _probe_length(
-        group.moduli,
-        target,
-        size,
-        zero_sum_only,
-        pool,
-        budget.max_nodes,
-        start + budget.max_seconds,
+    profile = _profile(
+        group.moduli, target, size, pool, budget.max_nodes, start + budget.max_seconds
     )
+    fail_vec = (profile.zero if zero_sum_only else profile.every).get(size)
     counterexample = None
     if fail_vec is not None:
         counterexample = serialize_sequence(_sequence_of(group, fail_vec))
@@ -627,7 +625,7 @@ def check_all_have_witness(
         name=name,
         params={"group": str(group), "size": size, "target": target},
         passed=fail_vec is None,
-        checked=leaves,
+        checked=profile.leaves,
         violations=0 if fail_vec is None else 1,
         counterexample=counterexample,
         wall_ms=int((time.monotonic() - start) * 1000),
@@ -782,7 +780,6 @@ def verify_theorem(
     *,
     n_values: Seq[int] | None = None,
     t_values: Seq[int] | None = None,
-    window: int = 2,
     budget: SearchBudget | None = None,
     workers: int = 1,
     seed: int = 0,
@@ -802,7 +799,7 @@ def verify_theorem(
 
     def constant(moduli: list[int], t: int, claimed: int) -> ConstantReport:
         return brute_force_modified_constant(
-            make_group(moduli), t, window=window, budget=budget, claimed_value=claimed, pool=pool
+            make_group(moduli), t, budget=budget, claimed_value=claimed, pool=pool
         )
 
     def witness(moduli: list[int], size: int, target: int, name: str) -> PropertyReport:

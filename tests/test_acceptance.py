@@ -42,7 +42,7 @@ def test_ac01_cyclic_theorem_t1():
     mismatches = []
     for n in range(2, 11):
         expected = formula_modified_cyclic(n, 1)
-        report = brute_force_modified_constant(make_group([n]), n, window=2)
+        report = brute_force_modified_constant(make_group([n]), n)
         if report.computed_value != expected:
             mismatches.append((n, report.computed_value, expected))
     elapsed = time.monotonic() - start
@@ -55,7 +55,7 @@ def test_ac02_cyclic_theorem_t2():
     mismatches = []
     for n in range(2, 9):
         expected = formula_modified_cyclic(n, 2)
-        report = brute_force_modified_constant(make_group([n]), 2 * n, window=2)
+        report = brute_force_modified_constant(make_group([n]), 2 * n)
         if report.computed_value != expected:
             mismatches.append((n, report.computed_value, expected))
     elapsed = time.monotonic() - start
@@ -68,7 +68,7 @@ def test_ac03_square_theorem(capsys):
     mismatches = []
     for n in (2, 3):
         expected = formula_modified_square(n)
-        report = brute_force_modified_constant(make_group([n, n]), n, window=2)
+        report = brute_force_modified_constant(make_group([n, n]), n)
         if report.computed_value != expected:
             mismatches.append((n, report.computed_value, expected))
     # n = 4 runs behind the CLI's --extended flag.
@@ -210,7 +210,7 @@ def test_ac09_extractor_oracle_agreement():
 def test_ac10_conjecture_small_case():
     start = time.monotonic()
     group = make_group([2, 2, 2])
-    report = brute_force_modified_constant(group, 2, window=2)
+    report = brute_force_modified_constant(group, 2)
     expected = conjecture_value(2, 3)
     witness = parse_sequence(report.extremal_witness)
     elapsed = time.monotonic() - start

@@ -33,7 +33,7 @@ from zerosum import (
     verify_theorem,
 )
 
-from zerosum.search import _probe_length
+from zerosum.search import _profile
 
 from conftest import oracle_exists
 
@@ -141,10 +141,11 @@ def test_enumerate_matches_oracle(case):
     assert stats.visited == len(expected)
 
 
-def test_probe_length_serial_pooled_and_enumerated_agree():
+def test_profile_serial_pooled_and_enumerated_agree():
     # The serial chunk loop, the pool's per-chunk map and enumeration walk the
-    # same chunks: the same first failure, nodes and leaves at any worker count,
-    # and that failure is the first multiset the enumeration emits.
+    # same chunks: the same profile, nodes and leaves at any worker count, and
+    # the profile's first failure at the walk's length is the first multiset
+    # the enumeration emits.
     with ProcessPoolExecutor(max_workers=2) as pool:
 
         @given(enumeration_cases())
@@ -153,41 +154,94 @@ def test_probe_length_serial_pooled_and_enumerated_agree():
             group, length, target, zero_sum_only = case
             t = length + 1 if target is None else target
             deadline = time.monotonic() + 900
-            probes = [
-                _probe_length(group.moduli, t, length, zero_sum_only, p, 10**8, deadline)
-                for p in (None, pool)
+            profiles = [
+                _profile(group.moduli, t, length, p, 10**8, deadline) for p in (None, pool)
             ]
-            assert probes[0] == probes[1]
+            assert profiles[0] == profiles[1]
             seen = []
             enumerate_multisets(group, length, seen.append, target=t, zero_sum_only=zero_sum_only)
             first = None
             if seen:
                 first = tuple(seen[0].counts.get(el, 0) for el in group.elements())
-            assert probes[0][0] == first
+            fails = profiles[0].zero if zero_sum_only else profiles[0].every
+            assert fails.get(length) == first
 
         check()
 
 
 @given(enumeration_cases(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_probe_length_node_cap_is_exact(case, data):
+def test_profile_node_cap_is_exact(case, data):
     # The node count threaded through the walk is the one the cap sees: any
-    # cap below the uncapped count stops the serial scan at the first node
+    # cap below the uncapped count stops the serial walk at the first node
     # past it, and any cap at or above it changes nothing.
-    group, length, target, zero_sum_only = case
+    group, length, target, _ = case
     t = length + 1 if target is None else target
     deadline = time.monotonic() + 900
-    uncapped = _probe_length(group.moduli, t, length, zero_sum_only, None, 10**8, deadline)
-    nodes = uncapped[1]
+    uncapped = _profile(group.moduli, t, length, None, 10**8, deadline)
+    nodes = uncapped.nodes
     if nodes:
         cap = data.draw(st.integers(0, nodes - 1), label="cap below")
         with pytest.raises(BudgetExceeded) as exc:
-            _probe_length(group.moduli, t, length, zero_sum_only, None, cap, deadline)
-        assert str(exc.value) == (
-            f"node budget exhausted at length {length}: {cap + 1} nodes, {cap} allowed"
-        )
+            _profile(group.moduli, t, length, None, cap, deadline)
+        assert str(exc.value) == f"node budget exhausted: {cap + 1} nodes, {cap} allowed"
     cap = data.draw(st.integers(nodes, nodes + 3), label="cap at or above")
-    assert _probe_length(group.moduli, t, length, zero_sum_only, None, cap, deadline) == uncapped
+    assert _profile(group.moduli, t, length, None, cap, deadline) == uncapped
+
+
+# Groups and targets that exp(G) divides, small enough for the oracle to try
+# every multiset up to s_t(G).
+ORACLE_CASES = [((1,), 1), ((1,), 3), ((2,), 2), ((2,), 4), ((3,), 3), ((4,), 4),
+                ((2, 2), 2), ((2, 2), 4), ((2, 2, 2), 2)]
+
+
+@given(st.sampled_from(ORACLE_CASES))
+@settings(max_examples=25, deadline=None)
+def test_profile_matches_oracle(case):
+    # One walk lists every failing length: at each length up to s_t(G), the
+    # walk's first failing multiset (and first zero-sum one) is the first the
+    # index-subset oracle finds in colex order, and at s_t(G) none fails.
+    moduli, t = case
+    group = make_group(list(moduli))
+    profile = _profile(group.moduli, t, (t - 1) * group.order, None, 10**8, time.monotonic() + 900)
+    s_t = max(profile.every) + 1
+    elements = list(group.elements())
+    zero, every = {}, {}
+    for length in range(s_t + 1):
+        vectors = sorted(
+            (
+                tuple(combo.count(el) for el in elements)
+                for combo in itertools.combinations_with_replacement(elements, length)
+            ),
+            key=lambda vec: vec[::-1],
+        )
+        for vec in vectors:
+            seq = Sequence(group, {el: m for el, m in zip(elements, vec) if m})
+            if not oracle_exists(seq, t):
+                every.setdefault(length, vec)
+                if seq.is_zero_sum():
+                    zero.setdefault(length, vec)
+    assert profile.zero == zero and profile.every == every
+    assert s_t not in every
+    report = brute_force_modified_constant(group, t)
+    assert report.window == (max(zero) + 1, s_t)
+    assert report.computed_value == max(zero) + 1
+
+
+@pytest.mark.parametrize(
+    "moduli, t, gaps, value",
+    [((8,), 16, [16, 20], 22), ((2, 2, 2, 2), 2, [2, 14], 17)],
+    ids=["Z8-t16", "Z2^4-t2"],
+)
+def test_passing_lengths_below_the_constant(moduli, t, gaps, value):
+    # Some lengths below s' pass; a scan that stopped at the first passing
+    # length would report s' = t. The walk searches the whole tail, so it
+    # lists exactly these gaps and finds the true value.
+    group = make_group(list(moduli))
+    profile = _profile(group.moduli, t, (t - 1) * group.order, None, 10**8, time.monotonic() + 900)
+    assert sorted(set(range(value)) - set(profile.zero)) == gaps
+    assert max(profile.zero) == value - 1
+    assert brute_force_modified_constant(group, t).computed_value == value
 
 
 @pytest.mark.parametrize(
@@ -197,16 +251,18 @@ def test_probe_length_node_cap_is_exact(case, data):
             (2, 2, 2, 2), 2, 17,
             "Z/2^4: (0,0,0,0) (0,0,0,1) (0,0,1,0) (0,0,1,1) (0,1,0,0) (0,1,0,1) (0,1,1,0) (0,1,1,1)"
             " (1,0,0,0) (1,0,0,1) (1,0,1,0) (1,0,1,1) (1,1,0,0) (1,1,0,1) (1,1,1,0) (1,1,1,1)",
-            446160, 223193,
+            65533, 32768,
         ),
-        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 913915, 306054),
-        ((8,), 16, 22, "Z/8: 2^15 3^6", 2085566, 1528156),
+        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 289061, 94864),
+        ((8,), 16, 22, "Z/8: 2^15 3^6", 395162, 277412),
     ],
     ids=["Z2^4-t2", "Z4^2-t4", "Z8-t16"],
 )
 def test_benchmark_scan_counters(moduli, t, value, witness, nodes, leaves):
     # The three constants of the benchmark's scan: the kernel must walk
-    # exactly the same tree, so the counters are pinned with the value.
+    # exactly the same tree, so the counters are pinned with the value. The
+    # leaves are the multisets with no zero-sum subsequence of length t,
+    # element 0 left out: 2^15 subsets of the 15 nonzero elements of (Z/2)^4.
     r = brute_force_modified_constant(make_group(list(moduli)), t)
     assert r.computed_value == value
     assert r.extremal_witness == witness
@@ -222,28 +278,28 @@ def test_enumerate_budget_abort():
 
 
 def test_brute_force_spec_cases():
-    r = brute_force_modified_constant(make_group([2]), 2, window=2)
+    r = brute_force_modified_constant(make_group([2]), 2)
     assert r.computed_value == 2
     assert r.extremal_witness == "Z/2: 0"
-    assert r.window == (2, 4)
+    assert r.window == (2, 3)  # s_2(Z/2) = 3
 
-    r = brute_force_modified_constant(make_group([3]), 3, window=2)
+    r = brute_force_modified_constant(make_group([3]), 3)
     assert r.computed_value == 5
     assert r.extremal_witness == "Z/3: 1^2 2^2"
 
-    r = brute_force_modified_constant(make_group([2, 2]), 2, window=2)
+    r = brute_force_modified_constant(make_group([2, 2]), 2)
     assert r.computed_value == 5
     assert r.extremal_witness == "Z/2^2: (0,0) (0,1) (1,0) (1,1)"
 
 
 def test_brute_force_report_fields():
     r = brute_force_modified_constant(
-        make_group([4]), 4, window=2, claimed_value=formula_modified_cyclic(4, 1)
+        make_group([4]), 4, claimed_value=formula_modified_cyclic(4, 1)
     )
     assert r.computed_value == 6 and not r.discrepancy
     payload = r.to_jsonable()
     assert payload["status"] == "OK"
-    assert payload["window_lo"] == 6 and payload["window_hi"] == 8
+    assert payload["window_lo"] == 6 and payload["window_hi"] == 7  # s_4(Z/4) = 7
     witness = parse_sequence(r.extremal_witness)
     assert witness.length == r.computed_value - 1
     assert witness.is_zero_sum()
@@ -252,13 +308,13 @@ def test_brute_force_report_fields():
 
     fake = ConstantReport(
         group="Z/4", target=4, claimed_value=7, computed_value=6,
-        extremal_witness="Z/4:", window=(6, 8), stats=r.stats,
+        extremal_witness="Z/4:", window=(6, 7), stats=r.stats,
     )
     assert fake.discrepancy and fake.to_jsonable()["status"] == "DISCREPANCY"
 
 
 def test_brute_force_trivial_group():
-    r = brute_force_modified_constant(make_group([1]), 1, window=2)
+    r = brute_force_modified_constant(make_group([1]), 1)
     assert r.computed_value == 1
     assert r.extremal_witness == "Z/1:"
 
@@ -267,7 +323,7 @@ def test_brute_force_budget_exhaustion():
     # s'(Z/8, 16) = 22 takes about two million nodes to determine.
     with pytest.raises(BudgetExceeded):
         brute_force_modified_constant(
-            make_group([8]), 16, window=2, budget=SearchBudget(max_nodes=2000)
+            make_group([8]), 16, budget=SearchBudget(max_nodes=2000)
         )
 
 
@@ -281,31 +337,24 @@ def test_brute_force_infinite_constant_is_a_precondition_error():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_caps_the_whole_length(workers):
-    # Size 17 over (Z/2)^4 spends 65,565 nodes over its 18 outer chunks, and
-    # no single chunk reaches 32,768: the cap is on their sum.
-    budget = SearchBudget(max_nodes=32768)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        with pytest.raises(BudgetExceeded) as exc:
-            check_all_have_witness(
-                make_group([2, 2, 2, 2]), 17, 2, zero_sum_only=True, name="cap",
-                budget=budget, pool=pool,
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    spent = int(re.search(r"(\d+) nodes, 32768 allowed", str(exc.value)).group(1))
+    # s'(Z/8, 16) walks 395,162 nodes over 16 outer chunks, and no single
+    # chunk reaches 150,000: the cap is on their sum.
+    cap = 150000
+    with pytest.raises(BudgetExceeded) as exc:
+        brute_force_modified_constant(
+            make_group([8]), 16, budget=SearchBudget(max_nodes=cap), workers=workers
+        )
+    spent = int(re.search(r"(\d+) nodes, 150000 allowed", str(exc.value)).group(1))
     if workers == 1:
         # A serial run stops at the first node past the cap, whatever chunk it is in.
-        assert spent <= 32768 + 1
-        assert str(exc.value) == "node budget exhausted at length 17: 32769 nodes, 32768 allowed"
+        assert str(exc.value) == "node budget exhausted: 150001 nodes, 150000 allowed"
     else:
-        assert spent == 65565
-    rep = check_all_have_witness(
-        make_group([2, 2, 2, 2]), 17, 2, zero_sum_only=True, name="cap",
-        budget=SearchBudget(max_nodes=65565),
+        # A pooled run stops collecting once the finished chunks pass the cap.
+        assert cap < spent <= workers * (cap + 1)
+    rep = brute_force_modified_constant(
+        make_group([8]), 16, budget=SearchBudget(max_nodes=395162), workers=workers
     )
-    assert rep.passed
+    assert rep.computed_value == 22
 
 
 def test_check_all_have_witness():
@@ -380,7 +429,7 @@ def test_reports_csv_columns():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "group,t,claimed,computed,window_lo,window_hi,witness,wall_ms,sequences_checked"
     assert len(lines) == 3
-    assert lines[1].startswith("Z/2,2,2,2,2,4,")
+    assert lines[1].startswith("Z/2,2,2,2,2,3,")
 
 
 def test_report_jsonable_is_json_serializable():
@@ -395,7 +444,7 @@ def test_bruteforce_witness_matches_construction_length():
 
     for n, t in ((3, 1), (4, 1), (6, 1), (3, 2)):
         report = brute_force_modified_constant(
-            make_group([n]), n * t, window=1, claimed_value=formula_modified_cyclic(n, t)
+            make_group([n]), n * t, claimed_value=formula_modified_cyclic(n, t)
         )
         assert not report.discrepancy
         searched = parse_sequence(report.extremal_witness)
@@ -404,5 +453,5 @@ def test_bruteforce_witness_matches_construction_length():
         assert not has_zero_sum_of_length(searched, n * t)
         assert not has_zero_sum_of_length(built, n * t)
 
-    report = brute_force_modified_constant(make_group([3, 3]), 3, window=1)
+    report = brute_force_modified_constant(make_group([3, 3]), 3)
     assert parse_sequence(report.extremal_witness).length == build_square_extremal(3).length
