@@ -5,28 +5,29 @@ bit c*order + g is set when some sub-multiset of the items folded in so far
 has exactly c elements and sum equal to the group element with index g.
 Masks are immutable ints, so DP branches share state for free.
 
-Group-element index layout is mixed-radix over the moduli with the first
-coordinate most significant, so index 0 is the identity and index order
-agrees with ascending coordinate order.
+Elements are keyed by index. The layout is mixed-radix over the moduli with
+the first coordinate most significant, so index 0 is the identity and index
+order agrees with ascending coordinate order. `index` and `coords` convert
+at the boundary.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from operator import mul
 
 
 class GroupPack:
-    """Shift machinery for one (moduli, k) pair; masks are built lazily."""
+    """Index-keyed shift machinery for one (moduli, k) pair."""
 
     def __init__(self, moduli: tuple[int, ...], k: int):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         self.moduli = moduli
         self.k = k
-        self.rank = len(moduli)
-        strides = [0] * self.rank
+        strides = [0] * len(moduli)
         s = 1
-        for i in range(self.rank - 1, -1, -1):
+        for i in range(len(moduli) - 1, -1, -1):
             strides[i] = s
             s *= moduli[i]
         self.strides = tuple(strides)
@@ -39,89 +40,69 @@ class GroupPack:
             )
         self.full = (1 << self.width) - 1
         self.initial = 1  # count 0, identity sum
-        self._lo: dict[tuple[int, int], int] = {}
-        self._parts: dict[tuple[int, ...], tuple] = {}
+        self._parts: dict[tuple[int, int], tuple] = {}
 
-    # -- index arithmetic ---------------------------------------------------
+    # -- element indices ------------------------------------------------------
 
-    @cached_property
-    def elements(self) -> list[tuple[int, ...]]:
-        """The coordinates of every element, by index."""
-        return [
-            tuple((i // s) % m for s, m in zip(self.strides, self.moduli))
-            for i in range(self.order)
-        ]
+    def index(self, coords: tuple[int, ...]) -> int:
+        return sum(map(mul, coords, self.strides))
 
-    @cached_property
-    def plus(self) -> list[list[int]]:
-        """plus[i][s] is the index of element s + element i."""
-        return [[self.add_index(s, e) for s in range(self.order)] for e in self.elements]
+    def coords(self, i: int) -> tuple[int, ...]:
+        return tuple([i // s % m for s, m in zip(self.strides, self.moduli)])
 
-    def add_index(self, index: int, coords: tuple[int, ...], times: int = 1) -> int:
-        out = 0
-        for a in range(self.rank):
-            digit = (index // self.strides[a]) % self.moduli[a]
-            out += ((digit + times * coords[a]) % self.moduli[a]) * self.strides[a]
-        return out
+    def plus(self, i: int) -> list[int]:
+        """The row of element i: plus(i)[s] is the index of element s + element i.
 
-    # -- per-axis rotation masks ---------------------------------------------
+        Built on each call and not kept, so the caller holds the rows it
+        needs for as long as it needs them, and a sequence that holds most of
+        a large group leaves no |G| x |G| table behind.
+        """
+        row = [0]
+        for c, m, s in zip(self.coords(i), self.moduli, self.strides):
+            digits = [(d + c) % m * s for d in range(m)]
+            row = [r + d for r in row for d in digits]
+        return row
 
-    def _lomask(self, axis: int, amount: int) -> int:
-        """Bits whose axis digit is < moduli[axis] - amount, over the full width."""
-        key = (axis, amount)
-        mask = self._lo.get(key)
-        if mask is None:
-            na, sa = self.moduli[axis], self.strides[axis]
-            period = na * sa
-            base = (1 << ((na - amount) * sa)) - 1
-            mask = 0
-            for start in range(0, self.width, period):
-                mask |= base << start
-            mask &= self.full
-            self._lo[key] = mask
-        return mask
+    # -- rotation masks -------------------------------------------------------
 
-    def element_parts(self, coords: tuple[int, ...]) -> tuple:
-        """Precomputed (lo, up_shift, down_shift, lo_down) per nonzero axis."""
-        parts = self._parts.get(coords)
+    def parts(self, i: int, times: int = 1) -> tuple:
+        """(lo, up_shift, down_shift, lo_down) per nonzero axis of `times`
+        copies of element i: together they add those copies to every sum.
+
+        lo holds the bits whose digit on the axis stays below its modulus
+        when the copies are added; lo_down holds the others, shifted down.
+        """
+        key = (i, times)
+        parts = self._parts.get(key)
         if parts is None:
             built = []
-            for a, c in enumerate(coords):
+            for c, na, sa in zip(self.coords(i), self.moduli, self.strides):
+                c = c * times % na
                 if c:
-                    na, sa = self.moduli[a], self.strides[a]
-                    built.append(
-                        (self._lomask(a, c), c * sa, (na - c) * sa, self._lomask(a, na - c))
-                    )
-            parts = tuple(built)
-            self._parts[coords] = parts
+                    down = (na - c) * sa
+                    lo = (1 << down) - 1
+                    span = na * sa  # the period of lo, which divides the width
+                    while span < self.width:
+                        lo |= lo << span
+                        span <<= 1
+                    lo &= self.full
+                    built.append((lo, c * sa, down, (self.full ^ lo) >> down))
+            parts = self._parts[key] = tuple(built)
         return parts
-
-    @cached_property
-    def parts(self) -> list[tuple]:
-        """`element_parts` of every element, by index."""
-        return [self.element_parts(e) for e in self.elements]
-
-    def shift(self, mask: int, coords: tuple[int, ...]) -> int:
-        """Translate every recorded sum by the given element, all segments at once."""
-        for lo, up, down, lo_down in self.element_parts(coords):
-            mask = ((mask & lo) << up) | ((mask >> down) & lo_down)
-        return mask
 
     # -- folding items into a mask --------------------------------------------
 
-    def add_chunk(self, mask: int, coords: tuple[int, ...], size: int) -> int:
-        """Allow one all-or-nothing block of `size` copies of an element."""
-        moved = (mask << (size * self.order)) & self.full
-        scaled = tuple((c * size) % m for c, m in zip(coords, self.moduli))
-        return mask | self.shift(moved, scaled)
-
-    def add_copies(self, mask: int, coords: tuple[int, ...], mult: int) -> int:
-        """Allow up to `mult` copies of an element (binary chunk splitting)."""
+    def add_copies(self, mask: int, i: int, mult: int) -> int:
+        """Allow up to `mult` copies of element i, split into binary chunks
+        of 1, 2, 4, ... copies that are each taken whole or not at all."""
         remaining = min(mult, self.k)
         size = 1
         while remaining > 0:
             chunk = min(size, remaining)
-            mask = self.add_chunk(mask, coords, chunk)
+            moved = (mask << (chunk * self.order)) & self.full
+            for lo, up, down, lod in self.parts(i, chunk):
+                moved = ((moved & lo) << up) | ((moved >> down) & lod)
+            mask |= moved
             remaining -= chunk
             size <<= 1
         return mask

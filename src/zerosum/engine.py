@@ -38,24 +38,29 @@ def find_zero_sum_subseq(seq: Sequence, k: int) -> Witness | None:
     suffix = [pack.initial] * (len(items) + 1)
     for i in range(len(items) - 1, -1, -1):
         el, mult = items[i]
-        suffix[i] = pack.add_copies(suffix[i + 1], el, mult)
+        suffix[i] = pack.add_copies(suffix[i + 1], pack.index(el), mult)
     if not pack.has(suffix[0], k):
         return None
+    moduli = seq.group.moduli
     counts: dict[Element, int] = {}
     need_count = k
-    need_sum = 0  # index of the sum still required from the remaining items
+    # The sum still required from the remaining items, and its index.
+    need_sum, need_index = seq.group.identity(), 0
     for i, (el, mult) in enumerate(items):
+        rest_sum, rest_index = need_sum, need_index
         for j in range(min(mult, need_count) + 1):
-            rest_sum = pack.add_index(need_sum, el, times=-j)
-            if pack.has(suffix[i + 1], need_count - j, rest_sum):
+            if j:
+                rest_sum = tuple([(r - c) % m for r, c, m in zip(rest_sum, el, moduli)])
+                rest_index = pack.index(rest_sum)
+            if pack.has(suffix[i + 1], need_count - j, rest_index):
                 if j:
                     counts[el] = j
-                need_count -= j
-                need_sum = rest_sum
+                    need_count -= j
+                    need_sum, need_index = rest_sum, rest_index
                 break
-        if need_count == 0 and need_sum == 0:
+        if need_count == 0 and need_index == 0:
             break
-    assert need_count == 0 and need_sum == 0
+    assert need_count == 0 and need_index == 0
     witness = Witness(seq.group, counts)
     witness.validate_against(seq, size=k)
     return witness
@@ -64,13 +69,7 @@ def find_zero_sum_subseq(seq: Sequence, k: int) -> Witness | None:
 def has_zero_sum_of_length(seq: Sequence, k: int) -> bool:
     """Existence only; skips witness reconstruction."""
     _check_k(seq, k)
-    if k == 0:
-        return True
-    pack = get_pack(seq.group.moduli, k)
-    mask = pack.initial
-    for el, mult in seq.items():
-        mask = pack.add_copies(mask, el, mult)
-    return pack.has(mask, k)
+    return has_zero_sum_in_lengths(seq, k)
 
 
 def has_zero_sum_in_lengths(seq: Sequence, lengths: Iterable[int] | int) -> bool:
@@ -93,7 +92,7 @@ def has_zero_sum_in_lengths(seq: Sequence, lengths: Iterable[int] | int) -> bool
     pack = get_pack(seq.group.moduli, targets[-1])
     mask = pack.initial
     for el, mult in seq.items():
-        mask = pack.add_copies(mask, el, mult)
+        mask = pack.add_copies(mask, pack.index(el), mult)
     return any(pack.has(mask, k) for k in targets)
 
 
@@ -121,11 +120,11 @@ def count_zero_sum_subseqs(seq: Sequence, k: int, modulus: int | None = None) ->
         binom = [math.comb(mult, j) for j in range(jmax + 1)]
         if modulus is not None:
             binom = [b % modulus for b in binom]
-        # perm[j][g] = index of g + j*el
-        perm = [
-            [pack.add_index(g, el, times=j) for g in range(order)]
-            for j in range(jmax + 1)
-        ]
+        # perm[j][g] = index of g + j*el, each row one step of the element's row
+        plus_e = pack.plus(pack.index(el))
+        perm = [list(range(order))]
+        for _ in range(jmax):
+            perm.append([plus_e[g] for g in perm[-1]])
         new = [[0] * order for _ in range(k + 1)]
         for c in range(k + 1):
             row = table[c]

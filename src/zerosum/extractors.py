@@ -47,9 +47,7 @@ class BlockDecomposition:
     block_size: int
     blocks: list[dict[Element, int]] = field(default_factory=list)
     block_sums: list[Element] = field(default_factory=list)
-    quotient: Group | None = None
     quotient_elems: list[Element] = field(default_factory=list)
-    leftover: dict[Element, int] = field(default_factory=dict)
 
 
 def _quotient_group(group: Group, d: int) -> Group:
@@ -111,13 +109,12 @@ def _take_block(
 
 def _lift_blocks(group: Group, deco: BlockDecomposition, d: int) -> Sequence:
     """Divide the block sums by d, landing in the quotient group."""
-    q = group.moduli[0] // d
-    deco.quotient = _quotient_group(group, q)
+    quotient = _quotient_group(group, group.moduli[0] // d)
     deco.quotient_elems = [tuple(c // d for c in s) for s in deco.block_sums]
     counts: dict[Element, int] = {}
     for x in deco.quotient_elems:
         counts[x] = counts.get(x, 0) + 1
-    return Sequence(deco.quotient, counts)
+    return Sequence(quotient, counts)
 
 
 def _union_blocks(deco: BlockDecomposition, chosen_values: Witness) -> dict[Element, int]:
@@ -242,6 +239,23 @@ def _extract_cyclic_single(seq: Sequence, n: int, ell: int) -> Witness:
     return extract_cyclic_block(seq, d)
 
 
+def _square_blocks(seq: Sequence, d: int) -> BlockDecomposition:
+    """Size-d blocks of a sequence over (Z/n)^2 with d | n: peeled until 3d
+    elements remain, whose sum is then divisible by d, so the recursion on
+    their reduction mod d yields one more block."""
+    deco = BlockDecomposition(block_size=d)
+    counts = dict(seq.counts)
+    remaining = seq.length
+    while remaining > 3 * d:
+        _take_block(seq.group, counts, d, deco)
+        remaining -= d
+    reduced = Sequence(_quotient_group(seq.group, d), _reduce_counts(counts, d))
+    block = _pull_back(counts, extract_square_3n(reduced), d)
+    deco.blocks.append(block)
+    deco.block_sums.append(counts_sum(seq.group, block))
+    return deco
+
+
 def extract_square_3n(seq: Sequence) -> Witness:
     """Length-n witness from a zero-sum sequence of exactly 3n elements in (Z/n)^2.
 
@@ -263,23 +277,7 @@ def extract_square_3n(seq: Sequence) -> Witness:
         return witness
     split = factor_smallest_prime(n)
     p, m = split.p, split.m
-    deco = BlockDecomposition(block_size=m)
-    counts = dict(seq.counts)
-    remaining = seq.length
-    while remaining > 3 * m:
-        _take_block(seq.group, counts, m, deco)
-        remaining -= m
-    # Remainder is zero-sum mod m; recurse for one more block.
-    quotient = _quotient_group(seq.group, m)
-    reduced = Sequence(quotient, _reduce_counts(counts, m))
-    inner = extract_square_3n(reduced)
-    block = _pull_back(counts, inner, m)
-    leftover = dict(counts)
-    _subtract(leftover, block)
-    deco.blocks.append(block)
-    deco.block_sums.append(counts_sum(seq.group, block))
-    deco.leftover = leftover
-
+    deco = _square_blocks(seq, m)
     lifted = _lift_blocks(seq.group, deco, m)
     chosen = find_zero_sum_subseq(lifted, p)
     if chosen is not None:
@@ -308,22 +306,7 @@ def extract_square_block(seq: Sequence, d: int) -> Witness:
     )
     if 4 * n - d < 3 * d:
         raise AssertionError(f"length 4n - d = {4 * n - d} below 3d = {3 * d}")
-    deco = BlockDecomposition(block_size=d)
-    counts = dict(seq.counts)
-    remaining = seq.length
-    while remaining > 3 * d:
-        _take_block(seq.group, counts, d, deco)
-        remaining -= d
-    quotient = _quotient_group(seq.group, d)
-    reduced = Sequence(quotient, _reduce_counts(counts, d))
-    inner = extract_square_3n(reduced)
-    block = _pull_back(counts, inner, d)
-    leftover = dict(counts)
-    _subtract(leftover, block)
-    deco.blocks.append(block)
-    deco.block_sums.append(counts_sum(seq.group, block))
-    deco.leftover = leftover
-
+    deco = _square_blocks(seq, d)
     lifted = _lift_blocks(seq.group, deco, d)
     chosen = find_zero_sum_subseq(lifted, n // d)
     if chosen is None:

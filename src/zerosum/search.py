@@ -157,20 +157,21 @@ def _walk(
     raises once its nodes pass `max_nodes`, and returns (nodes expanded,
     leaves reached).
 
-    The prefix sum is one element index, advanced through `pack.plus`, so
-    the zero-sum test is `s != 0`. A leaf with room for r more copies covers
-    `need` iff its mask misses `gate[need + r]`, the pad of need - a. The
-    level of element 1 runs its leaves in its own loop, and the node count
-    travels through arguments and return values. The rotation masks of
-    `pack.parts` span the packed width, so a grown mask needs no truncation.
+    The prefix sum is one element index, advanced through the rows of
+    `pack.plus`, so the zero-sum test is `s != 0`. A leaf with room for r
+    more copies covers `need` iff its mask misses `gate[need + r]`, the pad
+    of need - a. The level of element 1 runs its leaves in its own loop, and
+    the node count travels through arguments and return values. The
+    rotation masks of `pack.parts` span the packed width, so a grown mask
+    needs no truncation.
     """
     depth = math.prod(moduli) + 200  # the walk takes one frame per element
     if sys.getrecursionlimit() < depth:
         sys.setrecursionlimit(depth)
     pack = get_pack(moduli, target)
     order = pack.order
-    plus = pack.plus
-    parts = pack.parts
+    plus = [pack.plus(i) for i in range(order)]
+    parts = [pack.parts(i) for i in range(order)]
     probe_top = 1 << (target * order)
     # pad[m]: the bits of count target - j and sum 0 for j <= min(m, target).
     pad = []
@@ -264,8 +265,8 @@ def _walk(
 def _sequence_of(group: Group, mults: Seq[int]) -> Sequence:
     """The multiset with the given multiplicity vector, indexed as the kernel
     indexes the group's elements."""
-    elements = get_pack(group.moduli, 0).elements
-    return Sequence(group, {elements[i]: m for i, m in enumerate(mults) if m})
+    coords = get_pack(group.moduli, 0).coords
+    return Sequence(group, {coords(i): m for i, m in enumerate(mults) if m})
 
 
 def enumerate_multisets(
@@ -605,19 +606,18 @@ def check_all_have_witness(
     size: int,
     target: int,
     *,
-    zero_sum_only: bool,
     name: str,
     budget: SearchBudget | None = None,
     pool: ProcessPoolExecutor | None = None,
 ) -> PropertyReport:
-    """Every multiset of the given size (zero-sum ones only, if asked) over
-    the group must contain a zero-sum subsequence of the target length."""
+    """Every multiset of the given size over the group must contain a
+    zero-sum subsequence of the target length."""
     budget = budget or SearchBudget()
     start = time.monotonic()
     profile = _profile(
         group.moduli, target, size, pool, budget.max_nodes, start + budget.max_seconds
     )
-    fail_vec = (profile.zero if zero_sum_only else profile.every).get(size)
+    fail_vec = profile.every.get(size)
     counterexample = None
     if fail_vec is not None:
         counterexample = serialize_sequence(_sequence_of(group, fail_vec))
@@ -629,7 +629,7 @@ def check_all_have_witness(
         violations=0 if fail_vec is None else 1,
         counterexample=counterexample,
         wall_ms=int((time.monotonic() - start) * 1000),
-        note="exhaustive over multisets" if zero_sum_only is False else "exhaustive over zero-sum multisets",
+        note="exhaustive over multisets",
     )
 
 
@@ -743,7 +743,8 @@ def check_lemma_3n(
         enumerate_multisets(group, 3 * n, run_one, budget=budget)
     else:
         rng = random.Random(seed)
-        plus = get_pack(group.moduli, 0).plus
+        pack = get_pack(group.moduli, 0)
+        plus = [pack.plus(i) for i in range(group.order)]
         deadline = start + budget.max_seconds
         attempts = 0
         while checked < samples:
@@ -804,8 +805,7 @@ def verify_theorem(
 
     def witness(moduli: list[int], size: int, target: int, name: str) -> PropertyReport:
         return check_all_have_witness(
-            make_group(moduli), size, target, zero_sum_only=False, name=name,
-            budget=budget, pool=pool,
+            make_group(moduli), size, target, name=name, budget=budget, pool=pool
         )
 
     # suite -> (default n values, the report for one n and t); only cyclic reads t.

@@ -110,9 +110,7 @@ def test_ac05_egz_exhaustive():
     start = time.monotonic()
     failures = []
     for n in range(2, 11):
-        rep = check_all_have_witness(
-            make_group([n]), 2 * n - 1, n, zero_sum_only=False, name="egz"
-        )
+        rep = check_all_have_witness(make_group([n]), 2 * n - 1, n, name="egz")
         if not rep.passed:
             failures.append((n, rep.counterexample))
     elapsed = time.monotonic() - start
@@ -124,9 +122,7 @@ def test_ac06_reiher_exhaustive():
     start = time.monotonic()
     failures = []
     for n in (2, 3):
-        rep = check_all_have_witness(
-            make_group([n, n]), 4 * n - 3, n, zero_sum_only=False, name="reiher"
-        )
+        rep = check_all_have_witness(make_group([n, n]), 4 * n - 3, n, name="reiher")
         if not rep.passed:
             failures.append((n, rep.counterexample))
     elapsed = time.monotonic() - start

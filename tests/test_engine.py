@@ -67,6 +67,19 @@ def test_has_zero_sum_in_lengths_examples():
     assert has_zero_sum_in_lengths(s, {0, 3})
 
 
+def test_large_group_costs_no_square_table():
+    # |G| = 20000: a table with a row for every element would hold 4 * 10^8
+    # entries; the engine builds one row per element of the sequence.
+    s = parse_sequence("Z/20000: 1 2 3 19994")
+    assert [count_zero_sum_subseqs(s, k) for k in range(5)] == [1, 0, 0, 0, 1]
+    assert count_zero_sum_subseqs(s, 4, modulus=7) == 1
+    assert find_zero_sum_subseq(s, 3) is None
+    assert find_zero_sum_subseq(s, 4).counts == s.counts
+    assert not has_zero_sum_in_lengths(s, {1, 2, 3})
+    assert has_zero_sum_in_lengths(s, {3, 4})
+    assert has_zero_sum_of_length(s, 4) and not has_zero_sum_of_length(s, 2)
+
+
 def test_witness_determinism_and_minimality():
     # Same input gives the same witness; elements take the smallest viable
     # multiplicity in ascending element order, so (0,) takes none here and

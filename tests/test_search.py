@@ -358,14 +358,10 @@ def test_budget_caps_the_whole_length(workers):
 
 
 def test_check_all_have_witness():
-    rep = check_all_have_witness(
-        make_group([3]), 5, 3, zero_sum_only=False, name="egz"
-    )
+    rep = check_all_have_witness(make_group([3]), 5, 3, name="egz")
     assert rep.passed and rep.violations == 0
 
-    rep = check_all_have_witness(
-        make_group([3]), 4, 3, zero_sum_only=False, name="egz-negative"
-    )
+    rep = check_all_have_witness(make_group([3]), 4, 3, name="egz-negative")
     assert not rep.passed
     counter = parse_sequence(rep.counterexample)
     assert counter.length == 4
