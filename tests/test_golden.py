@@ -1,8 +1,10 @@
-"""Golden `--format json` outputs of `constant` and `verify`.
+"""Golden `--format json` outputs of every subcommand.
 
 Each command's stdout must match the recorded output byte for byte, with
 the wall-clock fields zeroed, and exit with the recorded code. This pins
-the extremal witnesses, the node and leaf counts and the exit codes.
+the extremal witnesses, the node and leaf counts, the engine's
+lexicographically least witnesses and counts, each extractor's witness,
+the constructions and the exit codes.
 
 Regenerate after an intended change with `python tests/test_golden.py`.
 """
