@@ -41,6 +41,7 @@ class GroupPack:
         self.full = (1 << self.width) - 1
         self.initial = 1  # count 0, identity sum
         self._parts: dict[tuple[int, int], tuple] = {}
+        self._axis_parts: dict[tuple[int, int], tuple] = {}
 
     # -- element indices ------------------------------------------------------
 
@@ -71,24 +72,33 @@ class GroupPack:
 
         lo holds the bits whose digit on the axis stays below its modulus
         when the copies are added; lo_down holds the others, shifted down.
+        The tuple is cached per (element, copies); each axis's part is shared
+        by every element that moves that axis by the same amount.
         """
         key = (i, times)
         parts = self._parts.get(key)
         if parts is None:
-            built = []
-            for c, na, sa in zip(self.coords(i), self.moduli, self.strides):
-                c = c * times % na
-                if c:
-                    down = (na - c) * sa
-                    lo = (1 << down) - 1
-                    span = na * sa  # the period of lo, which divides the width
-                    while span < self.width:
-                        lo |= lo << span
-                        span <<= 1
-                    lo &= self.full
-                    built.append((lo, c * sa, down, (self.full ^ lo) >> down))
-            parts = self._parts[key] = tuple(built)
+            shifts = [c * times % na for c, na in zip(self.coords(i), self.moduli)]
+            parts = self._parts[key] = tuple(
+                self._axis_part(axis, c) for axis, c in enumerate(shifts) if c
+            )
         return parts
+
+    def _axis_part(self, axis: int, c: int) -> tuple:
+        """The rotation part that adds c (nonzero) to the digit on one axis."""
+        key = (axis, c)
+        part = self._axis_parts.get(key)
+        if part is None:
+            na, sa = self.moduli[axis], self.strides[axis]
+            down = (na - c) * sa
+            lo = (1 << down) - 1
+            span = na * sa  # the period of lo, which divides the width
+            while span < self.width:
+                lo |= lo << span
+                span <<= 1
+            lo &= self.full
+            part = self._axis_parts[key] = (lo, c * sa, down, (self.full ^ lo) >> down)
+        return part
 
     # -- folding items into a mask --------------------------------------------
 

@@ -31,7 +31,7 @@ def find_zero_sum_subseq(seq: Sequence, k: int) -> Witness | None:
     """
     _check_k(seq, k)
     if k == 0:
-        return Witness(seq.group, {})
+        return Witness._of(seq.group, {})
     pack = get_pack(seq.group.moduli, k)
     items = seq.items()
     # Suffix reachability: suffix[i] covers items[i:].
@@ -61,7 +61,7 @@ def find_zero_sum_subseq(seq: Sequence, k: int) -> Witness | None:
         if need_count == 0 and need_index == 0:
             break
     assert need_count == 0 and need_index == 0
-    witness = Witness(seq.group, counts)
+    witness = Witness._of(seq.group, counts)
     witness.validate_against(seq, size=k)
     return witness
 

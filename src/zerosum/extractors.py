@@ -5,6 +5,13 @@ to blind search: elements are grouped into size-d blocks whose sums are
 divisible by d, the block sums are lifted to a quotient group, and a smaller
 zero-sum instance over the lifted values selects which blocks to combine.
 Running an extractor therefore exercises the reduction it implements.
+
+The input sequence was validated when it was built. Every reduced, lifted
+and witness sequence made from it is built with the trusted `_of`, which
+skips the per-element checks; each returned witness is still checked
+against its parent by `validate_against`. A size-1 block is taken directly
+as the smallest remaining element, which is what a search over the trivial
+quotient (Z/1)^r pulls back to.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import find_zero_sum_subseq
-from .groups import Element, Group, make_group, min_nondivisor
+from .groups import Element, Group, min_nondivisor
 from .sequences import Sequence, Witness, counts_sum
 
 
@@ -51,7 +58,7 @@ class BlockDecomposition:
 
 
 def _quotient_group(group: Group, d: int) -> Group:
-    return make_group([d] * group.rank)
+    return Group((d,) * group.rank)
 
 
 def _reduce_counts(counts: dict[Element, int], d: int) -> dict[Element, int]:
@@ -94,14 +101,17 @@ def _take_block(
     group: Group, counts: dict[Element, int], d: int, deco: BlockDecomposition
 ) -> None:
     """Split off one size-d block with sum divisible by d (componentwise)."""
-    quotient = _quotient_group(group, d)
-    reduced = Sequence(quotient, _reduce_counts(counts, d))
-    qw = find_zero_sum_subseq(reduced, d)
-    if qw is None:
-        raise AssertionError(
-            f"guaranteed size-{d} block not found in a sequence of length {reduced.length}"
-        )
-    block = _pull_back(counts, qw, d)
+    if d == 1:
+        # What a find over (Z/1)^r pulls back to: the smallest element.
+        block = {min(counts): 1}
+    else:
+        reduced = Sequence._of(_quotient_group(group, d), _reduce_counts(counts, d))
+        qw = find_zero_sum_subseq(reduced, d)
+        if qw is None:
+            raise AssertionError(
+                f"guaranteed size-{d} block not found in a sequence of length {reduced.length}"
+            )
+        block = _pull_back(counts, qw, d)
     _subtract(counts, block)
     deco.blocks.append(block)
     deco.block_sums.append(counts_sum(group, block))
@@ -114,7 +124,7 @@ def _lift_blocks(group: Group, deco: BlockDecomposition, d: int) -> Sequence:
     counts: dict[Element, int] = {}
     for x in deco.quotient_elems:
         counts[x] = counts.get(x, 0) + 1
-    return Sequence(quotient, counts)
+    return Sequence._of(quotient, counts)
 
 
 def _union_blocks(deco: BlockDecomposition, chosen_values: Witness) -> dict[Element, int]:
@@ -164,7 +174,7 @@ def extract_cyclic_block(seq: Sequence, d: int) -> Witness:
     chosen = find_zero_sum_subseq(lifted, n // d)
     if chosen is None:
         raise AssertionError("guaranteed quotient selection not found")
-    witness = Witness(seq.group, _union_blocks(deco, chosen))
+    witness = Witness._of(seq.group, _union_blocks(deco, chosen))
     witness.validate_against(seq, size=n)
     return witness
 
@@ -201,7 +211,7 @@ def extract_cyclic_nt(seq: Sequence, t: int) -> Witness:
     for w in rounds:
         for el, m in w.counts.items():
             counts[el] = counts.get(el, 0) + m
-    witness = Witness(seq.group, counts)
+    witness = Witness._of(seq.group, counts)
     witness.validate_against(seq, size=seq.group.moduli[0] * t)
     return witness
 
@@ -249,8 +259,12 @@ def _square_blocks(seq: Sequence, d: int) -> BlockDecomposition:
     while remaining > 3 * d:
         _take_block(seq.group, counts, d, deco)
         remaining -= d
-    reduced = Sequence(_quotient_group(seq.group, d), _reduce_counts(counts, d))
-    block = _pull_back(counts, extract_square_3n(reduced), d)
+    if d == 1:
+        # The recursion over (Z/1)^2 pulls back to the smallest element.
+        block = {min(counts): 1}
+    else:
+        reduced = Sequence._of(_quotient_group(seq.group, d), _reduce_counts(counts, d))
+        block = _pull_back(counts, extract_square_3n(reduced), d)
     deco.blocks.append(block)
     deco.block_sums.append(counts_sum(seq.group, block))
     return deco
@@ -272,7 +286,7 @@ def extract_square_3n(seq: Sequence) -> Witness:
         f"sequence length must be 3n = {3 * n}, got {seq.length}",
     )
     if n == 1:
-        witness = Witness(seq.group, {(0, 0): 1})
+        witness = Witness._of(seq.group, {(0, 0): 1})
         witness.validate_against(seq, size=1)
         return witness
     split = factor_smallest_prime(n)
@@ -281,7 +295,7 @@ def extract_square_3n(seq: Sequence) -> Witness:
     lifted = _lift_blocks(seq.group, deco, m)
     chosen = find_zero_sum_subseq(lifted, p)
     if chosen is not None:
-        witness = Witness(seq.group, _union_blocks(deco, chosen))
+        witness = Witness._of(seq.group, _union_blocks(deco, chosen))
     else:
         # (p | lifted) = 0 forces (2p | lifted) != 0; take the complement.
         chosen = find_zero_sum_subseq(lifted, 2 * p)
@@ -290,7 +304,7 @@ def extract_square_3n(seq: Sequence) -> Witness:
         union = _union_blocks(deco, chosen)
         complement = dict(seq.counts)
         _subtract(complement, union)
-        witness = Witness(seq.group, complement)
+        witness = Witness._of(seq.group, complement)
     witness.validate_against(seq, size=n)
     return witness
 
@@ -311,7 +325,7 @@ def extract_square_block(seq: Sequence, d: int) -> Witness:
     chosen = find_zero_sum_subseq(lifted, n // d)
     if chosen is None:
         raise AssertionError("guaranteed quotient selection not found")
-    witness = Witness(seq.group, _union_blocks(deco, chosen))
+    witness = Witness._of(seq.group, _union_blocks(deco, chosen))
     witness.validate_against(seq, size=n)
     return witness
 

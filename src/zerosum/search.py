@@ -266,7 +266,7 @@ def _sequence_of(group: Group, mults: Seq[int]) -> Sequence:
     """The multiset with the given multiplicity vector, indexed as the kernel
     indexes the group's elements."""
     coords = get_pack(group.moduli, 0).coords
-    return Sequence(group, {coords(i): m for i, m in enumerate(mults) if m})
+    return Sequence._of(group, {coords(i): m for i, m in enumerate(mults) if m})
 
 
 def enumerate_multisets(

@@ -27,6 +27,10 @@ class Sequence:
 
     Sequences are immutable values: every operation returns a new instance.
     Length and total sum are computed once and cached.
+
+    The public constructor checks every element and multiplicity. Code that
+    builds a multiset from elements already known to be valid (taken from a
+    validated sequence or from a pack's `coords`) uses the trusted `_of`.
     """
 
     __slots__ = ("group", "counts", "length", "total_sum")
@@ -42,10 +46,23 @@ class Sequence:
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise ValueError(f"multiplicity for {el!r} must be >= 1, got {mult!r}")
             clean[el] = clean.get(el, 0) + mult
+        self._set(group, clean)
+
+    @classmethod
+    def _of(cls, group: Group, counts: Mapping[Element, int]):
+        """Trusted constructor: the keys must be distinct elements of the
+        group and the multiplicities positive ints. Sorts, sums and caches,
+        with no per-element checks."""
+        seq = object.__new__(cls)
+        seq._set(group, counts)
+        return seq
+
+    def _set(self, group: Group, counts: Mapping[Element, int]) -> None:
+        counts = dict(sorted(counts.items()))
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "counts", dict(sorted(clean.items())))
-        object.__setattr__(self, "length", sum(clean.values()))
-        object.__setattr__(self, "total_sum", counts_sum(group, clean))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "length", sum(counts.values()))
+        object.__setattr__(self, "total_sum", counts_sum(group, counts))
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")
@@ -74,7 +91,12 @@ class Sequence:
         """Add c to every term, keeping multiplicities."""
         g = self.group
         g._check(c)
-        return Sequence(g, {g.add(el, c): m for el, m in self.counts.items()})
+        # A translation keeps distinct elements distinct, so no keys merge.
+        shifted = {
+            tuple([(x + y) % q for x, y, q in zip(el, c, g.moduli)]): m
+            for el, m in self.counts.items()
+        }
+        return Sequence._of(g, shifted)
 
     def contains_multiset(self, other: Mapping[Element, int]) -> bool:
         return all(self.counts.get(el, 0) >= m for el, m in other.items())
@@ -90,7 +112,7 @@ class Sequence:
             counts[el] -= m
             if counts[el] == 0:
                 del counts[el]
-        return Sequence(self.group, counts)
+        return Sequence._of(self.group, counts)
 
 
 class Witness(Sequence):
@@ -99,7 +121,12 @@ class Witness(Sequence):
     __slots__ = ()
 
     def __init__(self, group: Group, counts: Mapping[Element, int]):
+        """Checked like a Sequence, but never lenient."""
         super().__init__(group, counts)
+
+    def _set(self, group: Group, counts: Mapping[Element, int]) -> None:
+        """Both constructors end here, so the trusted one checks the sum too."""
+        super()._set(group, counts)
         if not self.is_zero_sum():
             raise ValueError(f"witness does not sum to the identity: {self.counts}")
 
@@ -158,7 +185,7 @@ def parse_elements(group: Group, text: str, lenient: bool = False) -> Sequence:
         counts[coords] = counts.get(coords, 0) + mult
     if text[pos:].strip():
         raise SequenceParseError(f"unexpected trailing text {text[pos:]!r}")
-    return Sequence(group, counts)
+    return Sequence._of(group, counts)  # every element was checked above
 
 
 def parse_sequence(text: str, lenient: bool = False) -> Sequence:

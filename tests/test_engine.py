@@ -171,3 +171,19 @@ def test_state_space_guards():
         find_zero_sum_subseq(s, 400)
     with pytest.raises(ValueError):
         count_zero_sum_subseqs(s, 100)
+
+
+def test_pack_shares_rotation_masks_by_axis_and_shift():
+    from zerosum._bitdp import GroupPack
+
+    pack = GroupPack((6, 4), 5)
+    # (2, 1) and (2, 3) move axis 0 by 2; (2, 1) and (5, 1) move axis 1 by 1.
+    a, b, c = (pack.parts(pack.index(el)) for el in [(2, 1), (2, 3), (5, 1)])
+    assert a[0] is b[0] and a[0][0] is b[0][0] and a[0][3] is b[0][3]
+    assert a[1] is c[1] and a[1][0] is c[1][0]
+    assert a[1] is not b[1]
+    # Two copies of (1, 2) move axis 0 by 2 and axis 1 by 0 (dropped).
+    assert pack.parts(pack.index((1, 2)), 2) == (a[0],)
+    assert pack.parts(pack.index((1, 2)), 2)[0] is a[0]
+    # The per-(element, copies) tuple is cached too.
+    assert pack.parts(pack.index((2, 1))) is a

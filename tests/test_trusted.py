@@ -1,0 +1,179 @@
+"""Trusted construction: `Sequence._of` agrees with the public constructor,
+size-1 blocks are the ones the general block route picks, and every witness
+built inside the package holds only elements of its group."""
+
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from zerosum import (
+    Sequence,
+    Witness,
+    extract_cyclic_block,
+    extract_cyclic_nt,
+    extract_cyclic_nt_rounds,
+    extract_square_3n,
+    extract_square_block,
+    extract_square_n,
+    find_zero_sum_subseq,
+    make_group,
+    min_nondivisor,
+)
+from zerosum.extractors import (
+    BlockDecomposition,
+    _pull_back,
+    _square_blocks,
+    _subtract,
+    _take_block,
+)
+
+from conftest import random_zero_sum
+
+MODULI = [(1,), (2,), (5,), (6,), (1, 1), (2, 2), (3, 3), (2, 4), (2, 2, 2)]
+
+
+@st.composite
+def group_and_counts(draw):
+    """A group and a valid counts mapping, its keys in a drawn order."""
+    g = make_group(draw(st.sampled_from(MODULI)))
+    els = draw(st.permutations(list(g.elements())))
+    chosen = els[: draw(st.integers(0, min(6, len(els))))]
+    return g, {el: draw(st.integers(1, 5)) for el in chosen}
+
+
+@given(group_and_counts())
+def test_trusted_constructor_agrees_with_public(case):
+    g, counts = case
+    public, trusted = Sequence(g, counts), Sequence._of(g, counts)
+    assert type(trusted) is Sequence
+    assert trusted.counts == public.counts
+    assert list(trusted.counts) == list(public.counts)
+    assert (trusted.length, trusted.total_sum) == (public.length, public.total_sum)
+    assert trusted == public and public == trusted
+
+
+@given(group_and_counts())
+def test_trusted_witness_agrees_and_rejects_nonzero_sums(case):
+    g, counts = case
+    if Sequence(g, counts).is_zero_sum():
+        public, trusted = Witness(g, counts), Witness._of(g, counts)
+        assert type(trusted) is Witness
+        assert list(trusted.counts) == list(public.counts)
+        assert (trusted.length, trusted.total_sum) == (public.length, public.total_sum)
+        assert trusted == public
+    else:
+        with pytest.raises(ValueError):
+            Witness(g, counts)
+        with pytest.raises(ValueError):
+            Witness._of(g, counts)
+
+
+def test_trusted_constructor_copies_its_input():
+    g = make_group([4])
+    counts = {(3,): 1, (1,): 2}
+    seq = Sequence._of(g, counts)
+    counts[(2,)] = 5
+    assert seq.counts == {(1,): 2, (3,): 1}
+    with pytest.raises(AttributeError):
+        seq.length = 0
+
+
+# -- size-1 blocks ---------------------------------------------------------
+
+
+def _general_size1_block(group, counts):
+    """The general route at d = 1: reduce into (Z/1)^r, find one zero-sum
+    element there, and pull it back to the parent."""
+    trivial = make_group([1] * group.rank)
+    reduced = Sequence(trivial, {trivial.identity(): sum(counts.values())})
+    return _pull_back(counts, find_zero_sum_subseq(reduced, 1), 1)
+
+
+def _general_size1_tail(counts):
+    """The general tail of `_square_blocks` at d = 1: the recursion on the
+    last three elements reduced into (Z/1)^2, pulled back."""
+    trivial = make_group([1, 1])
+    reduced = Sequence(trivial, {(0, 0): sum(counts.values())})
+    return _pull_back(counts, extract_square_3n(reduced), 1)
+
+
+@pytest.mark.parametrize("moduli", [(5,), (6,), (3, 3), (4, 4), (2, 2, 2)])
+def test_take_block_size_one_matches_general_route(moduli):
+    rng = random.Random(11)
+    g = make_group(moduli)
+    for _ in range(30):
+        seq = random_zero_sum(rng, g, rng.randint(1, 12))
+        fast, slow = dict(seq.counts), dict(seq.counts)
+        deco = BlockDecomposition(block_size=1)
+        while fast:
+            _take_block(g, fast, 1, deco)
+            block = _general_size1_block(g, slow)
+            _subtract(slow, block)
+            assert deco.blocks[-1] == block
+            assert fast == slow
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_square_blocks_size_one_matches_general_route(n):
+    rng = random.Random(n)
+    g = make_group([n, n])
+    for _ in range(30):
+        seq = random_zero_sum(rng, g, 3 * n)
+        counts = dict(seq.counts)
+        expected = []
+        for _ in range(3 * n - 3):
+            expected.append(_general_size1_block(g, counts))
+            _subtract(counts, expected[-1])
+        expected.append(_general_size1_tail(counts))
+        deco = _square_blocks(seq, 1)
+        assert deco.blocks == expected
+        assert deco.block_sums == [next(iter(b)) for b in expected]
+
+
+# -- witnesses built inside the package -----------------------------------
+
+
+def _assert_members(w, seq, size):
+    assert isinstance(w, Witness)
+    assert all(seq.group.contains(el) for el in w.counts), w.counts
+    assert all(type(m) is int and m >= 1 for m in w.counts.values())
+    w.validate_against(seq, size=size)
+
+
+def test_every_internal_witness_holds_group_elements():
+    rng = random.Random(909)
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        d = rng.choice([x for x in range(1, n + 1) if n % x == 0])
+        cyc = make_group([n])
+        seq = random_zero_sum(rng, cyc, 2 * n - d)
+        _assert_members(extract_cyclic_block(seq, d), seq, n)
+        _assert_members(find_zero_sum_subseq(seq, 0), seq, 0)
+        w = find_zero_sum_subseq(seq, n)
+        if w is not None:
+            _assert_members(w, seq, n)
+
+        t = rng.randint(1, 3)
+        seq = random_zero_sum(rng, cyc, (t + 1) * n - min_nondivisor(n, 1) + 1)
+        _assert_members(extract_cyclic_nt(seq, t), seq, n * t)
+        for w in extract_cyclic_nt_rounds(seq, t):
+            _assert_members(w, seq, n)
+            seq = seq.remove_witness(w)
+            assert all(cyc.contains(el) for el in seq.counts)
+
+        m = rng.randint(1, 6)
+        sq = make_group([m, m])
+        seq = random_zero_sum(rng, sq, 3 * m)
+        _assert_members(extract_square_3n(seq), seq, m)
+        _assert_members(find_zero_sum_subseq(seq, m), seq, m)
+        if m >= 2:
+            e = rng.choice([x for x in range(1, m + 1) if m % x == 0])
+            seq = random_zero_sum(rng, sq, 4 * m - e)
+            _assert_members(extract_square_block(seq, e), seq, m)
+            seq = random_zero_sum(rng, sq, 4 * m - min_nondivisor(m, 4) + 1)
+            _assert_members(extract_square_n(seq), seq, m)
+        shifted = seq.shift_all(tuple(rng.randrange(m) for _ in range(2)))
+        assert all(sq.contains(el) for el in shifted.counts)
+        assert shifted.length == seq.length
