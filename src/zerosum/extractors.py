@@ -102,8 +102,10 @@ def _take_block(
 ) -> None:
     """Split off one size-d block with sum divisible by d (componentwise)."""
     if d == 1:
-        # What a find over (Z/1)^r pulls back to: the smallest element.
-        block = {min(counts): 1}
+        # What a find over (Z/1)^r pulls back to: the smallest element, which
+        # is also the block's sum.
+        total = min(counts)
+        block = {total: 1}
     else:
         reduced = Sequence._of(_quotient_group(group, d), _reduce_counts(counts, d))
         qw = find_zero_sum_subseq(reduced, d)
@@ -112,9 +114,10 @@ def _take_block(
                 f"guaranteed size-{d} block not found in a sequence of length {reduced.length}"
             )
         block = _pull_back(counts, qw, d)
+        total = counts_sum(group, block)
     _subtract(counts, block)
     deco.blocks.append(block)
-    deco.block_sums.append(counts_sum(group, block))
+    deco.block_sums.append(total)
 
 
 def _lift_blocks(group: Group, deco: BlockDecomposition, d: int) -> Sequence:
@@ -260,13 +263,16 @@ def _square_blocks(seq: Sequence, d: int) -> BlockDecomposition:
         _take_block(seq.group, counts, d, deco)
         remaining -= d
     if d == 1:
-        # The recursion over (Z/1)^2 pulls back to the smallest element.
-        block = {min(counts): 1}
+        # The recursion over (Z/1)^2 pulls back to the smallest element,
+        # which is also the block's sum.
+        total = min(counts)
+        block = {total: 1}
     else:
         reduced = Sequence._of(_quotient_group(seq.group, d), _reduce_counts(counts, d))
         block = _pull_back(counts, extract_square_3n(reduced), d)
+        total = counts_sum(seq.group, block)
     deco.blocks.append(block)
-    deco.block_sums.append(counts_sum(seq.group, block))
+    deco.block_sums.append(total)
     return deco
 
 

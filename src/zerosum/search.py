@@ -11,8 +11,12 @@ raw multiset count.
 The brute-force determination walks once: every multiset with no zero-sum
 subsequence of length t (when exp(G) divides t) is a sub-multiset-closed,
 finite family, so one pruned walk lists every length at which some multiset
-fails, with the first failing vector of each length in colex order. Results
-do not depend on how the work is partitioned across workers.
+fails. Automorphisms of G keep size, zero sum and witnesses, so that walk
+visits one representative per orbit only: the top element takes the largest
+multiplicity among the elements a few easy automorphisms carry it to. One
+short uncapped walk then finds the first failing vector of the one length
+that needs it, in colex order. Results do not depend on how the work is
+partitioned across workers.
 
 The unit of search is the chunk of vectors that share the last element's
 multiplicity. Enumeration and serial walks take the chunks in order against
@@ -27,6 +31,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence as Seq
 
 from ._bitdp import get_pack
@@ -52,13 +57,6 @@ def formula_modified_square(n: int) -> int:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return 4 * n - min_nondivisor(n, 4) + 1
-
-
-def harborth_bounds(n: int, r: int) -> tuple[int, int]:
-    """((n-1) 2^r + 1, (n-1) n^r + 1): bounds for the unrestricted constant."""
-    if n < 1 or r < 1:
-        raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    return (n - 1) * 2**r + 1, (n - 1) * n**r + 1
 
 
 def conjecture_value(n: int, r: int) -> int:
@@ -131,15 +129,65 @@ def _budget_error(nodes: int, max_nodes: int) -> BudgetExceeded:
     return BudgetExceeded(f"node budget exhausted: {nodes} nodes, {max_nodes} allowed")
 
 
+def _automorphisms(moduli: tuple[int, ...]) -> list[Callable[[tuple[int, ...]], tuple[int, ...]]]:
+    """Automorphisms of Z/n_1 x ... x Z/n_r, on coordinate tuples, that need
+    no enumeration of the automorphism group: scaling one coordinate by a
+    unit mod n_i, swapping two coordinates with equal moduli, and the
+    transvection x_i += (n_i / gcd(n_i, n_j)) x_j, which is well defined
+    because n_j times that factor is a multiple of n_i, and is undone by
+    subtracting the same multiple."""
+    maps: list[Callable[[tuple[int, ...]], tuple[int, ...]]] = []
+    for i, n in enumerate(moduli):
+        for u in range(2, n):
+            if math.gcd(u, n) == 1:
+                maps.append(lambda x, i=i, u=u, n=n: (*x[:i], x[i] * u % n, *x[i + 1:]))
+        for j, m in enumerate(moduli):
+            if j > i and m == n:
+                maps.append(lambda x, i=i, j=j: (*x[:i], x[j], *x[i + 1:j], x[i], *x[j + 1:]))
+            g = math.gcd(n, m)
+            if j != i and g > 1:
+                c = n // g
+                maps.append(lambda x, i=i, j=j, c=c, n=n: (*x[:i], (x[i] + c * x[j]) % n, *x[i + 1:]))
+    return maps
+
+
+@lru_cache(maxsize=64)
+def _top_orbit(moduli: tuple[int, ...]) -> frozenset[int]:
+    """The indices of the elements other than the top one (index |G| - 1)
+    that the maps of `_automorphisms` carry the top element to: part of its
+    orbit under Aut(G), and for (Z/p)^r every nonzero element."""
+    pack = get_pack(moduli, 0)
+    maps = _automorphisms(moduli)
+    top = pack.coords(pack.order - 1)
+    seen = {top}
+    frontier = [top]
+    while frontier:
+        x = frontier.pop()
+        for f in maps:
+            y = f(x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(pack.index(x) for x in seen if x != top)
+
+
+class _Stop(Exception):
+    """Raised through the walk when `emit` asks it to stop; args[0] is the
+    node count at that leaf."""
+
+
 def _walk(
     moduli: tuple[int, ...],
     target: int,
     length: int,
     outers: Iterable[int],
     need: list[int],
-    emit: Callable[[list[int], int, int, int], None],
+    emit: Callable[[list[int], int, int, int], bool | None],
     max_nodes: int,
     deadline: float,
+    *,
+    orbit: frozenset[int] = frozenset(),
+    spent: int = 0,
 ) -> tuple[int, int]:
     """Depth-first walk over the given chunks (last multiplicities, in
     order) of the multisets of size at most `length` with no zero-sum
@@ -151,11 +199,18 @@ def _walk(
     stays witness-free under r copies of element 0 (the identity) exactly
     for r <= rmax < target (the pads nest), so it covers the lengths
     a..a + rmax. `emit(mults, a, a + rmax, s)` sees each leaf that covers a
-    length >= need[s == 0]; the caller may change `need` as it goes, to
-    values up to length + target, which no leaf reaches. mults[0] is the
-    caller's. Restricted to one length, walk order is colex order. The walk
-    raises once its nodes pass `max_nodes`, and returns (nodes expanded,
-    leaves reached).
+    length >= need[s == 0]; the caller may raise `need` as it goes, to
+    values up to length + target, which no leaf reaches, and stops the walk
+    by returning true. mults[0] is the caller's. Restricted to one length,
+    walk order is colex order. The node count starts at `spent`, so a walk
+    can draw on the budget another one left; the walk raises once its nodes
+    pass `max_nodes`, and returns (nodes, leaves reached).
+
+    The elements in `orbit` (see `_top_orbit`) take at most as many copies
+    as the last element in each chunk. When `need` starts at `length` or
+    more, only leaves that reach `length` count; if exp(G) also divides the
+    target, no element takes target copies, so a level i with more than
+    (target - 1)(i + 1) copies left is skipped.
 
     The prefix sum is one element index, advanced through the rows of
     `pack.plus`, so the zero-sum test is `s != 0`. A leaf with room for r
@@ -183,20 +238,29 @@ def _walk(
     gate = [0] * length + pad
     zeros = pad[target]
     last_r = target - 1
+    cap = [length] * order  # copies allowed per element, set per chunk for the orbit
+    room = [length] * order  # copies that elements 0..i can still take
+    if min(need) >= length and target % math.lcm(*moduli) == 0:
+        room = [(target - 1) * (i + 1) for i in range(order)]
     leaves = 0
     mults = [0] * order
 
     def last(i: int, b: int, s: int, mask: int, nodes: int) -> int:
         """Element i = 1 with its leaves: b - r copies of it, room for r more."""
         nonlocal leaves
+        if b > room[1]:
+            return nodes
         plus_i = plus[i]
         ((lo, up, down, lod),) = parts[i]  # element 1 has one nonzero coordinate
-        for r in range(b, -1, -1):
+        r_min = max(b - cap[1], 0)
+        for r in range(b, r_min - 1, -1):
             if not mask & gate[need[not s] + r]:
                 mults[i] = b - r
                 a = length - r
-                emit(mults, a, a + last_r - ((mask & zeros).bit_length() - 1) // order, s)
-            if not r:
+                if emit(mults, a, a + last_r - ((mask & zeros).bit_length() - 1) // order, s):
+                    leaves += b - r + 1
+                    raise _Stop(nodes)
+            if r == r_min:
                 break
             nodes += 1
             if nodes > max_nodes:
@@ -209,17 +273,19 @@ def _walk(
                 leaves += b - r + 1
                 return nodes  # prefix already has a witness: subtree has no failures
             s = plus_i[s]
-        leaves += b + 1
+        leaves += b - r_min + 1
         return nodes
 
     def dfs(i: int, b: int, s: int, mask: int, nodes: int) -> int:
         """Element i >= 2: 0..b copies of it, each followed by the levels below."""
+        if b > room[i]:
+            return nodes
         below = dfs if i > 2 else last
         mults[i] = 0
         nodes = below(i - 1, b, s, mask, nodes)
         plus_i = plus[i]
         parts_i = parts[i]
-        for j in range(1, b + 1):
+        for j in range(1, min(b, cap[i]) + 1):
             nodes += 1
             if nodes > max_nodes:
                 raise _budget_error(nodes, max_nodes)
@@ -237,28 +303,35 @@ def _walk(
         return nodes
 
     top = order - 1
-    nodes = 0
-    for outer in outers:
-        mask = pack.initial
-        s = 0
-        if top:  # each chunk grows its own prefix: its nodes do not depend on the others
-            for _ in range(outer):
-                nodes += 1
-                if nodes > max_nodes:
-                    raise _budget_error(nodes, max_nodes)
-                moved = mask << order
-                for lo, up, down, lod in parts[top]:
-                    moved = ((moved & lo) << up) | ((moved >> down) & lod)
-                mask |= moved  # `_chunks` gives only outers that hold no witness
-                s = plus[top][s]
-            mults[top] = outer
-        b = length - outer
-        if top >= 2:
-            nodes = (dfs if top > 2 else last)(top - 1, b, s, mask, nodes)
-        else:  # the chunk is one leaf
-            leaves += 1
-            if not mask & gate[need[not s] + b]:
-                emit(mults, outer, outer + last_r - ((mask & zeros).bit_length() - 1) // order, s)
+    nodes = spent
+    try:
+        for outer in outers:
+            mask = pack.initial
+            s = 0
+            for i in orbit:
+                cap[i] = outer
+            if top:  # each chunk grows its own prefix: its nodes do not depend on the others
+                for _ in range(outer):
+                    nodes += 1
+                    if nodes > max_nodes:
+                        raise _budget_error(nodes, max_nodes)
+                    moved = mask << order
+                    for lo, up, down, lod in parts[top]:
+                        moved = ((moved & lo) << up) | ((moved >> down) & lod)
+                    mask |= moved  # `_chunks` gives only outers that hold no witness
+                    s = plus[top][s]
+                mults[top] = outer
+            b = length - outer
+            if top >= 2:
+                nodes = (dfs if top > 2 else last)(top - 1, b, s, mask, nodes)
+            else:  # the chunk is one leaf
+                leaves += 1
+                if not mask & gate[need[not s] + b] and emit(
+                    mults, outer, outer + last_r - ((mask & zeros).bit_length() - 1) // order, s
+                ):
+                    break
+    except _Stop as stop:
+        nodes = stop.args[0]
     return nodes, leaves
 
 
@@ -317,12 +390,14 @@ def enumerate_multisets(
 
 
 class _Profile(NamedTuple):
-    """Per length up to the walk's, the first multiset in colex order with no
-    zero-sum subsequence of the target length (`every`), and the first
-    zero-sum one (`zero`); then the nodes expanded and the leaves reached."""
+    """The lengths up to the walk's at which some zero-sum multiset has no
+    zero-sum subsequence of the target length (`zero`), the largest length
+    at which some multiset has none (`top`), then the nodes expanded and the
+    leaves reached. The walk visits orbit representatives, so the lengths
+    are exact but it names no colex-first multiset; `_first_failing` does."""
 
-    zero: dict[int, tuple[int, ...]]
-    every: dict[int, tuple[int, ...]]
+    zero: frozenset[int]
+    top: int
     nodes: int
     leaves: int
 
@@ -335,13 +410,12 @@ def _profile_chunks(
     max_nodes: int,
     deadline: float,
 ) -> _Profile:
-    """The profile of the given outer-multiplicity chunks, walked in order.
-    Pure function of its arguments, so results are independent of
-    scheduling."""
-    zero: dict[int, tuple[int, ...]] = {}
-    every: dict[int, tuple[int, ...]] = {}
-    # No leaf is shorter than outers[0], and each longer one comes after one
-    # a copy shorter, so the lengths in `every` run from outers[0] to `top`.
+    """The profile of the given outer-multiplicity chunks, walked in order
+    with the orbit cap. Pure function of its arguments, so results are
+    independent of scheduling."""
+    zero: set[int] = set()
+    # Every leaf has at least outers[0] elements, and the chunk's first leaf
+    # is outers[0] copies of the last element.
     top = outers[0] - 1
     floor = outers[0]  # the smallest length from outers[0] on not in `zero`
     need = [0, 0]
@@ -349,22 +423,19 @@ def _profile_chunks(
     def record(mults: list[int], a: int, hi: int, s: int) -> None:
         nonlocal top, floor
         hi = min(hi, length)
-        rest = mults[1:]
-        for n in range(top + 1, hi + 1):
-            every[n] = (n - a, *rest)
         top = max(top, hi)
         if not s:
-            for n in range(max(a, floor), hi + 1):
-                zero.setdefault(n, (n - a, *rest))
+            zero.update(range(max(a, floor), hi + 1))
             while floor in zero:
                 floor += 1
         need[0] = top + 1
         need[1] = min(top + 1, floor)
 
     nodes, leaves = _walk(
-        moduli, target, length, outers, need, record, max_nodes, deadline
+        moduli, target, length, outers, need, record, max_nodes, deadline,
+        orbit=_top_orbit(moduli),
     )
-    return _Profile(zero, every, nodes, leaves)
+    return _Profile(frozenset(zero), top, nodes, leaves)
 
 
 def _profile(
@@ -378,12 +449,11 @@ def _profile(
     """The profile of one walk up to `length`, split by outer multiplicity.
 
     The split is the same at any worker count, and chunks merge in walk
-    order, so the first vectors and the node counts do not depend on
-    scheduling. A serial run walks the chunks against one running node
-    budget. A pooled run gives each chunk the whole budget, collects the
-    results in order, and once the finished nodes pass the cap cancels the
-    chunks not yet started and raises: it overspends by at most one chunk
-    per worker.
+    order, so the lengths and the node counts do not depend on scheduling.
+    A serial run walks the chunks against one running node budget. A pooled
+    run gives each chunk the whole budget, collects the results in order,
+    and once the finished nodes pass the cap cancels the chunks not yet
+    started and raises: it overspends by at most one chunk per worker.
     """
     chunks = _chunks(moduli, target, length)
     if pool is None:
@@ -392,8 +462,8 @@ def _profile(
         pool.submit(_profile_chunks, moduli, target, length, (v,), max_nodes, deadline)
         for v in chunks
     ]
-    zero: dict[int, tuple[int, ...]] = {}
-    every: dict[int, tuple[int, ...]] = {}
+    zero: frozenset[int] = frozenset()
+    top = -1
     nodes = leaves = 0
     try:
         for future in futures:
@@ -402,11 +472,41 @@ def _profile(
             if nodes > max_nodes:
                 raise _budget_error(nodes, max_nodes)
             leaves += part.leaves
-            zero, every = part.zero | zero, part.every | every  # earlier chunks win
+            zero |= part.zero
+            top = max(top, part.top)
     finally:
         for future in futures:
             future.cancel()
-    return _Profile(zero, every, nodes, leaves)
+    return _Profile(zero, top, nodes, leaves)
+
+
+def _first_failing(
+    moduli: tuple[int, ...],
+    target: int,
+    length: int,
+    zero_sum: bool,
+    max_nodes: int,
+    deadline: float,
+    spent: int,
+) -> tuple[tuple[int, ...] | None, int, int]:
+    """The first multiplicity vector of the given length in colex order with
+    no zero-sum subsequence of length `target` (with `zero_sum`, the first
+    zero-sum one), or None: one serial uncapped walk that stops at its first
+    leaf. Returns the vector, the node count continued from `spent` against
+    the same cap, and the leaves reached."""
+    found: list[tuple[int, ...]] = []
+
+    def stop(mults: list[int], a: int, hi: int, s: int) -> bool:
+        found.append((length - a, *mults[1:]))
+        return True
+
+    # The leaves that cover `length`; length + target is out of every leaf's reach.
+    need = [length + target if zero_sum else length, length]
+    nodes, leaves = _walk(
+        moduli, target, length, _chunks(moduli, target, length), need, stop,
+        max_nodes, deadline, spent=spent,
+    )
+    return (found[0] if found else None), nodes, leaves
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +651,11 @@ def brute_force_modified_constant(
     is the first zero-sum multiset of length v - 1 with none, in colex order.
 
     A multiset with no zero-sum subsequence of length t holds at most t - 1
-    copies of each element, since exp(G) divides t, so one walk up to
-    (t - 1)|G| finds every length that fails. The same walk gives s_t(G), the
-    smallest length from which every multiset has one; the report's window
-    is (s'(G, t), s_t(G)).
+    copies of each element, since exp(G) divides t, so one orbit-capped walk
+    up to (t - 1)|G| finds every length that fails. The same walk gives
+    s_t(G), the smallest length from which every multiset has one; the
+    report's window is (s'(G, t), s_t(G)). The witness walk at length v - 1
+    then draws on the same node budget, and both walks count in the stats.
     """
     if t < 1:
         raise ValueError(f"target length must be >= 1, got {t}")
@@ -565,13 +666,13 @@ def brute_force_modified_constant(
         )
     budget = budget or SearchBudget()
     start = time.monotonic()
+    deadline = start + budget.max_seconds
     own_pool = pool is None and workers > 1
     if own_pool:
         pool = ProcessPoolExecutor(max_workers=workers)
     try:
         profile = _profile(
-            group.moduli, t, (t - 1) * group.order, pool, budget.max_nodes,
-            start + budget.max_seconds,
+            group.moduli, t, (t - 1) * group.order, pool, budget.max_nodes, deadline
         )
     finally:
         if own_pool:
@@ -580,10 +681,12 @@ def brute_force_modified_constant(
     # no length-t subsequence.
     last_fail = max(profile.zero)
     computed = last_fail + 1
-    witness = _sequence_of(group, profile.zero[last_fail])
+    vector, nodes, leaves = _first_failing(
+        group.moduli, t, last_fail, True, budget.max_nodes, deadline, profile.nodes
+    )
     stats = SearchStats(
-        nodes_visited=profile.nodes,
-        sequences_checked=profile.leaves,
+        nodes_visited=nodes,
+        sequences_checked=profile.leaves + leaves,
         wall_ms=int((time.monotonic() - start) * 1000),
     )
     return ConstantReport(
@@ -591,8 +694,8 @@ def brute_force_modified_constant(
         target=t,
         claimed_value=claimed_value,
         computed_value=computed,
-        extremal_witness=serialize_sequence(witness),
-        window=(computed, max(profile.every) + 1),
+        extremal_witness=serialize_sequence(_sequence_of(group, vector)),
+        window=(computed, profile.top + 1),
         stats=stats,
     )
 
@@ -614,19 +717,23 @@ def check_all_have_witness(
     zero-sum subsequence of the target length."""
     budget = budget or SearchBudget()
     start = time.monotonic()
-    profile = _profile(
-        group.moduli, target, size, pool, budget.max_nodes, start + budget.max_seconds
-    )
-    fail_vec = profile.every.get(size)
+    deadline = start + budget.max_seconds
+    profile = _profile(group.moduli, target, size, pool, budget.max_nodes, deadline)
+    passed = profile.top < size
+    checked = profile.leaves
     counterexample = None
-    if fail_vec is not None:
-        counterexample = serialize_sequence(_sequence_of(group, fail_vec))
+    if not passed:
+        vector, _, leaves = _first_failing(
+            group.moduli, target, size, False, budget.max_nodes, deadline, profile.nodes
+        )
+        checked += leaves
+        counterexample = serialize_sequence(_sequence_of(group, vector))
     return PropertyReport(
         name=name,
         params={"group": str(group), "size": size, "target": target},
-        passed=fail_vec is None,
-        checked=profile.leaves,
-        violations=0 if fail_vec is None else 1,
+        passed=passed,
+        checked=checked,
+        violations=0 if passed else 1,
         counterexample=counterexample,
         wall_ms=int((time.monotonic() - start) * 1000),
         note="exhaustive over multisets",

@@ -7,7 +7,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerosum import (
@@ -24,16 +24,17 @@ from zerosum import (
     enumerate_multisets,
     formula_modified_cyclic,
     formula_modified_square,
-    harborth_bounds,
     has_zero_sum_of_length,
     make_group,
     Sequence,
     parse_sequence,
     reports_to_csv,
+    serialize_sequence,
     verify_theorem,
 )
 
-from zerosum.search import _profile
+from zerosum._bitdp import get_pack
+from zerosum.search import _automorphisms, _first_failing, _profile, _top_orbit
 
 from conftest import oracle_exists
 
@@ -50,17 +51,6 @@ def test_formula_square_examples():
     assert formula_modified_square(2) == 5
     assert formula_modified_square(3) == 9
     assert formula_modified_square(4) == 12
-
-
-def test_harborth_examples_and_monotonicity():
-    assert harborth_bounds(3, 3) == (17, 55)
-    assert harborth_bounds(2, 2) == (5, 5)
-    assert harborth_bounds(3, 2) == (9, 19)
-    for n in range(1, 101):
-        for r in range(1, 7):
-            lo, hi = harborth_bounds(n, r)
-            assert lo <= hi
-            assert (lo == hi) == (n <= 2)
 
 
 def test_conjecture_value_examples():
@@ -143,9 +133,9 @@ def test_enumerate_matches_oracle(case):
 
 def test_profile_serial_pooled_and_enumerated_agree():
     # The serial chunk loop, the pool's per-chunk map and enumeration walk the
-    # same chunks: the same profile, nodes and leaves at any worker count, and
-    # the profile's first failure at the walk's length is the first multiset
-    # the enumeration emits.
+    # same chunks: the same profile, nodes and leaves at any worker count; the
+    # walk's length fails exactly when the enumeration emits something, and
+    # the first failing multiset there is the first the enumeration emits.
     with ProcessPoolExecutor(max_workers=2) as pool:
 
         @given(enumeration_cases())
@@ -163,8 +153,10 @@ def test_profile_serial_pooled_and_enumerated_agree():
             first = None
             if seen:
                 first = tuple(seen[0].counts.get(el, 0) for el in group.elements())
-            fails = profiles[0].zero if zero_sum_only else profiles[0].every
-            assert fails.get(length) == first
+            fails = length in profiles[0].zero if zero_sum_only else profiles[0].top >= length
+            assert fails == (first is not None)
+            vector, _, _ = _first_failing(group.moduli, t, length, zero_sum_only, 10**8, deadline, 0)
+            assert vector == first
 
         check()
 
@@ -198,13 +190,16 @@ ORACLE_CASES = [((1,), 1), ((1,), 3), ((2,), 2), ((2,), 4), ((3,), 3), ((4,), 4)
 @given(st.sampled_from(ORACLE_CASES))
 @settings(max_examples=25, deadline=None)
 def test_profile_matches_oracle(case):
-    # One walk lists every failing length: at each length up to s_t(G), the
-    # walk's first failing multiset (and first zero-sum one) is the first the
-    # index-subset oracle finds in colex order, and at s_t(G) none fails.
+    # One walk lists every failing length: the orbit-capped walk's failing
+    # lengths (zero-sum ones, and the largest of any sum) are those the
+    # index-subset oracle finds, at s_t(G) none fails, and at each failing
+    # length the witness walk's first failing multiset (and first zero-sum
+    # one) is the first the oracle finds in colex order.
     moduli, t = case
     group = make_group(list(moduli))
-    profile = _profile(group.moduli, t, (t - 1) * group.order, None, 10**8, time.monotonic() + 900)
-    s_t = max(profile.every) + 1
+    deadline = time.monotonic() + 900
+    profile = _profile(group.moduli, t, (t - 1) * group.order, None, 10**8, deadline)
+    s_t = profile.top + 1
     elements = list(group.elements())
     zero, every = {}, {}
     for length in range(s_t + 1):
@@ -221,11 +216,108 @@ def test_profile_matches_oracle(case):
                 every.setdefault(length, vec)
                 if seq.is_zero_sum():
                     zero.setdefault(length, vec)
-    assert profile.zero == zero and profile.every == every
+    assert profile.zero == set(zero) and profile.top == max(every)
     assert s_t not in every
+    for length in range(s_t + 1):
+        for zero_sum, first in ((False, every), (True, zero)):
+            vector, _, _ = _first_failing(group.moduli, t, length, zero_sum, 10**8, deadline, 0)
+            assert vector == first.get(length)
     report = brute_force_modified_constant(group, t)
     assert report.window == (max(zero) + 1, s_t)
     assert report.computed_value == max(zero) + 1
+    assert report.extremal_witness == serialize_sequence(
+        Sequence(group, {el: m for el, m in zip(elements, zero[max(zero)]) if m})
+    )
+
+
+def _brute_force_orbit(moduli):
+    """The orbit of the top element under every automorphism, found by
+    trying every image of the standard generators e_i (one of order
+    dividing n_i) and keeping the maps that are bijective."""
+    group = make_group(list(moduli))
+    elements = list(group.elements())
+    index = {x: i for i, x in enumerate(elements)}
+    add = [[index[group.add(x, y)] for y in elements] for x in elements]
+    times = [[index[group.scale(x, c)] for c in range(max(moduli))] for x in elements]
+    candidates = [
+        [i for i, x in enumerate(elements) if group.scale(x, n) == group.identity()]
+        for n in moduli
+    ]
+    orbit = set()
+    for images in itertools.product(*candidates):
+        # row[j]: the image of elements[j], the last coordinate fastest.
+        row = [index[group.identity()]]
+        for e, n in zip(images, moduli):
+            row = [add[r][times[e][c]] for r in row for c in range(n)]
+        if len(set(row)) == len(row):
+            orbit.add(elements[row[-1]])
+    return orbit
+
+
+ORBIT_GROUPS = [(1,), (2,), (6,), (8,), (12,), (16,), (2, 2), (2, 3), (2, 4), (4, 2),
+                (3, 3), (2, 6), (4, 4), (2, 8), (2, 2, 2), (2, 2, 4), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
+def test_orbit_maps_are_automorphisms(moduli):
+    # Each map the orbit cap uses is a bijective homomorphism, so the BFS
+    # orbit of the top element lies inside its orbit under every
+    # automorphism, enumerated here by brute force. That is all soundness
+    # needs; on these groups the BFS also reaches the whole orbit.
+    group = make_group(list(moduli))
+    elements = list(group.elements())
+    for f in _automorphisms(moduli):
+        assert sorted(f(x) for x in elements) == elements
+        for x, y in itertools.product(elements, repeat=2):
+            assert f(group.add(x, y)) == group.add(f(x), f(y))
+    coords = get_pack(moduli, 0).coords
+    top = tuple(n - 1 for n in moduli)
+    orbit = {coords(i) for i in _top_orbit(moduli)}
+    full = _brute_force_orbit(moduli)
+    assert top not in orbit and orbit | {top} <= full
+    assert orbit | {top} == full
+
+
+def test_orbit_is_every_nonzero_element_of_elementary_groups():
+    # GL(r, p) is transitive on the nonzero vectors of (Z/p)^r.
+    for moduli in ((2,), (5,), (2, 2, 2, 2), (3, 3), (3, 3, 3), (5, 5)):
+        order = make_group(list(moduli)).order
+        assert _top_orbit(moduli) == frozenset(range(1, order - 1))
+
+
+@st.composite
+def witness_cases(draw):
+    moduli = draw(st.sampled_from(SMALL_GROUPS))
+    size = draw(st.integers(0, 8))
+    target = draw(st.integers(1, 6))
+    return make_group(list(moduli)), size, target
+
+
+@given(witness_cases())
+@example((make_group([4]), 7, 2))  # exp(G) does not divide t
+@example((make_group([2, 4]), 8, 6))
+@example((make_group([3, 3]), 8, 3))
+@settings(max_examples=60, deadline=None)
+def test_capped_profile_matches_uncapped_walk(case):
+    # The orbit-capped walk gives the same failing lengths as the uncapped
+    # enumeration, for any target, exp(G) dividing it or not; through
+    # `check_all_have_witness`, the verdict and the counterexample (the
+    # first failing multiset in colex order) match too.
+    group, size, target = case
+    profile = _profile(group.moduli, target, size, None, 10**8, time.monotonic() + 900)
+    zero, top, first = set(), -1, None
+    for length in range(size + 1):
+        seen = []
+        enumerate_multisets(group, length, seen.append, target=target, zero_sum_only=False)
+        if seen:
+            top = length
+            first = seen[0]
+        if any(seq.is_zero_sum() for seq in seen):
+            zero.add(length)
+    assert (profile.zero, profile.top) == (zero, top)
+    rep = check_all_have_witness(group, size, target, name="capped")
+    assert rep.passed == (top < size)
+    assert rep.counterexample == (None if rep.passed else serialize_sequence(first))
 
 
 @pytest.mark.parametrize(
@@ -251,18 +343,21 @@ def test_passing_lengths_below_the_constant(moduli, t, gaps, value):
             (2, 2, 2, 2), 2, 17,
             "Z/2^4: (0,0,0,0) (0,0,0,1) (0,0,1,0) (0,0,1,1) (0,1,0,0) (0,1,0,1) (0,1,1,0) (0,1,1,1)"
             " (1,0,0,0) (1,0,0,1) (1,0,1,0) (1,0,1,1) (1,1,0,0) (1,1,0,1) (1,1,1,0) (1,1,1,1)",
-            65533, 32768,
+            16399, 16387,
         ),
-        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 289061, 94864),
-        ((8,), 16, 22, "Z/8: 2^15 3^6", 395162, 277412),
+        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 52164, 17877),
+        ((8,), 16, 22, "Z/8: 2^15 3^6", 117921, 83018),
     ],
     ids=["Z2^4-t2", "Z4^2-t4", "Z8-t16"],
 )
 def test_benchmark_scan_counters(moduli, t, value, witness, nodes, leaves):
     # The three constants of the benchmark's scan: the kernel must walk
-    # exactly the same tree, so the counters are pinned with the value. The
-    # leaves are the multisets with no zero-sum subsequence of length t,
-    # element 0 left out: 2^15 subsets of the 15 nonzero elements of (Z/2)^4.
+    # exactly the same tree, so the counters are pinned with the value. Each
+    # is the orbit-capped walk plus the witness walk. Every nonzero element
+    # of (Z/2)^4 is in the top element's orbit, so its capped walk has two
+    # chunks: the empty multiset, and the top with any of the 2^14 subsets
+    # of the other 14 nonzero elements; the witness walk adds 15 nodes and 2
+    # leaves.
     r = brute_force_modified_constant(make_group(list(moduli)), t)
     assert r.computed_value == value
     assert r.extremal_witness == witness
@@ -320,7 +415,7 @@ def test_brute_force_trivial_group():
 
 
 def test_brute_force_budget_exhaustion():
-    # s'(Z/8, 16) = 22 takes about two million nodes to determine.
+    # s'(Z/8, 16) = 22 takes 117,921 nodes to determine.
     with pytest.raises(BudgetExceeded):
         brute_force_modified_constant(
             make_group([8]), 16, budget=SearchBudget(max_nodes=2000)
@@ -337,24 +432,33 @@ def test_brute_force_infinite_constant_is_a_precondition_error():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_caps_the_whole_length(workers):
-    # s'(Z/8, 16) walks 395,162 nodes over 16 outer chunks, and no single
-    # chunk reaches 150,000: the cap is on their sum.
-    cap = 150000
+    # s'(Z/8, 16) walks 116,909 nodes over 16 outer chunks, and no single
+    # chunk reaches 50,000: the cap is on their sum. The witness walk then
+    # takes 1,012 more nodes from the same budget.
+    cap = 50000
     with pytest.raises(BudgetExceeded) as exc:
         brute_force_modified_constant(
             make_group([8]), 16, budget=SearchBudget(max_nodes=cap), workers=workers
         )
-    spent = int(re.search(r"(\d+) nodes, 150000 allowed", str(exc.value)).group(1))
+    spent = int(re.search(r"(\d+) nodes, 50000 allowed", str(exc.value)).group(1))
     if workers == 1:
         # A serial run stops at the first node past the cap, whatever chunk it is in.
-        assert str(exc.value) == "node budget exhausted: 150001 nodes, 150000 allowed"
+        assert str(exc.value) == "node budget exhausted: 50001 nodes, 50000 allowed"
     else:
         # A pooled run stops collecting once the finished chunks pass the cap.
         assert cap < spent <= workers * (cap + 1)
+    total = 117921
+    with pytest.raises(BudgetExceeded) as exc:
+        brute_force_modified_constant(
+            make_group([8]), 16, budget=SearchBudget(max_nodes=total - 1), workers=workers
+        )
+    # The witness walk, serial at any worker count, trips at its last node.
+    assert str(exc.value) == f"node budget exhausted: {total} nodes, {total - 1} allowed"
     rep = brute_force_modified_constant(
-        make_group([8]), 16, budget=SearchBudget(max_nodes=395162), workers=workers
+        make_group([8]), 16, budget=SearchBudget(max_nodes=total), workers=workers
     )
     assert rep.computed_value == 22
+    assert rep.stats.nodes_visited == total
 
 
 def test_check_all_have_witness():

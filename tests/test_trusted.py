@@ -112,6 +112,7 @@ def test_take_block_size_one_matches_general_route(moduli):
             block = _general_size1_block(g, slow)
             _subtract(slow, block)
             assert deco.blocks[-1] == block
+            assert deco.block_sums[-1] == Sequence(g, block).total_sum
             assert fast == slow
 
 
@@ -129,7 +130,7 @@ def test_square_blocks_size_one_matches_general_route(n):
         expected.append(_general_size1_tail(counts))
         deco = _square_blocks(seq, 1)
         assert deco.blocks == expected
-        assert deco.block_sums == [next(iter(b)) for b in expected]
+        assert deco.block_sums == [Sequence(g, b).total_sum for b in expected]
 
 
 # -- witnesses built inside the package -----------------------------------
