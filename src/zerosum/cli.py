@@ -27,7 +27,7 @@ from .extractors import (
     extract_square_block,
     extract_square_n,
 )
-from .groups import Group, GroupParseError, min_nondivisor, parse_group
+from .groups import Group, GroupParseError, parse_group
 from .sequences import (
     Sequence,
     SequenceParseError,
@@ -113,6 +113,10 @@ def _budget_from(args) -> SearchBudget:
         budget.max_nodes = args.budget
     if getattr(args, "time_limit", None) is not None:
         budget.max_seconds = args.time_limit
+    if budget.max_nodes < 1:
+        raise UsageError(f"budget must be >= 1, got {budget.max_nodes}")
+    if not budget.max_seconds > 0:
+        raise UsageError(f"time limit must be > 0, got {budget.max_seconds}")
     return budget
 
 
@@ -201,19 +205,17 @@ def _dispatch_extract(seq: Sequence, target: int, method: str):
             return extract_square_3n(seq), "square3n"
         return extract_square_block(seq, 4 * n - seq.length), "squareblock"
     if method == "auto":
-        if group.rank == 1:
-            n = group.moduli[0]
-            if target >= n and target % n == 0 and seq.is_zero_sum():
-                t_mult = target // n
-                if seq.length >= (t_mult + 1) * n - min_nondivisor(n, 1) + 1:
-                    return extract_cyclic_nt(seq, t_mult), "nt"
-        elif group.rank == 2 and group.moduli[0] == group.moduli[1]:
-            n = group.moduli[0]
-            if target == n and seq.is_zero_sum():
+        # Each extractor checks its own hypotheses; outside them, dp.
+        n = group.moduli[0]
+        try:
+            if group.rank == 1 and target % n == 0:
+                return extract_cyclic_nt(seq, target // n), "nt"
+            if group.rank == 2 and target == n:
                 if seq.length == 3 * n:
                     return extract_square_3n(seq), "square3n"
-                if seq.length >= 4 * n - min_nondivisor(n, 4) + 1:
-                    return extract_square_n(seq), "squaren"
+                return extract_square_n(seq), "squaren"
+        except PreconditionError:
+            pass
         return find_zero_sum_subseq(seq, target), "dp"
     raise UsageError(f"unknown method {method!r}")
 
@@ -323,6 +325,8 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise UsageError(f"samples must be >= 1, got {args.samples}")
     n_values = _parse_int_list(args.n) if args.n else None
     t_values = _parse_int_list(args.t) if args.t else None
     if args.suite == "square" and args.extended and n_values is None:

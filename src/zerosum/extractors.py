@@ -4,19 +4,22 @@ Each extractor mirrors a block-decomposition argument instead of falling back
 to blind search: elements are grouped into size-d blocks whose sums are
 divisible by d, the block sums are lifted to a quotient group, and a smaller
 zero-sum instance over the lifted values selects which blocks to combine.
-Running an extractor therefore exercises the reduction it implements.
+Running an extractor therefore exercises the reduction it implements. Every
+extractor is its hypothesis checks plus three routines: `_next_block` takes
+one block, `_peel_blocks` takes blocks until a given number of elements
+remain, and `_combine_blocks` unites the blocks that the quotient instance
+selects.
 
 The input sequence was validated when it was built. Every reduced, lifted
 and witness sequence made from it is built with the trusted `_of`, which
 skips the per-element checks; each returned witness is still checked
-against its parent by `validate_against`. A size-1 block is taken directly
-as the smallest remaining element, which is what a search over the trivial
-quotient (Z/1)^r pulls back to.
+against its parent by `validate_against`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .engine import find_zero_sum_subseq
 from .groups import Element, Group, min_nondivisor
@@ -49,24 +52,11 @@ def factor_smallest_prime(n: int) -> PrimeSplit:
 
 @dataclass
 class BlockDecomposition:
-    """Size-d blocks with d-divisible sums, plus their quotient lifts."""
+    """Size-d blocks with d-divisible sums, in the order they were taken."""
 
     block_size: int
     blocks: list[dict[Element, int]] = field(default_factory=list)
     block_sums: list[Element] = field(default_factory=list)
-    quotient_elems: list[Element] = field(default_factory=list)
-
-
-def _quotient_group(group: Group, d: int) -> Group:
-    return Group((d,) * group.rank)
-
-
-def _reduce_counts(counts: dict[Element, int], d: int) -> dict[Element, int]:
-    out: dict[Element, int] = {}
-    for el, m in counts.items():
-        key = tuple(c % d for c in el)
-        out[key] = out.get(key, 0) + m
-    return out
 
 
 def _pull_back(
@@ -97,52 +87,79 @@ def _subtract(counts: dict[Element, int], taken: dict[Element, int]) -> None:
             del counts[el]
 
 
-def _take_block(
-    group: Group, counts: dict[Element, int], d: int, deco: BlockDecomposition
+def _found(result, what: str):
+    if result is None:
+        raise AssertionError(f"guaranteed {what} not found")
+    return result
+
+
+def _next_block(
+    group: Group,
+    counts: dict[Element, int],
+    d: int,
+    pick: Callable[[Sequence, int], Witness | None],
+    deco: BlockDecomposition,
 ) -> None:
-    """Split off one size-d block with sum divisible by d (componentwise)."""
+    """Move one size-d block with sum divisible by d from `counts` to `deco`.
+
+    `pick(reduced, d)` chooses d zero-sum residues in the sequence reduced
+    mod d, which lies in (Z/d)^r. A size-1 block is taken directly as the
+    smallest element: that is what any pick over (Z/1)^r pulls back to, and
+    its own sum.
+    """
     if d == 1:
-        # What a find over (Z/1)^r pulls back to: the smallest element, which
-        # is also the block's sum.
         total = min(counts)
         block = {total: 1}
     else:
-        reduced = Sequence._of(_quotient_group(group, d), _reduce_counts(counts, d))
-        qw = find_zero_sum_subseq(reduced, d)
-        if qw is None:
-            raise AssertionError(
-                f"guaranteed size-{d} block not found in a sequence of length {reduced.length}"
-            )
-        block = _pull_back(counts, qw, d)
+        reduced: dict[Element, int] = {}
+        for el, m in counts.items():
+            key = tuple(c % d for c in el)
+            reduced[key] = reduced.get(key, 0) + m
+        residues = pick(Sequence._of(Group((d,) * group.rank), reduced), d)
+        block = _pull_back(counts, _found(residues, f"size-{d} block"), d)
         total = counts_sum(group, block)
     _subtract(counts, block)
     deco.blocks.append(block)
     deco.block_sums.append(total)
 
 
-def _lift_blocks(group: Group, deco: BlockDecomposition, d: int) -> Sequence:
-    """Divide the block sums by d, landing in the quotient group."""
-    quotient = _quotient_group(group, group.moduli[0] // d)
-    deco.quotient_elems = [tuple(c // d for c in s) for s in deco.block_sums]
+def _peel_blocks(seq: Sequence, d: int, keep: int) -> tuple[BlockDecomposition, dict[Element, int]]:
+    """Size-d blocks found by search until `keep` elements remain; returns
+    the blocks and the remaining elements."""
+    deco = BlockDecomposition(block_size=d)
+    counts = dict(seq.counts)
+    for _ in range((seq.length - keep) // d):
+        _next_block(seq.group, counts, d, find_zero_sum_subseq, deco)
+    return deco, counts
+
+
+def _combine_blocks(group: Group, deco: BlockDecomposition, k: int) -> dict[Element, int] | None:
+    """The union of k blocks whose sums, divided by d, sum to zero in the
+    quotient group, taking the earliest block for each chosen value; None
+    when no k of them do."""
+    d = deco.block_size
+    lifted = [tuple(c // d for c in s) for s in deco.block_sums]
     counts: dict[Element, int] = {}
-    for x in deco.quotient_elems:
+    for x in lifted:
         counts[x] = counts.get(x, 0) + 1
-    return Sequence._of(quotient, counts)
-
-
-def _union_blocks(deco: BlockDecomposition, chosen_values: Witness) -> dict[Element, int]:
-    """Union the earliest blocks realizing each required quotient value."""
-    remaining = dict(chosen_values.counts)
-    out: dict[Element, int] = {}
-    for block, x in zip(deco.blocks, deco.quotient_elems):
-        need = remaining.get(x, 0)
-        if need:
-            remaining[x] = need - 1
+    quotient = Group((group.moduli[0] // d,) * group.rank)
+    chosen = find_zero_sum_subseq(Sequence._of(quotient, counts), k)
+    if chosen is None:
+        return None
+    need = dict(chosen.counts)
+    union: dict[Element, int] = {}
+    for block, x in zip(deco.blocks, lifted):
+        if need.get(x):
+            need[x] -= 1
             for el, m in block.items():
-                out[el] = out.get(el, 0) + m
-    if any(v for v in remaining.values()):
-        raise AssertionError("not enough blocks for the chosen quotient values")
-    return out
+                union[el] = union.get(el, 0) + m
+    return union
+
+
+def _witness(seq: Sequence, counts: dict[Element, int] | None, size: int) -> Witness:
+    witness = Witness._of(seq.group, _found(counts, "block selection"))
+    witness.validate_against(seq, size=size)
+    return witness
 
 
 def _require(cond: bool, message: str) -> None:
@@ -173,13 +190,7 @@ def extract_cyclic_block(seq: Sequence, d: int) -> Witness:
     """
     n = _cyclic_n(seq)
     deco = cyclic_block_decomposition(seq, d)
-    lifted = _lift_blocks(seq.group, deco, d)
-    chosen = find_zero_sum_subseq(lifted, n // d)
-    if chosen is None:
-        raise AssertionError("guaranteed quotient selection not found")
-    witness = Witness._of(seq.group, _union_blocks(deco, chosen))
-    witness.validate_against(seq, size=n)
-    return witness
+    return _witness(seq, _combine_blocks(seq.group, deco, n // d), n)
 
 
 def cyclic_block_decomposition(seq: Sequence, d: int) -> BlockDecomposition:
@@ -191,32 +202,21 @@ def cyclic_block_decomposition(seq: Sequence, d: int) -> BlockDecomposition:
         seq.length == 2 * n - d,
         f"sequence length must be 2n - d = {2 * n - d}, got {seq.length}",
     )
-    deco = BlockDecomposition(block_size=d)
-    counts = dict(seq.counts)
-    remaining = seq.length
-    while remaining > d:
-        _take_block(seq.group, counts, d, deco)
-        remaining -= d
+    deco, last = _peel_blocks(seq, d, d)
     # The final d elements sum to zero mod d because the whole sequence does.
-    last_sum = counts_sum(seq.group, counts)
-    if any(c % d for c in last_sum):
-        raise AssertionError("final block sum not divisible by d")
-    deco.blocks.append(counts)
-    deco.block_sums.append(last_sum)
+    deco.blocks.append(last)
+    deco.block_sums.append(counts_sum(seq.group, last))
     return deco
 
 
 def extract_cyclic_nt(seq: Sequence, t: int) -> Witness:
     """Witness of size n*t from a zero-sum cyclic sequence of length at least
     (t+1)n - l + 1, by peeling one length-n witness per round."""
-    rounds = extract_cyclic_nt_rounds(seq, t)
     counts: dict[Element, int] = {}
-    for w in rounds:
+    for w in extract_cyclic_nt_rounds(seq, t):
         for el, m in w.counts.items():
             counts[el] = counts.get(el, 0) + m
-    witness = Witness._of(seq.group, counts)
-    witness.validate_against(seq, size=seq.group.moduli[0] * t)
-    return witness
+    return _witness(seq, counts, seq.group.moduli[0] * t)
 
 
 def extract_cyclic_nt_rounds(seq: Sequence, t: int) -> list[Witness]:
@@ -224,8 +224,7 @@ def extract_cyclic_nt_rounds(seq: Sequence, t: int) -> list[Witness]:
     n = _cyclic_n(seq)
     _require(t >= 1, f"t must be >= 1, got {t}")
     _require(seq.is_zero_sum(), "sequence must be zero-sum")
-    ell = min_nondivisor(n, 1)
-    needed = (t + 1) * n - ell + 1
+    needed = (t + 1) * n - min_nondivisor(n, 1) + 1
     _require(
         seq.length >= needed,
         f"sequence length must be at least (t+1)n - l + 1 = {needed}, got {seq.length}",
@@ -233,47 +232,15 @@ def extract_cyclic_nt_rounds(seq: Sequence, t: int) -> list[Witness]:
     rounds: list[Witness] = []
     current = seq
     for _ in range(t):
-        w = _extract_cyclic_single(current, n, ell)
+        # Past 2n - 1 EGZ applies; below it d = 2n - length is at most l - 1,
+        # so d divides n by the minimality of l.
+        if current.length >= 2 * n - 1:
+            w = _found(find_zero_sum_subseq(current, n), f"length-{n} witness")
+        else:
+            w = extract_cyclic_block(current, 2 * n - current.length)
         rounds.append(w)
         current = current.remove_witness(w)
     return rounds
-
-
-def _extract_cyclic_single(seq: Sequence, n: int, ell: int) -> Witness:
-    if seq.length >= 2 * n - 1:
-        w = find_zero_sum_subseq(seq, n)
-        if w is None:
-            raise AssertionError("guaranteed length-n witness not found")
-        return w
-    d = 2 * n - seq.length
-    # 2 <= d <= ell - 1, so d divides n by minimality of ell.
-    if n % d:
-        raise AssertionError(f"dispatch produced d = {d} not dividing n = {n}")
-    return extract_cyclic_block(seq, d)
-
-
-def _square_blocks(seq: Sequence, d: int) -> BlockDecomposition:
-    """Size-d blocks of a sequence over (Z/n)^2 with d | n: peeled until 3d
-    elements remain, whose sum is then divisible by d, so the recursion on
-    their reduction mod d yields one more block."""
-    deco = BlockDecomposition(block_size=d)
-    counts = dict(seq.counts)
-    remaining = seq.length
-    while remaining > 3 * d:
-        _take_block(seq.group, counts, d, deco)
-        remaining -= d
-    if d == 1:
-        # The recursion over (Z/1)^2 pulls back to the smallest element,
-        # which is also the block's sum.
-        total = min(counts)
-        block = {total: 1}
-    else:
-        reduced = Sequence._of(_quotient_group(seq.group, d), _reduce_counts(counts, d))
-        block = _pull_back(counts, extract_square_3n(reduced), d)
-        total = counts_sum(seq.group, block)
-    deco.blocks.append(block)
-    deco.block_sums.append(total)
-    return deco
 
 
 def extract_square_3n(seq: Sequence) -> Witness:
@@ -292,31 +259,24 @@ def extract_square_3n(seq: Sequence) -> Witness:
         f"sequence length must be 3n = {3 * n}, got {seq.length}",
     )
     if n == 1:
-        witness = Witness._of(seq.group, {(0, 0): 1})
-        witness.validate_against(seq, size=1)
-        return witness
+        return _witness(seq, {(0, 0): 1}, 1)
     split = factor_smallest_prime(n)
     p, m = split.p, split.m
-    deco = _square_blocks(seq, m)
-    lifted = _lift_blocks(seq.group, deco, m)
-    chosen = find_zero_sum_subseq(lifted, p)
-    if chosen is not None:
-        witness = Witness._of(seq.group, _union_blocks(deco, chosen))
-    else:
+    deco, rest = _peel_blocks(seq, m, 3 * m)
+    _next_block(seq.group, rest, m, lambda reduced, _: extract_square_3n(reduced), deco)
+    union = _combine_blocks(seq.group, deco, p)
+    if union is None:
         # (p | lifted) = 0 forces (2p | lifted) != 0; take the complement.
-        chosen = find_zero_sum_subseq(lifted, 2 * p)
-        if chosen is None:
-            raise AssertionError("congruence-guaranteed 2p selection not found")
-        union = _union_blocks(deco, chosen)
-        complement = dict(seq.counts)
-        _subtract(complement, union)
-        witness = Witness._of(seq.group, complement)
-    witness.validate_against(seq, size=n)
-    return witness
+        union = dict(seq.counts)
+        _subtract(union, _found(_combine_blocks(seq.group, deco, 2 * p), "2p selection"))
+    return _witness(seq, union, n)
 
 
 def extract_square_block(seq: Sequence, d: int) -> Witness:
-    """Length-n witness from a zero-sum sequence of length 4n - d with d | n."""
+    """Length-n witness from a zero-sum sequence of length 4n - d with d | n:
+    size-d blocks are peeled until 3d remain, extract_square_3n on their
+    reduction mod d gives one more, and n/d of the 4(n/d) - 3 lifted sums
+    sum to zero."""
     n = _square_n(seq)
     _require(d >= 1 and n % d == 0, f"d = {d} must divide n = {n}")
     _require(seq.is_zero_sum(), "sequence must be zero-sum")
@@ -324,16 +284,9 @@ def extract_square_block(seq: Sequence, d: int) -> Witness:
         seq.length == 4 * n - d,
         f"sequence length must be 4n - d = {4 * n - d}, got {seq.length}",
     )
-    if 4 * n - d < 3 * d:
-        raise AssertionError(f"length 4n - d = {4 * n - d} below 3d = {3 * d}")
-    deco = _square_blocks(seq, d)
-    lifted = _lift_blocks(seq.group, deco, d)
-    chosen = find_zero_sum_subseq(lifted, n // d)
-    if chosen is None:
-        raise AssertionError("guaranteed quotient selection not found")
-    witness = Witness._of(seq.group, _union_blocks(deco, chosen))
-    witness.validate_against(seq, size=n)
-    return witness
+    deco, rest = _peel_blocks(seq, d, 3 * d)
+    _next_block(seq.group, rest, d, lambda reduced, _: extract_square_3n(reduced), deco)
+    return _witness(seq, _combine_blocks(seq.group, deco, n // d), n)
 
 
 def extract_square_n(seq: Sequence) -> Witness:
@@ -341,19 +294,12 @@ def extract_square_n(seq: Sequence) -> Witness:
     4n - l + 1, where l is the least non-divisor of n that is >= 4."""
     n = _square_n(seq)
     _require(seq.is_zero_sum(), "sequence must be zero-sum")
-    ell = min_nondivisor(n, 4)
-    needed = 4 * n - ell + 1
+    needed = 4 * n - min_nondivisor(n, 4) + 1
     _require(
         seq.length >= needed,
         f"sequence length must be at least 4n - l + 1 = {needed}, got {seq.length}",
     )
     if seq.length >= 4 * n - 3:
-        w = find_zero_sum_subseq(seq, n)
-        if w is None:
-            raise AssertionError("guaranteed length-n witness not found")
-        return w
-    d = 4 * n - seq.length
-    # 4 <= d <= ell - 1, so d divides n by minimality of ell.
-    if n % d:
-        raise AssertionError(f"dispatch produced d = {d} not dividing n = {n}")
-    return extract_square_block(seq, d)
+        return _found(find_zero_sum_subseq(seq, n), f"length-{n} witness")
+    # 4 <= d = 4n - length <= l - 1, so d divides n by the minimality of l.
+    return extract_square_block(seq, 4 * n - seq.length)

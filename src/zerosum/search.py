@@ -36,7 +36,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence as Seq
 
 from ._bitdp import get_pack
 from .engine import count_zero_sum_subseqs, find_zero_sum_subseq
-from .extractors import PreconditionError, extract_square_3n
+from .extractors import PreconditionError, extract_square_3n, factor_smallest_prime
 from .groups import Group, make_group, min_nondivisor
 from .sequences import Sequence, serialize_sequence
 
@@ -715,6 +715,8 @@ def check_all_have_witness(
 ) -> PropertyReport:
     """Every multiset of the given size over the group must contain a
     zero-sum subsequence of the target length."""
+    if target < 1 or size < 0:
+        raise ValueError(f"need target >= 1 and size >= 0, got target={target}, size={size}")
     budget = budget or SearchBudget()
     start = time.monotonic()
     deadline = start + budget.max_seconds
@@ -750,7 +752,7 @@ def check_lemma_por2p(
     seed: int = 0,
     budget: SearchBudget | None = None,
 ) -> PropertyReport:
-    """Over (Z/p)^2 at sizes 3p-2 and 3p-1: when no p-subset sums to zero,
+    """Over (Z/p)^2, p prime, at sizes 3p-2 and 3p-1: when no p-subset sums to zero,
     the number of 2p-subsets summing to zero is p - 1 mod p.
 
     The hypothesis cases are exactly the multisets with no zero-sum
@@ -759,6 +761,8 @@ def check_lemma_por2p(
     at each size are. `vacuous` counts the multisets of both sizes that lie
     outside the hypothesis.
     """
+    if p < 2 or factor_smallest_prime(p).p != p:
+        raise PreconditionError(f"p must be prime, got {p}")
     mode = "exhaustive" if p == 2 else "sample"
     budget = budget or SearchBudget()
     start = time.monotonic()
@@ -915,14 +919,16 @@ def verify_theorem(
             make_group(moduli), size, target, name=name, budget=budget, pool=pool
         )
 
+    lemma3n_samples = 1000 if samples is None else samples
+    por2p_samples = 10000 if samples is None else samples
     # suite -> (default n values, the report for one n and t); only cyclic reads t.
     suites: dict[str, tuple[Seq[int], Callable[[int, int], ConstantReport | PropertyReport]]] = {
         "cyclic": (range(2, 7), lambda n, t: constant([n], n * t, formula_modified_cyclic(n, t))),
         "square": ([2, 3], lambda n, t: constant([n, n], n, formula_modified_square(n))),
         "egz": (range(2, 11), lambda n, t: witness([n], 2 * n - 1, n, "egz")),
         "reiher": ([2, 3], lambda n, t: witness([n, n], 4 * n - 3, n, "reiher")),
-        "lemma3n": ([2, 3, 4, 6], lambda n, t: check_lemma_3n(n, samples or 1000, seed, budget)),
-        "por2p": ([2, 3], lambda p, t: check_lemma_por2p(p, samples or 10000, seed, budget)),
+        "lemma3n": ([2, 3, 4, 6], lambda n, t: check_lemma_3n(n, lemma3n_samples, seed, budget)),
+        "por2p": ([2, 3], lambda p, t: check_lemma_por2p(p, por2p_samples, seed, budget)),
         "conjecture": ([1, 2, 3], lambda r, t: constant([2] * r, 2, conjecture_value(2, r))),
     }
     if suite not in suites:

@@ -1,10 +1,22 @@
 """CLI behavior: subcommands, formats, exit codes, error prefixes."""
 
 import json
+import random
 import time
 
+import pytest
+
 import zerosum.cli as cli
-from zerosum import PropertyReport, parse_sequence
+from zerosum import (
+    PropertyReport,
+    Sequence,
+    make_group,
+    min_nondivisor,
+    parse_sequence,
+    serialize_sequence,
+)
+
+from conftest import random_zero_sum
 
 
 def run(capsys, *argv):
@@ -268,3 +280,82 @@ def test_env_budget(capsys, monkeypatch):
         capsys, "constant", "--group", "Z/2", "--t", "2", "--budget", "100000"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["verify", "--suite", "lemma3n", "--n", "4", "--samples", "0"], None),
+        (["verify", "--suite", "lemma3n", "--n", "4", "--samples", "-5"], None),
+        (["constant", "--group", "Z/4", "--t", "4", "--budget", "-3"], None),
+        (["constant", "--group", "Z/4", "--t", "4", "--time-limit", "-1"], None),
+        (["constant", "--group", "Z/4", "--t", "4", "--time-limit", "0"], None),
+        (["constant", "--group", "Z/4", "--t", "4"], "0"),
+    ],
+)
+def test_numeric_flags_out_of_range_are_usage_errors(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("ZEROSUM_BUDGET", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:usage:")
+
+
+def test_por2p_needs_a_prime(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "por2p", "--n", "4", "--samples", "20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:precondition:")
+
+
+def _auto_sequence(moduli, length, zero_sum):
+    """A seeded sequence of the given length, zero-sum or not, as --seq text."""
+    g = make_group(moduli)
+    rng = random.Random(length)
+    if zero_sum:
+        seq = random_zero_sum(rng, g, length)
+    else:
+        # A zero-sum sequence plus one nonzero element sums to that element.
+        seq = random_zero_sum(rng, g, length - 1)
+        one = (1,) + (0,) * (len(moduli) - 1)
+        seq = Sequence(g, {**seq.counts, one: seq.counts.get(one, 0) + 1})
+        assert not seq.is_zero_sum()
+    return serialize_sequence(seq).split(": ", 1)[1]
+
+
+def _edges(moduli, target, length, method):
+    """At the hypothesis length the extractor runs; one below it, or on a
+    sequence that is not zero-sum, auto falls back to dp."""
+    return [
+        (moduli, target, length, True, method),
+        (moduli, target, length - 1, True, "dp"),
+        (moduli, target, length, False, "dp"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "moduli, target, length, zero_sum, method",
+    [
+        case
+        for n in (6, 12)
+        for t in (1, 2)
+        for case in _edges((n,), n * t, (t + 1) * n - min_nondivisor(n, 1) + 1, "nt")
+    ]
+    + _edges((6, 6), 6, 18, "square3n")
+    + _edges((6, 6), 6, 4 * 6 - min_nondivisor(6, 4) + 1, "squaren"),
+)
+def test_extract_auto_defers_to_extractor_hypotheses(capsys, moduli, target, length, zero_sum, method):
+    group = "x".join(f"Z/{m}" for m in moduli)
+    code, out, _ = run(
+        capsys, "--format", "json", "extract", "--group", group,
+        "--seq", _auto_sequence(moduli, length, zero_sum), "--t", str(target),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method_used"] == method
+    if method != "dp":
+        assert payload["found"]
+    if payload["found"]:
+        witness = parse_sequence(payload["witness"])
+        assert witness.length == target and witness.is_zero_sum()

@@ -472,6 +472,18 @@ def test_check_all_have_witness():
     assert not has_zero_sum_of_length(counter, 3)
 
 
+@pytest.mark.parametrize("size, target", [(5, 0), (-1, 3)])
+def test_check_all_have_witness_rejects_bad_arguments(size, target):
+    with pytest.raises(ValueError):
+        check_all_have_witness(make_group([3]), size, target, name="x")
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_por2p_needs_a_prime(p):
+    with pytest.raises(PreconditionError):
+        check_lemma_por2p(p, count=5)
+
+
 def test_por2p_exhaustive_p2():
     rep = check_lemma_por2p(2)
     assert rep.passed and rep.violations == 0
@@ -502,6 +514,11 @@ def test_lemma3n_sampled_small():
     rep = check_lemma_3n(4, samples=25, seed=2)
     assert rep.passed and rep.params["mode"] == "sample"
     assert rep.checked == 25
+
+
+def test_verify_explicit_samples_are_not_the_default():
+    (rep,) = verify_theorem("lemma3n", n_values=[4], samples=0)
+    assert rep.params["samples"] == 0 and rep.checked == 0
 
 
 def test_verify_cyclic_suite():

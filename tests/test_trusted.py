@@ -23,10 +23,10 @@ from zerosum import (
 )
 from zerosum.extractors import (
     BlockDecomposition,
+    _next_block,
+    _peel_blocks,
     _pull_back,
-    _square_blocks,
     _subtract,
-    _take_block,
 )
 
 from conftest import random_zero_sum
@@ -92,8 +92,8 @@ def _general_size1_block(group, counts):
 
 
 def _general_size1_tail(counts):
-    """The general tail of `_square_blocks` at d = 1: the recursion on the
-    last three elements reduced into (Z/1)^2, pulled back."""
+    """The general tail of the square extractors' blocks at d = 1: the
+    recursion on the last three elements reduced into (Z/1)^2, pulled back."""
     trivial = make_group([1, 1])
     reduced = Sequence(trivial, {(0, 0): sum(counts.values())})
     return _pull_back(counts, extract_square_3n(reduced), 1)
@@ -108,7 +108,7 @@ def test_take_block_size_one_matches_general_route(moduli):
         fast, slow = dict(seq.counts), dict(seq.counts)
         deco = BlockDecomposition(block_size=1)
         while fast:
-            _take_block(g, fast, 1, deco)
+            _next_block(g, fast, 1, find_zero_sum_subseq, deco)
             block = _general_size1_block(g, slow)
             _subtract(slow, block)
             assert deco.blocks[-1] == block
@@ -128,7 +128,8 @@ def test_square_blocks_size_one_matches_general_route(n):
             expected.append(_general_size1_block(g, counts))
             _subtract(counts, expected[-1])
         expected.append(_general_size1_tail(counts))
-        deco = _square_blocks(seq, 1)
+        deco, rest = _peel_blocks(seq, 1, 3)
+        _next_block(g, rest, 1, lambda reduced, _: extract_square_3n(reduced), deco)
         assert deco.blocks == expected
         assert deco.block_sums == [Sequence(g, b).total_sum for b in expected]
 
