@@ -26,7 +26,6 @@ from .engine import (
 from .extractors import (
     BlockDecomposition,
     PreconditionError,
-    PrimeSplit,
     cyclic_block_decomposition,
     extract_cyclic_block,
     extract_cyclic_nt,
@@ -37,7 +36,6 @@ from .extractors import (
     factor_smallest_prime,
 )
 from .groups import (
-    DEFAULT_MAX_ORDER,
     Element,
     Group,
     GroupParseError,
@@ -48,7 +46,6 @@ from .groups import (
 from .search import (
     BudgetExceeded,
     ConstantReport,
-    EnumerationStats,
     PropertyReport,
     SearchBudget,
     SearchStats,
@@ -81,14 +78,11 @@ __all__ = [
     "BudgetExceeded",
     "ConstantReport",
     "CyclicExtremalParams",
-    "DEFAULT_MAX_ORDER",
     "Element",
-    "EnumerationStats",
     "ExtremalReport",
     "Group",
     "GroupParseError",
     "PreconditionError",
-    "PrimeSplit",
     "PropertyReport",
     "SearchBudget",
     "SearchStats",

@@ -177,6 +177,15 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _require_shorter(seq: Sequence, method: str, k: int, n: int) -> None:
+    """The block methods read the length as kn - d with d >= 1, so a
+    sequence of kn elements or more is refused for its length."""
+    if seq.length >= k * n:
+        raise PreconditionError(
+            f"method {method} needs a sequence shorter than {k}n = {k * n}, got length {seq.length}"
+        )
+
+
 def _dispatch_extract(seq: Sequence, target: int, method: str):
     """Route to a proof-following extractor.
 
@@ -193,6 +202,7 @@ def _dispatch_extract(seq: Sequence, target: int, method: str):
         if method == "block":
             if target != n:
                 raise PreconditionError(f"block method extracts length n = {n}, got t = {target}")
+            _require_shorter(seq, method, 2, n)
             return extract_cyclic_block(seq, 2 * n - seq.length), "block"
         return extract_cyclic_nt(seq, target), "nt"
     if method in ("square3n", "squareblock"):
@@ -203,6 +213,7 @@ def _dispatch_extract(seq: Sequence, target: int, method: str):
             raise PreconditionError(f"method {method} extracts length n = {n}, got t = {target}")
         if method == "square3n":
             return extract_square_3n(seq), "square3n"
+        _require_shorter(seq, method, 4, n)
         return extract_square_block(seq, 4 * n - seq.length), "squareblock"
     if method == "auto":
         # Each extractor checks its own hypotheses; outside them, dp.

@@ -8,15 +8,19 @@ whole subtree is resolved without being enumerated. Only witness-free
 prefixes are ever expanded, which keeps the search tree tiny compared to the
 raw multiset count.
 
-The brute-force determination walks once: every multiset with no zero-sum
-subsequence of length t (when exp(G) divides t) is a sub-multiset-closed,
-finite family, so one pruned walk lists every length at which some multiset
-fails. Automorphisms of G keep size, zero sum and witnesses, so that walk
-visits one representative per orbit only: the top element takes the largest
-multiplicity among the elements a few easy automorphisms carry it to. One
-short uncapped walk then finds the first failing vector of the one length
-that needs it, in colex order. Results do not depend on how the work is
-partitioned across workers.
+The brute-force determination walks once: the multisets with no zero-sum
+subsequence of length t (when exp(G) divides t) form a sub-multiset-closed,
+finite family F, so one pruned walk lists every length at which some
+multiset fails. Automorphisms of G keep F, and so do translations x -> x + g,
+which move the sum of a t-subset by tg = 0. So the walk visits one
+representative per orbit of the affine maps x -> a(x) + g only, and a
+representative of length L stands for a zero-sum multiset when its sum lies
+in LG = {Lg}. Two cap levels pick the representatives: no element takes more
+copies than the top element, and none of those that a stabiliser of the top
+carries the next element to takes more than that one. One short uncapped
+walk then finds the first failing vector of the one length that needs it, in
+colex order. Results do not depend on how the work is partitioned across
+workers.
 
 The unit of search is the chunk of vectors that share the last element's
 multiplicity. Enumeration and serial walks take the chunks in order against
@@ -151,24 +155,71 @@ def _automorphisms(moduli: tuple[int, ...]) -> list[Callable[[tuple[int, ...]], 
     return maps
 
 
-@lru_cache(maxsize=64)
-def _top_orbit(moduli: tuple[int, ...]) -> frozenset[int]:
-    """The indices of the elements other than the top one (index |G| - 1)
-    that the maps of `_automorphisms` carry the top element to: part of its
-    orbit under Aut(G), and for (Z/p)^r every nonzero element."""
-    pack = get_pack(moduli, 0)
+def _orbit(moduli: tuple[int, ...], x: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The elements that the maps of `_automorphisms` and their composites
+    carry x to: part of the orbit of x under Aut(G)."""
     maps = _automorphisms(moduli)
-    top = pack.coords(pack.order - 1)
-    seen = {top}
-    frontier = [top]
+    seen = {x}
+    frontier = [x]
     while frontier:
-        x = frontier.pop()
+        y = frontier.pop()
         for f in maps:
-            y = f(x)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(pack.index(x) for x in seen if x != top)
+            z = f(y)
+            if z not in seen:
+                seen.add(z)
+                frontier.append(z)
+    return seen
+
+
+@lru_cache(maxsize=64)
+def _cap_levels(moduli: tuple[int, ...], affine: bool) -> tuple[tuple[int, ...], ...]:
+    """The walk's cap table: entry k lists the elements that take at most as
+    many copies as element |G| - 1 - k, the one k levels below the top.
+
+    With translations (`affine`), the first level names every other element,
+    the identity included: translations are transitive, so some translate
+    of each multiset has its most frequent element on top. The second names
+    top + Orb(e2 - top) for e2 = |G| - 2, less e2: the maps
+    x -> top + a(x - top) fix the top element, so a representative with the
+    top at its maximum can also have e2 at its maximum over those elements.
+    Without translations, the one level names the automorphism orbit of the
+    top element. Any part of a true orbit is sound to cap, so the part
+    `_orbit` finds suffices."""
+    pack = get_pack(moduli, 0)
+    top = pack.order - 1
+    coords = pack.coords(top)
+    if not affine:
+        return (tuple(sorted(pack.index(x) for x in _orbit(moduli, coords) if x != coords)),)
+    if top < 2:
+        return (tuple(range(top)),)
+    e2 = top - 1
+    step = tuple((a - b) % n for a, b, n in zip(pack.coords(e2), coords, moduli))
+    row = pack.plus(top)
+    second = {row[pack.index(y)] for y in _orbit(moduli, step)} - {e2}
+    return tuple(range(top)), tuple(sorted(second))
+
+
+@lru_cache(maxsize=64)
+def _zero_lengths(moduli: tuple[int, ...], length: int, affine: bool) -> tuple[int, ...]:
+    """Per sum index s, the lengths L <= `length` (as bit L) at which a leaf
+    of sum s stands for a zero-sum multiset. With translations, that is s in
+    LG = {Lg}, which holds when gcd(L, n_i) divides the i-th coordinate of s
+    for every i, so it repeats with period exp(G); without them, s = 0 at
+    every length."""
+    pack = get_pack(moduli, 0)
+    every = (1 << (length + 1)) - 1
+    if not affine:
+        return (every,) + (0,) * (pack.order - 1)
+    e = math.lcm(*moduli)
+    spread = sum(1 << k for k in range(0, length + 1, e))
+    rows = []
+    for s in range(pack.order):
+        c = pack.coords(s)
+        period = sum(
+            1 << L for L in range(e) if all(x % math.gcd(L, n) == 0 for x, n in zip(c, moduli))
+        )
+        rows.append(period * spread & every)
+    return tuple(rows)
 
 
 class _Stop(Exception):
@@ -186,7 +237,8 @@ def _walk(
     max_nodes: int,
     deadline: float,
     *,
-    orbit: frozenset[int] = frozenset(),
+    levels: tuple[tuple[int, ...], ...] = (),
+    zero_sum: bool = False,
     spent: int = 0,
 ) -> tuple[int, int]:
     """Depth-first walk over the given chunks (last multiplicities, in
@@ -197,28 +249,34 @@ def _walk(
 
     A leaf assigns every nonidentity element. With size a and sum s, it
     stays witness-free under r copies of element 0 (the identity) exactly
-    for r <= rmax < target (the pads nest), so it covers the lengths
-    a..a + rmax. `emit(mults, a, a + rmax, s)` sees each leaf that covers a
-    length >= need[s == 0]; the caller may raise `need` as it goes, to
-    values up to length + target, which no leaf reaches, and stops the walk
-    by returning true. mults[0] is the caller's. Restricted to one length,
-    walk order is colex order. The node count starts at `spent`, so a walk
-    can draw on the budget another one left; the walk raises once its nodes
-    pass `max_nodes`, and returns (nodes, leaves reached).
+    for r <= rmax < target (the pads nest), so it covers the lengths a..hi
+    with hi = a + min(rmax, cap of element 0). `emit(mults, a, hi, s)` sees
+    each leaf with a + rmax >= need[0] (with `zero_sum`, only those with
+    s = 0); the caller may raise `need` as it goes, to values up to
+    length + target, which no leaf reaches, and stops the walk by returning
+    true. mults[0] is the caller's. Restricted to one length, walk order is
+    colex order. The node count starts at `spent`, so a walk can draw on the
+    budget another one left; the walk raises once its nodes pass
+    `max_nodes`, and returns (nodes, leaves reached).
 
-    The elements in `orbit` (see `_top_orbit`) take at most as many copies
-    as the last element in each chunk. When `need` starts at `length` or
+    `levels` is a cap table (see `_cap_levels`); an empty one walks
+    uncapped. In each chunk the elements of levels[0] take at most as many
+    copies as the last element. Once element |G| - 1 - k (k >= 1) has its
+    copies, those of levels[k] take at most as many as it; such a cap is
+    only set where that element is element 2 or higher, so the leaf loop of
+    element 1 never sees a cap change. When `need` starts at `length` or
     more, only leaves that reach `length` count; if exp(G) also divides the
-    target, no element takes target copies, so a level i with more than
-    (target - 1)(i + 1) copies left is skipped.
+    target, no element takes target copies, so an element i with more than
+    (target - 1)(i + 1) copies left for elements 0..i is skipped.
 
     The prefix sum is one element index, advanced through the rows of
-    `pack.plus`, so the zero-sum test is `s != 0`. A leaf with room for r
-    more copies covers `need` iff its mask misses `gate[need + r]`, the pad
-    of need - a. The level of element 1 runs its leaves in its own loop, and
-    the node count travels through arguments and return values. The
-    rotation masks of `pack.parts` span the packed width, so a grown mask
-    needs no truncation.
+    `pack.plus`. A leaf with room for r more copies reaches `need` iff its
+    mask misses `gate[need + r]`, the pad of need - a; `gates[s]` is that
+    gate for each sum emitted and a gate no mask misses for the others.
+    Element 1 runs its leaves in its own loop, `step[i]` walks element i
+    (setting its cap level first, if one hangs there), and the node count
+    travels through arguments and return values. The rotation masks of
+    `pack.parts` span the packed width, so a grown mask needs no truncation.
     """
     depth = math.prod(moduli) + 200  # the walk takes one frame per element
     if sys.getrecursionlimit() < depth:
@@ -236,11 +294,13 @@ def _walk(
             bits |= 1 << ((target - m) * order)
         pad.append(bits)
     gate = [0] * length + pad
+    never = [1] * len(gate)  # every mask holds the empty subsequence
+    gates = [gate] + [never if zero_sum else gate] * (order - 1)
     zeros = pad[target]
     last_r = target - 1
-    cap = [length] * order  # copies allowed per element, set per chunk for the orbit
+    cap = [length] * order  # copies allowed per element, set by the cap levels
     room = [length] * order  # copies that elements 0..i can still take
-    if min(need) >= length and target % math.lcm(*moduli) == 0:
+    if need[0] >= length and target % math.lcm(*moduli) == 0:
         room = [(target - 1) * (i + 1) for i in range(order)]
     leaves = 0
     mults = [0] * order
@@ -253,11 +313,13 @@ def _walk(
         plus_i = plus[i]
         ((lo, up, down, lod),) = parts[i]  # element 1 has one nonzero coordinate
         r_min = max(b - cap[1], 0)
+        fill = cap[0]
         for r in range(b, r_min - 1, -1):
-            if not mask & gate[need[not s] + r]:
+            if not mask & gates[s][need[0] + r]:
                 mults[i] = b - r
                 a = length - r
-                if emit(mults, a, a + last_r - ((mask & zeros).bit_length() - 1) // order, s):
+                rmax = last_r - ((mask & zeros).bit_length() - 1) // order
+                if emit(mults, a, a + min(rmax, fill), s):
                     leaves += b - r + 1
                     raise _Stop(nodes)
             if r == r_min:
@@ -280,7 +342,7 @@ def _walk(
         """Element i >= 2: 0..b copies of it, each followed by the levels below."""
         if b > room[i]:
             return nodes
-        below = dfs if i > 2 else last
+        below = step[i - 1]
         mults[i] = 0
         nodes = below(i - 1, b, s, mask, nodes)
         plus_i = plus[i]
@@ -302,13 +364,29 @@ def _walk(
             nodes = below(i - 1, b - j, s, mask, nodes)
         return nodes
 
+    def capped(inner: Callable[..., int], members: tuple[int, ...], above: int) -> Callable[..., int]:
+        """`inner`, called once `members` are capped at the copies of `above`."""
+
+        def walk(i: int, b: int, s: int, mask: int, nodes: int) -> int:
+            c = mults[above]
+            for x in members:
+                cap[x] = c
+            return inner(i, b, s, mask, nodes)
+
+        return walk
+
     top = order - 1
+    step: list[Callable[..., int]] = [last, last] + [dfs] * (order - 2)
+    for k in range(1, len(levels)):
+        if top - k >= 2:
+            step[top - k - 1] = capped(step[top - k - 1], levels[k], top - k)
+    first = levels[0] if levels else ()
     nodes = spent
     try:
         for outer in outers:
             mask = pack.initial
             s = 0
-            for i in orbit:
+            for i in first:
                 cap[i] = outer
             if top:  # each chunk grows its own prefix: its nodes do not depend on the others
                 for _ in range(outer):
@@ -323,11 +401,12 @@ def _walk(
                 mults[top] = outer
             b = length - outer
             if top >= 2:
-                nodes = (dfs if top > 2 else last)(top - 1, b, s, mask, nodes)
+                nodes = step[top - 1](top - 1, b, s, mask, nodes)
             else:  # the chunk is one leaf
                 leaves += 1
-                if not mask & gate[need[not s] + b] and emit(
-                    mults, outer, outer + last_r - ((mask & zeros).bit_length() - 1) // order, s
+                rmax = last_r - ((mask & zeros).bit_length() - 1) // order
+                if not mask & gates[s][need[0] + b] and emit(
+                    mults, outer, outer + min(rmax, cap[0]), s
                 ):
                     break
     except _Stop as stop:
@@ -369,8 +448,7 @@ def enumerate_multisets(
         stats.visited += 1
         visitor(_sequence_of(group, mults))
 
-    # The leaves that cover `length`; length + t is out of every leaf's reach.
-    need = [length + t if zero_sum_only else length, length]
+    need = [length]  # the leaves that cover `length`
     stats.nodes, _ = _walk(
         group.moduli,
         t,
@@ -380,6 +458,7 @@ def enumerate_multisets(
         emit,
         budget.max_nodes,
         start + budget.max_seconds,
+        zero_sum=zero_sum_only,
     )
     stats.wall_ms = int((time.monotonic() - start) * 1000)
     return stats
@@ -393,8 +472,9 @@ class _Profile(NamedTuple):
     """The lengths up to the walk's at which some zero-sum multiset has no
     zero-sum subsequence of the target length (`zero`), the largest length
     at which some multiset has none (`top`), then the nodes expanded and the
-    leaves reached. The walk visits orbit representatives, so the lengths
-    are exact but it names no colex-first multiset; `_first_failing` does."""
+    leaves reached. The walk visits one representative per orbit, so the
+    lengths are exact but it names no colex-first multiset;
+    `_first_failing` does."""
 
     zero: frozenset[int]
     top: int
@@ -411,31 +491,41 @@ def _profile_chunks(
     deadline: float,
 ) -> _Profile:
     """The profile of the given outer-multiplicity chunks, walked in order
-    with the orbit cap. Pure function of its arguments, so results are
-    independent of scheduling."""
-    zero: set[int] = set()
+    under the cap table. Pure function of its arguments, so results are
+    independent of scheduling.
+
+    When exp(G) divides the target, translations keep the family walked, so
+    the walk visits one representative per orbit of the affine group, and a
+    leaf of sum s counts toward `zero` at each length L it covers with s in
+    LG. Otherwise only automorphisms keep it: the cap table caps the top
+    element's automorphism orbit alone, and a leaf counts when s = 0. Either
+    way one `need` serves every leaf: the smallest length from outers[0] on
+    not yet in `zero`."""
+    affine = target % math.lcm(*moduli) == 0
+    lengths = _zero_lengths(moduli, length, affine)
+    zero = 0  # bit L: length L is known to fail for some zero-sum multiset
     # Every leaf has at least outers[0] elements, and the chunk's first leaf
     # is outers[0] copies of the last element.
     top = outers[0] - 1
-    floor = outers[0]  # the smallest length from outers[0] on not in `zero`
-    need = [0, 0]
+    need = [outers[0]]
 
     def record(mults: list[int], a: int, hi: int, s: int) -> None:
-        nonlocal top, floor
-        hi = min(hi, length)
-        top = max(top, hi)
-        if not s:
-            zero.update(range(max(a, floor), hi + 1))
-            while floor in zero:
-                floor += 1
-        need[0] = top + 1
-        need[1] = min(top + 1, floor)
+        nonlocal top, zero
+        if hi > length:
+            hi = length
+        if hi > top:
+            top = hi
+        zero |= lengths[s] & ((2 << hi) - (1 << a))
+        floor = need[0]
+        while zero >> floor & 1:
+            floor += 1
+        need[0] = floor
 
     nodes, leaves = _walk(
         moduli, target, length, outers, need, record, max_nodes, deadline,
-        orbit=_top_orbit(moduli),
+        levels=_cap_levels(moduli, affine),
     )
-    return _Profile(frozenset(zero), top, nodes, leaves)
+    return _Profile(frozenset(L for L in range(length + 1) if zero >> L & 1), top, nodes, leaves)
 
 
 def _profile(
@@ -500,11 +590,9 @@ def _first_failing(
         found.append((length - a, *mults[1:]))
         return True
 
-    # The leaves that cover `length`; length + target is out of every leaf's reach.
-    need = [length + target if zero_sum else length, length]
     nodes, leaves = _walk(
-        moduli, target, length, _chunks(moduli, target, length), need, stop,
-        max_nodes, deadline, spent=spent,
+        moduli, target, length, _chunks(moduli, target, length), [length], stop,
+        max_nodes, deadline, zero_sum=zero_sum, spent=spent,
     )
     return (found[0] if found else None), nodes, leaves
 
@@ -651,8 +739,8 @@ def brute_force_modified_constant(
     is the first zero-sum multiset of length v - 1 with none, in colex order.
 
     A multiset with no zero-sum subsequence of length t holds at most t - 1
-    copies of each element, since exp(G) divides t, so one orbit-capped walk
-    up to (t - 1)|G| finds every length that fails. The same walk gives
+    copies of each element, since exp(G) divides t, so one capped walk up to
+    (t - 1)|G| finds every length that fails. The same walk gives
     s_t(G), the smallest length from which every multiset has one; the
     report's window is (s'(G, t), s_t(G)). The witness walk at length v - 1
     then draws on the same node budget, and both walks count in the stats.

@@ -86,6 +86,27 @@ def test_extract_named_method_fails_loudly(capsys):
     assert err.startswith("ERROR:precondition:")
 
 
+@pytest.mark.parametrize(
+    "group, seq, method, message",
+    [
+        ("Z/6", "0^13", "block", "shorter than 2n = 12, got length 13"),
+        ("Z/6", "0^12", "block", "shorter than 2n = 12, got length 12"),
+        ("Z/6^2", "(0,0)^25", "squareblock", "shorter than 4n = 24, got length 25"),
+        ("Z/6^2", "(0,0)^24", "squareblock", "shorter than 4n = 24, got length 24"),
+    ],
+)
+def test_extract_block_refuses_an_over_long_sequence(capsys, group, seq, method, message):
+    # The block methods read the length as 2n - d (4n - d) with d >= 1, so a
+    # longer sequence is refused for its length, not for the d it implies.
+    code, out, err = run(
+        capsys, "extract", "--group", group, "--seq", seq, "--t", "6", "--method", method
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR:precondition:")
+    assert message in err and "d = " not in err
+
+
 def test_extract_auto_dispatch(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "extract", "--group", "Z/2^2",

@@ -1,5 +1,6 @@
 """Constants search: formulas, enumeration, brute force, and suite checks."""
 
+import functools
 import itertools
 import json
 import re
@@ -34,7 +35,7 @@ from zerosum import (
 )
 
 from zerosum._bitdp import get_pack
-from zerosum.search import _automorphisms, _first_failing, _profile, _top_orbit
+from zerosum.search import _automorphisms, _cap_levels, _first_failing, _orbit, _profile
 
 from conftest import oracle_exists
 
@@ -230,10 +231,12 @@ def test_profile_matches_oracle(case):
     )
 
 
-def _brute_force_orbit(moduli):
-    """The orbit of the top element under every automorphism, found by
-    trying every image of the standard generators e_i (one of order
-    dividing n_i) and keeping the maps that are bijective."""
+@functools.lru_cache(maxsize=None)
+def _brute_force_automorphisms(moduli):
+    """The elements, and every automorphism as the list of the images of
+    their indices, found by trying every image of the standard generators
+    e_i (one of order dividing n_i) and keeping the maps that are
+    bijective."""
     group = make_group(list(moduli))
     elements = list(group.elements())
     index = {x: i for i, x in enumerate(elements)}
@@ -243,15 +246,23 @@ def _brute_force_orbit(moduli):
         [i for i, x in enumerate(elements) if group.scale(x, n) == group.identity()]
         for n in moduli
     ]
-    orbit = set()
+    rows = []
     for images in itertools.product(*candidates):
         # row[j]: the image of elements[j], the last coordinate fastest.
         row = [index[group.identity()]]
         for e, n in zip(images, moduli):
             row = [add[r][times[e][c]] for r in row for c in range(n)]
         if len(set(row)) == len(row):
-            orbit.add(elements[row[-1]])
-    return orbit
+            rows.append(row)
+    return elements, rows
+
+
+def _brute_force_orbit(moduli, element=None):
+    """The orbit of `element` (by default the top element) under every
+    automorphism."""
+    elements, rows = _brute_force_automorphisms(moduli)
+    at = len(elements) - 1 if element is None else elements.index(element)
+    return {elements[row[at]] for row in rows}
 
 
 ORBIT_GROUPS = [(1,), (2,), (6,), (8,), (12,), (16,), (2, 2), (2, 3), (2, 4), (4, 2),
@@ -260,29 +271,57 @@ ORBIT_GROUPS = [(1,), (2,), (6,), (8,), (12,), (16,), (2, 2), (2, 3), (2, 4), (4
 
 @pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
 def test_orbit_maps_are_automorphisms(moduli):
-    # Each map the orbit cap uses is a bijective homomorphism, so the BFS
-    # orbit of the top element lies inside its orbit under every
+    # Each map the cap levels use is a bijective homomorphism, so the orbit
+    # `_orbit` finds for the top element lies inside its orbit under every
     # automorphism, enumerated here by brute force. That is all soundness
-    # needs; on these groups the BFS also reaches the whole orbit.
+    # needs; on these groups the search also reaches the whole orbit.
     group = make_group(list(moduli))
     elements = list(group.elements())
     for f in _automorphisms(moduli):
         assert sorted(f(x) for x in elements) == elements
         for x, y in itertools.product(elements, repeat=2):
             assert f(group.add(x, y)) == group.add(f(x), f(y))
-    coords = get_pack(moduli, 0).coords
     top = tuple(n - 1 for n in moduli)
-    orbit = {coords(i) for i in _top_orbit(moduli)}
+    orbit = _orbit(moduli, top)
     full = _brute_force_orbit(moduli)
-    assert top not in orbit and orbit | {top} <= full
-    assert orbit | {top} == full
+    assert orbit <= full
+    assert orbit == full
+
+
+@pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
+def test_cap_levels_lie_in_their_orbits(moduli):
+    # Every element a cap level names may be capped: with translations, the
+    # first level lies in the Aff(G)-orbit of the top element and the
+    # second in the orbit of e2 (index |G| - 2) under the stabiliser of the
+    # top, x -> top + a(x - top) for every automorphism a; without
+    # translations, the one level lies in the Aut(G)-orbit of the top. The
+    # orbits are found by brute force over every automorphism.
+    group = make_group(list(moduli))
+    coords = get_pack(moduli, 0).coords
+    top = coords(group.order - 1)
+    aut = _brute_force_orbit(moduli)
+    affine = {group.add(y, g) for y in aut for g in group.elements()}
+    (plain,) = _cap_levels(moduli, False)
+    assert {coords(i) for i in plain} <= aut - {top}
+    levels = _cap_levels(moduli, True)
+    assert {coords(i) for i in levels[0]} <= affine - {top}
+    assert len(levels[0]) == group.order - 1  # translations are transitive
+    if group.order > 2:
+        e2 = coords(group.order - 2)
+        step = group.add(e2, group.neg(top))
+        stab = {group.add(top, y) for y in _brute_force_orbit(moduli, step)}
+        assert {coords(i) for i in levels[1]} <= stab - {top, e2}
 
 
 def test_orbit_is_every_nonzero_element_of_elementary_groups():
-    # GL(r, p) is transitive on the nonzero vectors of (Z/p)^r.
+    # GL(r, p) is transitive on the nonzero vectors of (Z/p)^r, and
+    # AGL(r, p) is 2-transitive on all of (Z/p)^r, so with translations the
+    # second level caps every element but the top two.
     for moduli in ((2,), (5,), (2, 2, 2, 2), (3, 3), (3, 3, 3), (5, 5)):
         order = make_group(list(moduli)).order
-        assert _top_orbit(moduli) == frozenset(range(1, order - 1))
+        assert _cap_levels(moduli, False) == (tuple(range(1, order - 1)),)
+        if order > 2:
+            assert _cap_levels(moduli, True)[1] == tuple(range(order - 2))
 
 
 @st.composite
@@ -299,7 +338,7 @@ def witness_cases(draw):
 @example((make_group([3, 3]), 8, 3))
 @settings(max_examples=60, deadline=None)
 def test_capped_profile_matches_uncapped_walk(case):
-    # The orbit-capped walk gives the same failing lengths as the uncapped
+    # The capped walk gives the same failing lengths as the uncapped
     # enumeration, for any target, exp(G) dividing it or not; through
     # `check_all_have_witness`, the verdict and the counterexample (the
     # first failing multiset in colex order) match too.
@@ -318,6 +357,32 @@ def test_capped_profile_matches_uncapped_walk(case):
     rep = check_all_have_witness(group, size, target, name="capped")
     assert rep.passed == (top < size)
     assert rep.counterexample == (None if rep.passed else serialize_sequence(first))
+
+
+# Groups where the second cap level names a proper subset of the elements,
+# at t = exp(G) and 2 exp(G), each up to the largest size at which the
+# uncapped walks below stay cheap.
+WIDE_CASES = [((8,), 8, 15), ((8,), 16, 19), ((12,), 12, 11), ((12,), 24, 11),
+              ((2, 6), 6, 13), ((2, 6), 12, 11), ((4, 4), 4, 11), ((4, 4), 8, 7),
+              ((2, 2, 4), 4, 10), ((2, 2, 4), 8, 7)]
+
+
+@pytest.mark.parametrize("moduli, t, size", WIDE_CASES, ids=lambda c: str(c).replace(" ", ""))
+def test_capped_profile_matches_uncapped_walk_per_length(moduli, t, size):
+    # A length fails (for some multiset, or for some zero-sum one) exactly
+    # when the uncapped walk at that length reaches a leaf; the walk under
+    # both cap levels and the LG test must list the same lengths.
+    order = make_group(list(moduli)).order
+    assert 0 < len(_cap_levels(moduli, True)[1]) < order - 2
+    deadline = time.monotonic() + 900
+    profile = _profile(moduli, t, size, None, 10**8, deadline)
+    zero, every = set(), set()
+    for length in range(size + 1):
+        for zero_sum, lengths in ((False, every), (True, zero)):
+            if _first_failing(moduli, t, length, zero_sum, 10**8, deadline, 0)[0] is not None:
+                lengths.add(length)
+    assert profile.zero == zero
+    assert profile.top == max(every)
 
 
 @pytest.mark.parametrize(
@@ -343,21 +408,23 @@ def test_passing_lengths_below_the_constant(moduli, t, gaps, value):
             (2, 2, 2, 2), 2, 17,
             "Z/2^4: (0,0,0,0) (0,0,0,1) (0,0,1,0) (0,0,1,1) (0,1,0,0) (0,1,0,1) (0,1,1,0) (0,1,1,1)"
             " (1,0,0,0) (1,0,0,1) (1,0,1,0) (1,0,1,1) (1,1,0,0) (1,1,0,1) (1,1,1,0) (1,1,1,1)",
-            16399, 16387,
+            8208, 8196,
         ),
-        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 52164, 17877),
-        ((8,), 16, 22, "Z/8: 2^15 3^6", 117921, 83018),
+        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 19165, 7444),
+        ((8,), 16, 22, "Z/8: 2^15 3^6", 29007, 20653),
     ],
     ids=["Z2^4-t2", "Z4^2-t4", "Z8-t16"],
 )
 def test_benchmark_scan_counters(moduli, t, value, witness, nodes, leaves):
     # The three constants of the benchmark's scan: the kernel must walk
     # exactly the same tree, so the counters are pinned with the value. Each
-    # is the orbit-capped walk plus the witness walk. Every nonzero element
-    # of (Z/2)^4 is in the top element's orbit, so its capped walk has two
-    # chunks: the empty multiset, and the top with any of the 2^14 subsets
-    # of the other 14 nonzero elements; the witness walk adds 15 nodes and 2
-    # leaves.
+    # is the capped walk plus the witness walk. In (Z/2)^4 the first cap
+    # level takes every element to at most one copy, with the top, and the
+    # second, every element but the top two, to the copies of e2 (index 14).
+    # So the capped walk has two chunks: the empty multiset, then the top
+    # without e2 (so alone), or with e2 and any subset of elements 1..13,
+    # each padded with element 0: 2^13 + 1 nodes. The witness walk adds 15
+    # nodes and 2 leaves.
     r = brute_force_modified_constant(make_group(list(moduli)), t)
     assert r.computed_value == value
     assert r.extremal_witness == witness
@@ -415,7 +482,7 @@ def test_brute_force_trivial_group():
 
 
 def test_brute_force_budget_exhaustion():
-    # s'(Z/8, 16) = 22 takes 117,921 nodes to determine.
+    # s'(Z/8, 16) = 22 takes 29,007 nodes to determine.
     with pytest.raises(BudgetExceeded):
         brute_force_modified_constant(
             make_group([8]), 16, budget=SearchBudget(max_nodes=2000)
@@ -432,22 +499,22 @@ def test_brute_force_infinite_constant_is_a_precondition_error():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_caps_the_whole_length(workers):
-    # s'(Z/8, 16) walks 116,909 nodes over 16 outer chunks, and no single
-    # chunk reaches 50,000: the cap is on their sum. The witness walk then
-    # takes 1,012 more nodes from the same budget.
-    cap = 50000
+    # s'(Z/8, 16) walks 27,995 nodes over 16 outer chunks, and no single
+    # chunk reaches 12,000 (the largest holds 5,624): the cap is on their
+    # sum. The witness walk then takes 1,012 more nodes from the same budget.
+    cap = 12000
     with pytest.raises(BudgetExceeded) as exc:
         brute_force_modified_constant(
             make_group([8]), 16, budget=SearchBudget(max_nodes=cap), workers=workers
         )
-    spent = int(re.search(r"(\d+) nodes, 50000 allowed", str(exc.value)).group(1))
+    spent = int(re.search(r"(\d+) nodes, 12000 allowed", str(exc.value)).group(1))
     if workers == 1:
         # A serial run stops at the first node past the cap, whatever chunk it is in.
-        assert str(exc.value) == "node budget exhausted: 50001 nodes, 50000 allowed"
+        assert str(exc.value) == "node budget exhausted: 12001 nodes, 12000 allowed"
     else:
         # A pooled run stops collecting once the finished chunks pass the cap.
         assert cap < spent <= workers * (cap + 1)
-    total = 117921
+    total = 29007
     with pytest.raises(BudgetExceeded) as exc:
         brute_force_modified_constant(
             make_group([8]), 16, budget=SearchBudget(max_nodes=total - 1), workers=workers
