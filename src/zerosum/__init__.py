@@ -13,8 +13,6 @@ from .constructions import (
     build_cyclic_extremal,
     build_power2_extremal,
     build_square_extremal,
-    cyclic_extremal_params,
-    square_extremal_params,
     validate_extremal,
 )
 from .engine import (
@@ -100,7 +98,6 @@ __all__ = [
     "conjecture_value",
     "count_zero_sum_subseqs",
     "cyclic_block_decomposition",
-    "cyclic_extremal_params",
     "enumerate_multisets",
     "extract_cyclic_block",
     "extract_cyclic_nt",
@@ -123,7 +120,6 @@ __all__ = [
     "sequence_from_jsonable",
     "sequence_to_jsonable",
     "serialize_sequence",
-    "square_extremal_params",
     "validate_extremal",
     "verify_theorem",
 ]

@@ -3,7 +3,9 @@
 A state mask is one big integer holding k+1 segments of `order` bits each:
 bit c*order + g is set when some sub-multiset of the items folded in so far
 has exactly c elements and sum equal to the group element with index g.
-Masks are immutable ints, so DP branches share state for free.
+Masks are immutable ints, so DP branches share state for free. The same
+layout with cells of w bits instead of one holds counts rather than
+reachability (see `engine.count_zero_sum_subseqs`).
 
 Elements are keyed by index. The layout is mixed-radix over the moduli with
 the first coordinate most significant, so index 0 is the identity and index
@@ -69,9 +71,6 @@ class GroupPack:
     def parts(self, i: int, times: int = 1) -> tuple:
         """(lo, up_shift, down_shift, lo_down) per nonzero axis of `times`
         copies of element i: together they add those copies to every sum.
-
-        lo holds the bits whose digit on the axis stays below its modulus
-        when the copies are added; lo_down holds the others, shifted down.
         The tuple is cached per (element, copies); each axis's part is shared
         by every element that moves that axis by the same amount.
         """
@@ -85,20 +84,32 @@ class GroupPack:
         return parts
 
     def _axis_part(self, axis: int, c: int) -> tuple:
-        """The rotation part that adds c (nonzero) to the digit on one axis."""
+        """The cached 1-bit rotation part that adds c (nonzero) on one axis."""
         key = (axis, c)
         part = self._axis_parts.get(key)
         if part is None:
-            na, sa = self.moduli[axis], self.strides[axis]
-            down = (na - c) * sa
-            lo = (1 << down) - 1
-            span = na * sa  # the period of lo, which divides the width
-            while span < self.width:
-                lo |= lo << span
-                span <<= 1
-            lo &= self.full
-            part = self._axis_parts[key] = (lo, c * sa, down, (self.full ^ lo) >> down)
+            part = self._axis_parts[key] = self.rotation(axis, c, 1, self.full)
         return part
+
+    def rotation(self, axis: int, c: int, cell: int, full: int) -> tuple:
+        """(lo, up_shift, down_shift, lo_down) that add c (nonzero) to the
+        digit on one axis of a mask whose cells are `cell` bits wide; `full`
+        has every bit of the mask set. The 1-bit parts are cached by
+        `_axis_part`; the engine's counter builds its wider ones per call.
+
+        lo holds the cells whose digit on the axis stays below its modulus
+        when c is added; lo_down holds the others, shifted down.
+        """
+        na, sa = self.moduli[axis], self.strides[axis] * cell
+        down = (na - c) * sa
+        lo = (1 << down) - 1
+        span = na * sa  # the period of lo, which divides the width
+        width = full.bit_length()
+        while span < width:
+            lo |= lo << span
+            span <<= 1
+        lo &= full
+        return lo, c * sa, down, (full ^ lo) >> down
 
     # -- folding items into a mask --------------------------------------------
 

@@ -1,8 +1,9 @@
 """Zero-sum subsequence engine: existence, witnesses, and exact counts.
 
-Detection runs a bounded-knapsack reachability DP over packed bitmasks; the
-exact counter convolves per-element generating functions sum_j C(m,j) z^j
-placed at j*e, with arbitrary-precision (or modular) coefficients.
+Detection runs a bounded-knapsack reachability DP over packed bitmasks. The
+counter runs the same fold on one integer of (k+1)*|G| cells of w bits: each
+copy of an element shifts the table up one count, rotates it by the element
+and adds it back, so cell (c, g) ends as the number of c-subsets summing to g.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def count_zero_sum_subseqs(seq: Sequence, k: int, modulus: int | None = None) ->
     """The number of size-k index subsets summing to the identity.
 
     Multiplicities contribute binomial factors, so this counts subsets of
-    positions, not distinct sub-multisets. With `modulus` every coefficient is
-    reduced, which is enough for congruence checks and keeps integers small.
+    positions, not distinct sub-multisets. The count is exact; with `modulus`
+    it is reduced once at the end, for congruence checks.
     """
     _check_k(seq, k)
     if modulus is not None and modulus < 2:
@@ -113,29 +114,18 @@ def count_zero_sum_subseqs(seq: Sequence, k: int, modulus: int | None = None) ->
             f"counting table of {(k + 1) * order} cells (|G| = {order}, k = {k}) "
             "exceeds the supported size"
         )
-    table = [[0] * order for _ in range(k + 1)]
-    table[0][0] = 1
+    # Cell (c, g) counts the c-subsets with sum g; it never exceeds C(L, c),
+    # so cells of w bits never carry into their neighbours.
+    w = math.comb(seq.length, min(k, seq.length // 2)).bit_length()
+    block = order * w
+    full = (1 << (k + 1) * block) - 1
+    table = 1
     for el, mult in seq.items():
-        jmax = min(mult, k)
-        binom = [math.comb(mult, j) for j in range(jmax + 1)]
-        if modulus is not None:
-            binom = [b % modulus for b in binom]
-        # perm[j][g] = index of g + j*el, each row one step of the element's row
-        plus_e = pack.plus(pack.index(el))
-        perm = [list(range(order))]
-        for _ in range(jmax):
-            perm.append([plus_e[g] for g in perm[-1]])
-        new = [[0] * order for _ in range(k + 1)]
-        for c in range(k + 1):
-            row = table[c]
-            top = min(jmax, k - c)
-            for g in range(order):
-                v = row[g]
-                if v:
-                    for j in range(top + 1):
-                        new[c + j][perm[j][g]] += binom[j] * v
-        if modulus is not None:
-            for c in range(k + 1):
-                new[c] = [v % modulus for v in new[c]]
-        table = new
-    return table[k][0]
+        rotations = [pack.rotation(axis, c, w, full) for axis, c in enumerate(el) if c]
+        for _ in range(mult):
+            moved = (table << block) & full
+            for lo, up, down, lod in rotations:
+                moved = ((moved & lo) << up) | ((moved >> down) & lod)
+            table += moved
+    count = (table >> k * block) & ((1 << w) - 1)
+    return count if modulus is None else count % modulus

@@ -1,12 +1,14 @@
 """Shared brute-force oracles and random-sequence helpers.
 
-The oracles enumerate index subsets explicitly and never touch the DP code
-paths they are used to check.
+The oracles never touch the DP code paths they are used to check: two
+enumerate index subsets explicitly, and `oracle_count_table` steps through a
+(count, sum) table cell by cell with the group's own arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from zerosum import Group, Sequence
@@ -31,6 +33,29 @@ def oracle_count(seq: Sequence, k: int) -> int:
         if total == g.identity():
             hits += 1
     return hits
+
+
+def oracle_count_table(seq: Sequence, modulus: int | None = None) -> list[int]:
+    """The number of size-k index subsets summing to the identity, for every
+    k from 0 to the length, by a per-cell table DP: an element with
+    multiplicity m spreads every cell (c, g) to (c + j, g + j*el) with weight
+    C(m, j). With `modulus` every cell is reduced after each element. It
+    reaches lengths that index-subset enumeration cannot."""
+    g = seq.group
+    zero = g.identity()
+    table = [{zero: 1}]
+    for el, mult in seq.items():
+        steps = [g.scale(el, j) for j in range(mult + 1)]
+        new = [dict() for _ in range(len(table) + mult)]
+        for c, row in enumerate(table):
+            for s, v in row.items():
+                for j, step in enumerate(steps):
+                    t = g.add(s, step)
+                    new[c + j][t] = new[c + j].get(t, 0) + math.comb(mult, j) * v
+        if modulus is not None:
+            new = [{s: v % modulus for s, v in row.items()} for row in new]
+        table = new
+    return [row.get(zero, 0) for row in table]
 
 
 def oracle_exists(seq: Sequence, k: int) -> bool:

@@ -7,15 +7,14 @@ from zerosum import (
     build_cyclic_extremal,
     build_power2_extremal,
     build_square_extremal,
-    cyclic_extremal_params,
     formula_modified_cyclic,
     formula_modified_square,
     make_group,
     min_nondivisor,
     parse_sequence,
-    square_extremal_params,
     validate_extremal,
 )
+from zerosum.constructions import cyclic_extremal_params, square_extremal_params
 
 
 def test_cyclic_spec_cases():

@@ -1,5 +1,6 @@
 """Engine checks: spec examples, oracle equivalence, and count identities."""
 
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from zerosum import (
     parse_sequence,
 )
 
-from conftest import oracle_count, oracle_exists, random_multiset
+from conftest import oracle_count, oracle_count_table, oracle_exists, random_multiset
 
 
 def test_find_examples():
@@ -69,7 +70,8 @@ def test_has_zero_sum_in_lengths_examples():
 
 def test_large_group_costs_no_square_table():
     # |G| = 20000: a table with a row for every element would hold 4 * 10^8
-    # entries; the engine builds one row per element of the sequence.
+    # entries; the engine builds rotation masks only for the sequence's
+    # elements.
     s = parse_sequence("Z/20000: 1 2 3 19994")
     assert [count_zero_sum_subseqs(s, k) for k in range(5)] == [1, 0, 0, 0, 1]
     assert count_zero_sum_subseqs(s, 4, modulus=7) == 1
@@ -149,8 +151,6 @@ def test_modular_count_matches_exact(data):
 def test_big_counts_are_exact():
     # 60 zeros: counts are binomials, far beyond 64-bit for the middle sizes.
     s = parse_sequence("Z/2: 0^60")
-    import math
-
     assert count_zero_sum_subseqs(s, 30) == math.comb(60, 30)
 
 
@@ -162,6 +162,44 @@ def test_oracle_equivalence_length_14():
     for k in (0, 3, 7, 14):
         assert (find_zero_sum_subseq(seq, k) is not None) == oracle_exists(seq, k)
         assert count_zero_sum_subseqs(seq, k) == oracle_count(seq, k)
+
+
+def test_count_matches_table_oracle_beyond_enumeration():
+    # Lengths 15-60, past the index-subset oracles' reach, over Z/n,
+    # Z/m x Z/n, (Z/n)^2 and (Z/2)^4. Every k is checked exactly, and modulo
+    # 2 + k % 8 against the exact table; each sequence is also checked at
+    # one modulus against the table reduced cell by cell.
+    rng = random.Random(15)
+    for i, moduli in enumerate([(7,), (12,), (3, 6), (2, 10), (4, 4), (5, 5), (2, 2, 2, 2), (9,)]):
+        seq = random_multiset(rng, make_group(moduli), rng.randint(15, 60))
+        exact = oracle_count_table(seq)
+        modulus = 2 + i % 8
+        reduced = oracle_count_table(seq, modulus)
+        for k in range(seq.length + 1):
+            assert count_zero_sum_subseqs(seq, k) == exact[k]
+            assert count_zero_sum_subseqs(seq, k, modulus=2 + k % 8) == exact[k] % (2 + k % 8)
+            assert count_zero_sum_subseqs(seq, k, modulus=modulus) == reduced[k]
+
+
+def test_table_oracle_matches_enumeration():
+    rng = random.Random(16)
+    for moduli in [(6,), (2, 4), (3, 3)]:
+        seq = random_multiset(rng, make_group(moduli), 11)
+        assert oracle_count_table(seq) == [oracle_count(seq, k) for k in range(12)]
+
+
+def test_count_fills_the_widest_cell():
+    # 61 zeros: every k-subset is zero-sum, and C(61, 30) = C(61, 31) is the
+    # largest cell, which uses every bit of its width.
+    s = parse_sequence("Z/1: 0^61")
+    assert [count_zero_sum_subseqs(s, k) for k in range(62)] == [math.comb(61, k) for k in range(62)]
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 97, 300, 2000])
+def test_count_three_distinct_residues_closed_form(n):
+    # The 3-subsets of Z/n summing to 0: (n^2 - 3n + 2 gcd(3, n)) / 6.
+    s = Sequence(make_group([n]), {(i,): 1 for i in range(n)})
+    assert count_zero_sum_subseqs(s, 3) == (n * n - 3 * n + 2 * math.gcd(3, n)) // 6
 
 
 def test_state_space_guards():
