@@ -7,9 +7,7 @@ closed-form cross-checks.
 """
 
 from .constructions import (
-    CyclicExtremalParams,
     ExtremalReport,
-    SquareExtremalParams,
     build_cyclic_extremal,
     build_power2_extremal,
     build_square_extremal,
@@ -75,7 +73,6 @@ __all__ = [
     "BlockDecomposition",
     "BudgetExceeded",
     "ConstantReport",
-    "CyclicExtremalParams",
     "Element",
     "ExtremalReport",
     "Group",
@@ -86,7 +83,6 @@ __all__ = [
     "SearchStats",
     "Sequence",
     "SequenceParseError",
-    "SquareExtremalParams",
     "Witness",
     "brute_force_modified_constant",
     "build_cyclic_extremal",

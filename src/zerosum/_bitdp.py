@@ -18,6 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
+# The widest mask, in bits, that a pack or the engine's counter will build.
+MAX_BITS = 2 * 10**8
+
 
 class GroupPack:
     """Index-keyed shift machinery for one (moduli, k) pair."""
@@ -35,7 +38,7 @@ class GroupPack:
         self.strides = tuple(strides)
         self.order = s
         self.width = (k + 1) * self.order
-        if self.width > 2 * 10**8:
+        if self.width > MAX_BITS:
             raise ValueError(
                 f"DP state space of {self.width} bits (|G| = {self.order}, k = {k}) "
                 "exceeds the supported size"
@@ -117,11 +120,12 @@ class GroupPack:
         """Allow up to `mult` copies of element i, split into binary chunks
         of 1, 2, 4, ... copies that are each taken whole or not at all."""
         remaining = min(mult, self.k)
+        order, full, parts = self.order, self.full, self.parts
         size = 1
         while remaining > 0:
             chunk = min(size, remaining)
-            moved = (mask << (chunk * self.order)) & self.full
-            for lo, up, down, lod in self.parts(i, chunk):
+            moved = (mask << (chunk * order)) & full
+            for lo, up, down, lod in parts(i, chunk):
                 moved = ((moved & lo) << up) | ((moved >> down) & lod)
             mask |= moved
             remaining -= chunk

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from ._bitdp import get_pack
+from ._bitdp import MAX_BITS, get_pack
 from .groups import Element
 from .sequences import Sequence, Witness
 
@@ -31,10 +31,22 @@ def find_zero_sum_subseq(seq: Sequence, k: int) -> Witness | None:
     the lexicographically least viable multiplicity vector.
     """
     _check_k(seq, k)
+    counts = _find(seq.group.moduli, seq.items(), k)
+    if counts is None:
+        return None
+    witness = Witness._of(seq.group, counts)
+    witness.validate_against(seq, size=k)
+    return witness
+
+
+def _find(
+    moduli: tuple[int, ...], items: list[tuple[Element, int]], k: int
+) -> dict[Element, int] | None:
+    """`find_zero_sum_subseq`'s witness counts, or None, on ascending (element,
+    multiplicity) pairs with 0 <= k <= their total; checks nothing."""
     if k == 0:
-        return Witness._of(seq.group, {})
-    pack = get_pack(seq.group.moduli, k)
-    items = seq.items()
+        return {}
+    pack = get_pack(moduli, k)
     # Suffix reachability: suffix[i] covers items[i:].
     suffix = [pack.initial] * (len(items) + 1)
     for i in range(len(items) - 1, -1, -1):
@@ -42,11 +54,9 @@ def find_zero_sum_subseq(seq: Sequence, k: int) -> Witness | None:
         suffix[i] = pack.add_copies(suffix[i + 1], pack.index(el), mult)
     if not pack.has(suffix[0], k):
         return None
-    moduli = seq.group.moduli
     counts: dict[Element, int] = {}
-    need_count = k
-    # The sum still required from the remaining items, and its index.
-    need_sum, need_index = seq.group.identity(), 0
+    # The count and the sum (with its index) still required from the rest.
+    need_count, need_sum, need_index = k, (0,) * len(moduli), 0
     for i, (el, mult) in enumerate(items):
         rest_sum, rest_index = need_sum, need_index
         for j in range(min(mult, need_count) + 1):
@@ -54,17 +64,14 @@ def find_zero_sum_subseq(seq: Sequence, k: int) -> Witness | None:
                 rest_sum = tuple([(r - c) % m for r, c, m in zip(rest_sum, el, moduli)])
                 rest_index = pack.index(rest_sum)
             if pack.has(suffix[i + 1], need_count - j, rest_index):
-                if j:
-                    counts[el] = j
-                    need_count -= j
-                    need_sum, need_index = rest_sum, rest_index
                 break
-        if need_count == 0 and need_index == 0:
-            break
+        if j:
+            counts[el] = j
+            need_count, need_sum, need_index = need_count - j, rest_sum, rest_index
+            if need_count == 0:
+                break
     assert need_count == 0 and need_index == 0
-    witness = Witness._of(seq.group, counts)
-    witness.validate_against(seq, size=k)
-    return witness
+    return counts
 
 
 def has_zero_sum_of_length(seq: Sequence, k: int) -> bool:
@@ -107,16 +114,21 @@ def count_zero_sum_subseqs(seq: Sequence, k: int, modulus: int | None = None) ->
     _check_k(seq, k)
     if modulus is not None and modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    pack = get_pack(seq.group.moduli, k)
-    order = pack.order
-    if (k + 1) * order > 5 * 10**7:
+    order = seq.group.order
+    # Cell (c, g) counts the c-subsets with sum g; it never exceeds C(L, c),
+    # so cells of w bits never carry into their neighbours. The bound
+    # (L/j)^j <= C(L, j) refuses a table too wide to build before C(L, j),
+    # which takes seconds at L = 10^6, is computed.
+    cells, j = (k + 1) * order, min(k, seq.length // 2)
+    w = j * ((seq.length // j).bit_length() - 1) + 1 if j else 1
+    if cells * w <= MAX_BITS:
+        w = math.comb(seq.length, j).bit_length()
+    if cells > 5 * 10**7 or cells * w > MAX_BITS:
         raise ValueError(
-            f"counting table of {(k + 1) * order} cells (|G| = {order}, k = {k}) "
+            f"counting table of {cells} cells of at least {w} bits (|G| = {order}, k = {k}) "
             "exceeds the supported size"
         )
-    # Cell (c, g) counts the c-subsets with sum g; it never exceeds C(L, c),
-    # so cells of w bits never carry into their neighbours.
-    w = math.comb(seq.length, min(k, seq.length // 2)).bit_length()
+    pack = get_pack(seq.group.moduli, k)
     block = order * w
     full = (1 << (k + 1) * block) - 1
     table = 1

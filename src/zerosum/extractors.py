@@ -10,10 +10,14 @@ one block, `_peel_blocks` takes blocks until a given number of elements
 remain, and `_combine_blocks` unites the blocks that the quotient instance
 selects.
 
-The input sequence was validated when it was built. Every reduced, lifted
-and witness sequence made from it is built with the trusted `_of`, which
-skips the per-element checks; each returned witness is still checked
-against its parent by `validate_against`.
+The input sequence was validated when it was built, and below it the
+extractors work on plain count dicts. The picks and the quotient searches
+call the engine's private `_find` on ascending (element, multiplicity)
+pairs, and the last block of the square extractors comes from `_square_3n`,
+the recursion behind `extract_square_3n` on counts. No Sequence or Witness
+is built for a reduced, lifted or intermediate multiset: only a witness an
+extractor returns becomes a `Witness`, which must sum to zero and is checked
+against the caller's sequence by `validate_against`.
 """
 
 from __future__ import annotations
@@ -21,9 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .engine import find_zero_sum_subseq
-from .groups import Element, Group, min_nondivisor
+from .engine import _find, find_zero_sum_subseq
+from .groups import Element, min_nondivisor
 from .sequences import Sequence, Witness, counts_sum
+
+
+Counts = dict[Element, int]
+# pick(moduli, items, d): the counts of d zero-sum elements among `items`,
+# ascending (element, multiplicity) pairs over the group with these moduli.
+Pick = Callable[[tuple[int, ...], list[tuple[Element, int]], int], Counts | None]
 
 
 class PreconditionError(ValueError):
@@ -55,99 +65,91 @@ class BlockDecomposition:
     """Size-d blocks with d-divisible sums, in the order they were taken."""
 
     block_size: int
-    blocks: list[dict[Element, int]] = field(default_factory=list)
+    blocks: list[Counts] = field(default_factory=list)
     block_sums: list[Element] = field(default_factory=list)
 
 
-def _pull_back(
-    counts: dict[Element, int], quotient_witness: Witness, d: int
-) -> dict[Element, int]:
-    """Choose concrete elements realizing a quotient witness, smallest first."""
-    taken: dict[Element, int] = {}
-    for residue, needed in quotient_witness.counts.items():
-        for el in sorted(counts):
-            if needed == 0:
-                break
-            if tuple(c % d for c in el) != residue:
-                continue
-            avail = counts[el] - taken.get(el, 0)
-            if avail > 0:
-                use = min(avail, needed)
-                taken[el] = taken.get(el, 0) + use
-                needed -= use
-        if needed:
-            raise AssertionError("quotient witness not realizable in parent")
+def _pull_back(counts: Counts, residues: Counts, d: int) -> Counts:
+    """Choose concrete elements realizing the residue counts mod d, smallest first."""
+    need = dict(residues)
+    taken: Counts = {}
+    for el in sorted(counts):
+        key = tuple([c % d for c in el])
+        short = need.get(key)
+        if short:
+            taken[el] = use = min(counts[el], short)
+            need[key] = short - use
+    if any(need.values()):
+        raise AssertionError("quotient witness not realizable in parent")
     return taken
 
 
-def _subtract(counts: dict[Element, int], taken: dict[Element, int]) -> None:
+def _subtract(counts: Counts, taken: Counts) -> None:
     for el, m in taken.items():
         counts[el] -= m
         if counts[el] == 0:
             del counts[el]
 
 
-def _found(result, what: str):
+def _found(result, what: str, *args):
     if result is None:
-        raise AssertionError(f"guaranteed {what} not found")
+        raise AssertionError("guaranteed " + what.format(*args) + " not found")
     return result
 
 
 def _next_block(
-    group: Group,
-    counts: dict[Element, int],
-    d: int,
-    pick: Callable[[Sequence, int], Witness | None],
-    deco: BlockDecomposition,
+    moduli: tuple[int, ...], counts: Counts, d: int, pick: Pick, deco: BlockDecomposition
 ) -> None:
     """Move one size-d block with sum divisible by d from `counts` to `deco`.
 
-    `pick(reduced, d)` chooses d zero-sum residues in the sequence reduced
-    mod d, which lies in (Z/d)^r. A size-1 block is taken directly as the
-    smallest element: that is what any pick over (Z/1)^r pulls back to, and
-    its own sum.
+    The pick runs on the multiset reduced mod d, which lies in (Z/d)^r. A
+    size-1 block is taken directly as the smallest element: that is what any
+    pick over (Z/1)^r pulls back to, and its own sum.
     """
     if d == 1:
         total = min(counts)
         block = {total: 1}
     else:
-        reduced: dict[Element, int] = {}
+        reduced: Counts = {}
         for el, m in counts.items():
-            key = tuple(c % d for c in el)
+            key = tuple([c % d for c in el])
             reduced[key] = reduced.get(key, 0) + m
-        residues = pick(Sequence._of(Group((d,) * group.rank), reduced), d)
-        block = _pull_back(counts, _found(residues, f"size-{d} block"), d)
-        total = counts_sum(group, block)
+        residues = _found(pick((d,) * len(moduli), sorted(reduced.items()), d), "size-{} block", d)
+        block = _pull_back(counts, residues, d)
+        total = counts_sum(moduli, block)
     _subtract(counts, block)
     deco.blocks.append(block)
     deco.block_sums.append(total)
 
 
-def _peel_blocks(seq: Sequence, d: int, keep: int) -> tuple[BlockDecomposition, dict[Element, int]]:
+def _peel_blocks(
+    moduli: tuple[int, ...], counts, d: int, keep: int
+) -> tuple[BlockDecomposition, Counts]:
     """Size-d blocks found by search until `keep` elements remain; returns
-    the blocks and the remaining elements."""
+    the blocks and the remaining elements. `counts` (a mapping or ascending
+    pairs) is not changed."""
     deco = BlockDecomposition(block_size=d)
-    counts = dict(seq.counts)
-    for _ in range((seq.length - keep) // d):
-        _next_block(seq.group, counts, d, find_zero_sum_subseq, deco)
+    counts = dict(counts)
+    for _ in range((sum(counts.values()) - keep) // d):
+        _next_block(moduli, counts, d, _find, deco)
     return deco, counts
 
 
-def _combine_blocks(group: Group, deco: BlockDecomposition, k: int) -> dict[Element, int] | None:
+def _combine_blocks(moduli: tuple[int, ...], deco: BlockDecomposition, k: int) -> Counts | None:
     """The union of k blocks whose sums, divided by d, sum to zero in the
     quotient group, taking the earliest block for each chosen value; None
     when no k of them do."""
     d = deco.block_size
-    lifted = [tuple(c // d for c in s) for s in deco.block_sums]
-    counts: dict[Element, int] = {}
+    lifted = deco.block_sums
+    if d > 1:
+        lifted = [tuple([c // d for c in s]) for s in lifted]
+    counts: Counts = {}
     for x in lifted:
         counts[x] = counts.get(x, 0) + 1
-    quotient = Group((group.moduli[0] // d,) * group.rank)
-    chosen = find_zero_sum_subseq(Sequence._of(quotient, counts), k)
-    if chosen is None:
+    need = _find((moduli[0] // d,) * len(moduli), sorted(counts.items()), k)
+    if need is None:
         return None
-    need = dict(chosen.counts)
-    union: dict[Element, int] = {}
+    union: Counts = {}
     for block, x in zip(deco.blocks, lifted):
         if need.get(x):
             need[x] -= 1
@@ -156,28 +158,39 @@ def _combine_blocks(group: Group, deco: BlockDecomposition, k: int) -> dict[Elem
     return union
 
 
-def _witness(seq: Sequence, counts: dict[Element, int] | None, size: int) -> Witness:
+def _witness(seq: Sequence, counts: Counts | None, size: int) -> Witness:
     witness = Witness._of(seq.group, _found(counts, "block selection"))
     witness.validate_against(seq, size=size)
     return witness
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args) -> None:
+    """Raise a PreconditionError unless `cond`, formatting the message only then."""
     if not cond:
-        raise PreconditionError(message)
+        raise PreconditionError(message.format(*args))
+
+
+def _require_zero_sum(seq: Sequence, formula: str, needed: int, exact: bool = True) -> None:
+    """A zero-sum sequence of the length that `formula` names: exactly
+    `needed` elements, or at least that many."""
+    _require(seq.is_zero_sum(), "sequence must be zero-sum")
+    if (seq.length != needed) if exact else (seq.length < needed):
+        at = "" if exact else "at least "
+        raise PreconditionError(
+            f"sequence length must be {at}{formula} = {needed}, got {seq.length}"
+        )
 
 
 def _cyclic_n(seq: Sequence) -> int:
-    _require(seq.group.rank == 1, f"expected a cyclic group, got {seq.group}")
+    _require(seq.group.rank == 1, "expected a cyclic group, got {}", seq.group)
     return seq.group.moduli[0]
 
 
 def _square_n(seq: Sequence) -> int:
-    _require(
-        seq.group.rank == 2 and seq.group.moduli[0] == seq.group.moduli[1],
-        f"expected a group of the form (Z/n)^2, got {seq.group}",
-    )
-    return seq.group.moduli[0]
+    moduli = seq.group.moduli
+    ok = len(moduli) == 2 and moduli[0] == moduli[1]
+    _require(ok, "expected a group of the form (Z/n)^2, got {}", seq.group)
+    return moduli[0]
 
 
 def extract_cyclic_block(seq: Sequence, d: int) -> Witness:
@@ -190,29 +203,25 @@ def extract_cyclic_block(seq: Sequence, d: int) -> Witness:
     """
     n = _cyclic_n(seq)
     deco = cyclic_block_decomposition(seq, d)
-    return _witness(seq, _combine_blocks(seq.group, deco, n // d), n)
+    return _witness(seq, _combine_blocks(seq.group.moduli, deco, n // d), n)
 
 
 def cyclic_block_decomposition(seq: Sequence, d: int) -> BlockDecomposition:
     """The block structure behind extract_cyclic_block; no leftover remains."""
     n = _cyclic_n(seq)
-    _require(d >= 1 and n % d == 0, f"d = {d} must divide n = {n}")
-    _require(seq.is_zero_sum(), "sequence must be zero-sum")
-    _require(
-        seq.length == 2 * n - d,
-        f"sequence length must be 2n - d = {2 * n - d}, got {seq.length}",
-    )
-    deco, last = _peel_blocks(seq, d, d)
+    _require(d >= 1 and n % d == 0, "d = {} must divide n = {}", d, n)
+    _require_zero_sum(seq, "2n - d", 2 * n - d)
+    deco, last = _peel_blocks(seq.group.moduli, seq.counts, d, d)
     # The final d elements sum to zero mod d because the whole sequence does.
     deco.blocks.append(last)
-    deco.block_sums.append(counts_sum(seq.group, last))
+    deco.block_sums.append(counts_sum(seq.group.moduli, last))
     return deco
 
 
 def extract_cyclic_nt(seq: Sequence, t: int) -> Witness:
     """Witness of size n*t from a zero-sum cyclic sequence of length at least
     (t+1)n - l + 1, by peeling one length-n witness per round."""
-    counts: dict[Element, int] = {}
+    counts: Counts = {}
     for w in extract_cyclic_nt_rounds(seq, t):
         for el, m in w.counts.items():
             counts[el] = counts.get(el, 0) + m
@@ -222,20 +231,15 @@ def extract_cyclic_nt(seq: Sequence, t: int) -> Witness:
 def extract_cyclic_nt_rounds(seq: Sequence, t: int) -> list[Witness]:
     """The per-round length-n witnesses; each round's removal stays zero-sum."""
     n = _cyclic_n(seq)
-    _require(t >= 1, f"t must be >= 1, got {t}")
-    _require(seq.is_zero_sum(), "sequence must be zero-sum")
-    needed = (t + 1) * n - min_nondivisor(n, 1) + 1
-    _require(
-        seq.length >= needed,
-        f"sequence length must be at least (t+1)n - l + 1 = {needed}, got {seq.length}",
-    )
+    _require(t >= 1, "t must be >= 1, got {}", t)
+    _require_zero_sum(seq, "(t+1)n - l + 1", (t + 1) * n - min_nondivisor(n, 1) + 1, exact=False)
     rounds: list[Witness] = []
     current = seq
     for _ in range(t):
         # Past 2n - 1 EGZ applies; below it d = 2n - length is at most l - 1,
         # so d divides n by the minimality of l.
         if current.length >= 2 * n - 1:
-            w = _found(find_zero_sum_subseq(current, n), f"length-{n} witness")
+            w = _found(find_zero_sum_subseq(current, n), "length-{} witness", n)
         else:
             w = extract_cyclic_block(current, 2 * n - current.length)
         rounds.append(w)
@@ -253,23 +257,26 @@ def extract_square_3n(seq: Sequence) -> Witness:
     in which case the complement of their blocks is the witness.
     """
     n = _square_n(seq)
-    _require(seq.is_zero_sum(), "sequence must be zero-sum")
-    _require(
-        seq.length == 3 * n,
-        f"sequence length must be 3n = {3 * n}, got {seq.length}",
-    )
+    _require_zero_sum(seq, "3n", 3 * n)
+    return _witness(seq, _square_3n(seq.group.moduli, seq.items(), n), n)
+
+
+def _square_3n(moduli: tuple[int, ...], items: list[tuple[Element, int]], n: int) -> Counts:
+    """The counts of `extract_square_3n`'s witness, from the ascending
+    (element, multiplicity) pairs of a zero-sum multiset of 3n elements of
+    (Z/n)^2. It is also the pick for the square extractors' last block."""
     if n == 1:
-        return _witness(seq, {(0, 0): 1}, 1)
+        return {(0, 0): 1}
     split = factor_smallest_prime(n)
     p, m = split.p, split.m
-    deco, rest = _peel_blocks(seq, m, 3 * m)
-    _next_block(seq.group, rest, m, lambda reduced, _: extract_square_3n(reduced), deco)
-    union = _combine_blocks(seq.group, deco, p)
+    deco, rest = _peel_blocks(moduli, items, m, 3 * m)
+    _next_block(moduli, rest, m, _square_3n, deco)
+    union = _combine_blocks(moduli, deco, p)
     if union is None:
         # (p | lifted) = 0 forces (2p | lifted) != 0; take the complement.
-        union = dict(seq.counts)
-        _subtract(union, _found(_combine_blocks(seq.group, deco, 2 * p), "2p selection"))
-    return _witness(seq, union, n)
+        union = dict(items)
+        _subtract(union, _found(_combine_blocks(moduli, deco, 2 * p), "2p selection"))
+    return union
 
 
 def extract_square_block(seq: Sequence, d: int) -> Witness:
@@ -278,28 +285,20 @@ def extract_square_block(seq: Sequence, d: int) -> Witness:
     reduction mod d gives one more, and n/d of the 4(n/d) - 3 lifted sums
     sum to zero."""
     n = _square_n(seq)
-    _require(d >= 1 and n % d == 0, f"d = {d} must divide n = {n}")
-    _require(seq.is_zero_sum(), "sequence must be zero-sum")
-    _require(
-        seq.length == 4 * n - d,
-        f"sequence length must be 4n - d = {4 * n - d}, got {seq.length}",
-    )
-    deco, rest = _peel_blocks(seq, d, 3 * d)
-    _next_block(seq.group, rest, d, lambda reduced, _: extract_square_3n(reduced), deco)
-    return _witness(seq, _combine_blocks(seq.group, deco, n // d), n)
+    _require(d >= 1 and n % d == 0, "d = {} must divide n = {}", d, n)
+    _require_zero_sum(seq, "4n - d", 4 * n - d)
+    moduli = seq.group.moduli
+    deco, rest = _peel_blocks(moduli, seq.counts, d, 3 * d)
+    _next_block(moduli, rest, d, _square_3n, deco)
+    return _witness(seq, _combine_blocks(moduli, deco, n // d), n)
 
 
 def extract_square_n(seq: Sequence) -> Witness:
     """Length-n witness from a zero-sum sequence in (Z/n)^2 of length at least
     4n - l + 1, where l is the least non-divisor of n that is >= 4."""
     n = _square_n(seq)
-    _require(seq.is_zero_sum(), "sequence must be zero-sum")
-    needed = 4 * n - min_nondivisor(n, 4) + 1
-    _require(
-        seq.length >= needed,
-        f"sequence length must be at least 4n - l + 1 = {needed}, got {seq.length}",
-    )
+    _require_zero_sum(seq, "4n - l + 1", 4 * n - min_nondivisor(n, 4) + 1, exact=False)
     if seq.length >= 4 * n - 3:
-        return _found(find_zero_sum_subseq(seq, n), f"length-{n} witness")
+        return _found(find_zero_sum_subseq(seq, n), "length-{} witness", n)
     # 4 <= d = 4n - length <= l - 1, so d divides n by the minimality of l.
     return extract_square_block(seq, 4 * n - seq.length)

@@ -680,38 +680,16 @@ def reports_to_csv(reports: Iterable[ConstantReport | PropertyReport]) -> str:
     import io
 
     out = io.StringIO()
+    writer = csv.writer(out)
     reports = list(reports)
     if all(isinstance(r, ConstantReport) for r in reports):
-        writer = csv.writer(out)
-        writer.writerow(
-            [
-                "group",
-                "t",
-                "claimed",
-                "computed",
-                "window_lo",
-                "window_hi",
-                "witness",
-                "wall_ms",
-                "sequences_checked",
-            ]
-        )
+        writer.writerow(["group", "t", "claimed", "computed", "window_lo", "window_hi", "witness",
+                         "wall_ms", "sequences_checked"])
         for r in reports:
-            writer.writerow(
-                [
-                    r.group,
-                    r.target,
-                    "" if r.claimed_value is None else r.claimed_value,
-                    r.computed_value,
-                    r.window[0],
-                    r.window[1],
-                    r.extremal_witness,
-                    r.stats.wall_ms,
-                    r.stats.sequences_checked,
-                ]
-            )
+            claimed = "" if r.claimed_value is None else r.claimed_value
+            writer.writerow([r.group, r.target, claimed, r.computed_value, *r.window,
+                             r.extremal_witness, r.stats.wall_ms, r.stats.sequences_checked])
     else:
-        writer = csv.writer(out)
         writer.writerow(["name", "params", "passed", "checked", "violations", "wall_ms"])
         for r in reports:
             if isinstance(r, ConstantReport):

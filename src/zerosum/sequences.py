@@ -14,11 +14,11 @@ class SequenceParseError(GroupParseError):
     """Raised for malformed sequence text or JSON."""
 
 
-def counts_sum(group: Group, counts: Mapping[Element, int]) -> Element:
+def counts_sum(moduli: tuple[int, ...], counts: Mapping[Element, int]) -> Element:
     """Sum of a multiset whose elements are already known to be valid: one
     modular sum per coordinate, with no per-element checks."""
     return tuple(
-        sum(el[a] * m for el, m in counts.items()) % q for a, q in enumerate(group.moduli)
+        sum(el[a] * m for el, m in counts.items()) % q for a, q in enumerate(moduli)
     )
 
 
@@ -62,7 +62,7 @@ class Sequence:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "length", sum(counts.values()))
-        object.__setattr__(self, "total_sum", counts_sum(group, counts))
+        object.__setattr__(self, "total_sum", counts_sum(group.moduli, counts))
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")

@@ -45,6 +45,12 @@ def test_count_spec_example(capsys):
     assert out.strip() == "0"
 
 
+def test_count_refuses_a_table_too_wide_to_build(capsys):
+    code, out, err = run(capsys, "count", "--group", "Z/1", "--seq", "0^100000", "--k", "50000")
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR:usage:") and "exceeds the supported size" in err
+
+
 def test_count_modular(capsys):
     code, out, _ = run(
         capsys, "count", "--group", "Z/3", "--seq", "1^2 2^2", "--k", "2", "--mod", "3"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from zerosum import (
     make_group,
     parse_sequence,
 )
+from zerosum._bitdp import get_pack
+from zerosum.engine import _find
 
 from conftest import oracle_count, oracle_count_table, oracle_exists, random_multiset
 
@@ -209,6 +212,43 @@ def test_state_space_guards():
         find_zero_sum_subseq(s, 400)
     with pytest.raises(ValueError):
         count_zero_sum_subseqs(s, 100)
+
+
+@pytest.mark.parametrize("n, length, k", [(1, 100000, 50000), (1, 24000, 12000), (10**6, 500, 100)])
+def test_count_refuses_wide_cells_before_building_the_table(n, length, k):
+    # Over Z/1, k+1 cells of about `length` bits each: the first table is
+    # refused by the bound (L/j)^j <= C(L, j), the second passes it (12,001 x
+    # 12,001 bits) and is refused by C(L, j) itself (12,001 x 23,993 bits).
+    # The third has too many cells, and its (G, k) pack is not built either.
+    s = Sequence(make_group([n]), {(n - 1,): length})
+    get_pack.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the supported size"):
+            count_zero_sum_subseqs(s, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # the tables would take 0.6 GB, 36 MB and 2.5 GB
+
+
+@pytest.mark.parametrize("moduli", [(1,), (5,), (6,), (8,), (2, 6), (3, 6), (3, 3), (4, 4)])
+def test_private_find_matches_public_and_oracle(moduli):
+    rng = random.Random(13 * sum(moduli) + len(moduli))
+    g = make_group(moduli)
+    seen_none = False
+    for _ in range(25):
+        seq = random_multiset(rng, g, rng.randint(0, 9))
+        for k in range(seq.length + 1):
+            counts = _find(g.moduli, seq.items(), k)
+            w = find_zero_sum_subseq(seq, k)
+            assert counts == (None if w is None else w.counts)
+            assert (counts is None) == (not oracle_exists(seq, k))
+            if counts is None:
+                seen_none = True
+            else:
+                assert list(counts) == sorted(counts)
+    assert seen_none or moduli == (1,)
 
 
 def test_pack_shares_rotation_masks_by_axis_and_shift():

@@ -21,11 +21,13 @@ from zerosum import (
     make_group,
     min_nondivisor,
 )
+from zerosum.engine import _find
 from zerosum.extractors import (
     BlockDecomposition,
     _next_block,
     _peel_blocks,
     _pull_back,
+    _square_3n,
     _subtract,
 )
 
@@ -88,7 +90,7 @@ def _general_size1_block(group, counts):
     element there, and pull it back to the parent."""
     trivial = make_group([1] * group.rank)
     reduced = Sequence(trivial, {trivial.identity(): sum(counts.values())})
-    return _pull_back(counts, find_zero_sum_subseq(reduced, 1), 1)
+    return _pull_back(counts, find_zero_sum_subseq(reduced, 1).counts, 1)
 
 
 def _general_size1_tail(counts):
@@ -96,7 +98,7 @@ def _general_size1_tail(counts):
     recursion on the last three elements reduced into (Z/1)^2, pulled back."""
     trivial = make_group([1, 1])
     reduced = Sequence(trivial, {(0, 0): sum(counts.values())})
-    return _pull_back(counts, extract_square_3n(reduced), 1)
+    return _pull_back(counts, extract_square_3n(reduced).counts, 1)
 
 
 @pytest.mark.parametrize("moduli", [(5,), (6,), (3, 3), (4, 4), (2, 2, 2)])
@@ -108,7 +110,7 @@ def test_take_block_size_one_matches_general_route(moduli):
         fast, slow = dict(seq.counts), dict(seq.counts)
         deco = BlockDecomposition(block_size=1)
         while fast:
-            _next_block(g, fast, 1, find_zero_sum_subseq, deco)
+            _next_block(g.moduli, fast, 1, _find, deco)
             block = _general_size1_block(g, slow)
             _subtract(slow, block)
             assert deco.blocks[-1] == block
@@ -128,8 +130,8 @@ def test_square_blocks_size_one_matches_general_route(n):
             expected.append(_general_size1_block(g, counts))
             _subtract(counts, expected[-1])
         expected.append(_general_size1_tail(counts))
-        deco, rest = _peel_blocks(seq, 1, 3)
-        _next_block(g, rest, 1, lambda reduced, _: extract_square_3n(reduced), deco)
+        deco, rest = _peel_blocks(g.moduli, seq.counts, 1, 3)
+        _next_block(g.moduli, rest, 1, _square_3n, deco)
         assert deco.blocks == expected
         assert deco.block_sums == [Sequence(g, b).total_sum for b in expected]
 
