@@ -47,6 +47,7 @@ class GroupPack:
         self.initial = 1  # count 0, identity sum
         self._parts: dict[tuple[int, int], tuple] = {}
         self._axis_parts: dict[tuple[int, int], tuple] = {}
+        self._plans: dict[tuple[int, int], tuple] = {}
 
     # -- element indices ------------------------------------------------------
 
@@ -118,19 +119,26 @@ class GroupPack:
 
     def add_copies(self, mask: int, i: int, mult: int) -> int:
         """Allow up to `mult` copies of element i, split into binary chunks
-        of 1, 2, 4, ... copies that are each taken whole or not at all."""
-        remaining = min(mult, self.k)
-        order, full, parts = self.order, self.full, self.parts
-        size = 1
-        while remaining > 0:
-            chunk = min(size, remaining)
-            moved = (mask << (chunk * order)) & full
-            for lo, up, down, lod in parts(i, chunk):
+        of 1, 2, 4, ... copies that are each taken whole or not at all. The
+        chunks are planned once per (element, min(mult, k)) and replayed."""
+        key = (i, min(mult, self.k))
+        full = self.full
+        for shift, parts in self._plans.get(key) or self._plan(key):
+            moved = (mask << shift) & full
+            for lo, up, down, lod in parts:
                 moved = ((moved & lo) << up) | ((moved >> down) & lod)
             mask |= moved
-            remaining -= chunk
-            size <<= 1
         return mask
+
+    def _plan(self, key: tuple[int, int]) -> tuple:
+        """Cache and return (count shift, `parts(i, chunk)`) per chunk of key = (i, copies)."""
+        (i, copies), plan, size = key, [], 1
+        while copies > 0:
+            chunk = min(size, copies)
+            plan.append((chunk * self.order, self.parts(i, chunk)))
+            copies, size = copies - chunk, size * 2
+        plan = self._plans[key] = tuple(plan)
+        return plan
 
     def has(self, mask: int, count: int, index: int = 0) -> bool:
         return bool((mask >> (count * self.order + index)) & 1)

@@ -7,8 +7,8 @@ zero-sum instance over the lifted values selects which blocks to combine.
 Running an extractor therefore exercises the reduction it implements. Every
 extractor is its hypothesis checks plus three routines: `_next_block` takes
 one block, `_peel_blocks` takes blocks until a given number of elements
-remain, and `_combine_blocks` unites the blocks that the quotient instance
-selects.
+remain and then a last block, and `_combine_blocks` unites the blocks that
+the quotient instance selects.
 
 The input sequence was validated when it was built, and below it the
 extractors work on plain count dicts. The picks and the quotient searches
@@ -123,16 +123,22 @@ def _next_block(
 
 
 def _peel_blocks(
-    moduli: tuple[int, ...], counts, d: int, keep: int
-) -> tuple[BlockDecomposition, Counts]:
-    """Size-d blocks found by search until `keep` elements remain; returns
-    the blocks and the remaining elements. `counts` (a mapping or ascending
-    pairs) is not changed."""
+    moduli: tuple[int, ...], counts, d: int, keep: int, last: Pick | None = None
+) -> BlockDecomposition:
+    """Size-d blocks found by search until `keep` elements remain, then one
+    more: `last` picks it from those, or, with no `last`, they are the block
+    (keep = d, and their sum is divisible by d because the whole multiset
+    sums to zero). `counts` (a mapping or ascending pairs) is not changed."""
     deco = BlockDecomposition(block_size=d)
     counts = dict(counts)
     for _ in range((sum(counts.values()) - keep) // d):
         _next_block(moduli, counts, d, _find, deco)
-    return deco, counts
+    if last is not None:
+        _next_block(moduli, counts, d, last, deco)
+    else:
+        deco.blocks.append(counts)
+        deco.block_sums.append(counts_sum(moduli, counts))
+    return deco
 
 
 def _combine_blocks(moduli: tuple[int, ...], deco: BlockDecomposition, k: int) -> Counts | None:
@@ -211,39 +217,40 @@ def cyclic_block_decomposition(seq: Sequence, d: int) -> BlockDecomposition:
     n = _cyclic_n(seq)
     _require(d >= 1 and n % d == 0, "d = {} must divide n = {}", d, n)
     _require_zero_sum(seq, "2n - d", 2 * n - d)
-    deco, last = _peel_blocks(seq.group.moduli, seq.counts, d, d)
-    # The final d elements sum to zero mod d because the whole sequence does.
-    deco.blocks.append(last)
-    deco.block_sums.append(counts_sum(seq.group.moduli, last))
-    return deco
+    return _peel_blocks(seq.group.moduli, seq.counts, d, d)
 
 
 def extract_cyclic_nt(seq: Sequence, t: int) -> Witness:
     """Witness of size n*t from a zero-sum cyclic sequence of length at least
     (t+1)n - l + 1, by peeling one length-n witness per round."""
     counts: Counts = {}
-    for w in extract_cyclic_nt_rounds(seq, t):
-        for el, m in w.counts.items():
+    for w in _cyclic_nt_rounds(seq, t):
+        for el, m in w.items():
             counts[el] = counts.get(el, 0) + m
     return _witness(seq, counts, seq.group.moduli[0] * t)
 
 
 def extract_cyclic_nt_rounds(seq: Sequence, t: int) -> list[Witness]:
     """The per-round length-n witnesses; each round's removal stays zero-sum."""
+    return [Witness._of(seq.group, w) for w in _cyclic_nt_rounds(seq, t)]
+
+
+def _cyclic_nt_rounds(seq: Sequence, t: int) -> list[Counts]:
+    """Each round's length-n witness counts, by `_find` or `extract_cyclic_block`'s blocks."""
     n = _cyclic_n(seq)
     _require(t >= 1, "t must be >= 1, got {}", t)
     _require_zero_sum(seq, "(t+1)n - l + 1", (t + 1) * n - min_nondivisor(n, 1) + 1, exact=False)
-    rounds: list[Witness] = []
-    current = seq
+    moduli, counts, rounds = seq.group.moduli, dict(seq.counts), []
     for _ in range(t):
         # Past 2n - 1 EGZ applies; below it d = 2n - length is at most l - 1,
         # so d divides n by the minimality of l.
-        if current.length >= 2 * n - 1:
-            w = _found(find_zero_sum_subseq(current, n), "length-{} witness", n)
+        d = 2 * n - sum(counts.values())
+        if d <= 1:
+            w = _found(_find(moduli, sorted(counts.items()), n), "length-{} witness", n)
         else:
-            w = extract_cyclic_block(current, 2 * n - current.length)
+            w = _found(_combine_blocks(moduli, _peel_blocks(moduli, counts, d, d), n // d), "block selection")
+        _subtract(counts, w)
         rounds.append(w)
-        current = current.remove_witness(w)
     return rounds
 
 
@@ -269,8 +276,7 @@ def _square_3n(moduli: tuple[int, ...], items: list[tuple[Element, int]], n: int
         return {(0, 0): 1}
     split = factor_smallest_prime(n)
     p, m = split.p, split.m
-    deco, rest = _peel_blocks(moduli, items, m, 3 * m)
-    _next_block(moduli, rest, m, _square_3n, deco)
+    deco = _peel_blocks(moduli, items, m, 3 * m, _square_3n)
     union = _combine_blocks(moduli, deco, p)
     if union is None:
         # (p | lifted) = 0 forces (2p | lifted) != 0; take the complement.
@@ -288,8 +294,7 @@ def extract_square_block(seq: Sequence, d: int) -> Witness:
     _require(d >= 1 and n % d == 0, "d = {} must divide n = {}", d, n)
     _require_zero_sum(seq, "4n - d", 4 * n - d)
     moduli = seq.group.moduli
-    deco, rest = _peel_blocks(moduli, seq.counts, d, 3 * d)
-    _next_block(moduli, rest, d, _square_3n, deco)
+    deco = _peel_blocks(moduli, seq.counts, d, 3 * d, _square_3n)
     return _witness(seq, _combine_blocks(moduli, deco, n // d), n)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -96,14 +97,7 @@ class Group:
 
     def elements(self) -> Iterator[Element]:
         """All elements in ascending coordinate order."""
-        def rec(prefix: tuple[int, ...], i: int) -> Iterator[Element]:
-            if i == self.rank:
-                yield prefix
-                return
-            for c in range(self.moduli[i]):
-                yield from rec(prefix + (c,), i + 1)
-
-        yield from rec((), 0)
+        return itertools.product(*[range(m) for m in self.moduli])
 
     def _check(self, el: Element) -> None:
         if not self.contains(el):

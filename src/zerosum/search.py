@@ -36,13 +36,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence as Seq
 
 from ._bitdp import get_pack
-from .engine import count_zero_sum_subseqs, find_zero_sum_subseq
-from .extractors import PreconditionError, extract_square_3n, factor_smallest_prime
+from .engine import _find, count_zero_sum_subseqs
+from .extractors import PreconditionError, _found, _square_3n, factor_smallest_prime
 from .groups import Group, make_group, min_nondivisor
-from .sequences import Sequence, serialize_sequence
+from .sequences import Sequence, _check_witness, serialize_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -869,17 +870,6 @@ def check_lemma_por2p(
 # Recursive-lemma check at length 3n
 
 
-def _check_3n_sequence(seq: Sequence, n: int) -> str | None:
-    """Engine and proof-following extractor must both produce valid witnesses."""
-    w_engine = find_zero_sum_subseq(seq, n)
-    if w_engine is None:
-        return f"engine found no witness in {serialize_sequence(seq)}"
-    w_engine.validate_against(seq, size=n)
-    w_proof = extract_square_3n(seq)
-    w_proof.validate_against(seq, size=n)
-    return None
-
-
 def _random_multiset(rng: random.Random, order: int, size: int) -> list[int]:
     """Uniform multiplicity vector of the given total via stars and bars."""
     bars = [-1, *sorted(rng.sample(range(size + order - 1), order - 1)), size + order - 1]
@@ -895,47 +885,55 @@ def check_lemma_3n(
     """Zero-sum multisets of size 3n over (Z/n)^2 always yield a length-n
     witness, and the block-recursive extractor succeeds on each of them.
 
-    Exhaustive when the instance space is desk-sized (n <= 3), sampled
-    otherwise.
+    Exhaustive when the instance space is desk-sized (n <= 3), in the order
+    of `enumerate_multisets`, and sampled otherwise. `_find` and the
+    extractor's `_square_3n` run on counts, each witness is validated once as
+    a `Witness` would be, and only a counterexample's text builds a `Sequence`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     budget = budget or SearchBudget()
     start = time.monotonic()
     group = make_group([n, n])
+    moduli, elements = group.moduli, list(group.elements())
+    length, deadline = 3 * n, start + budget.max_seconds
     checked = violations = 0
     counterexample = None
     exhaustive = n <= 3
 
-    def run_one(seq: Sequence) -> None:
+    def run_one(mults: list[int]) -> None:
         nonlocal checked, violations, counterexample
         checked += 1
-        problem = _check_3n_sequence(seq, n)
-        if problem is not None:
+        items = [(el, m) for el, m in zip(elements, mults) if m]
+        counts = dict(items)
+        found = _find(moduli, items, n)
+        if found is None:
             violations += 1
             if counterexample is None:
-                counterexample = problem
+                counterexample = "engine found no witness in " + serialize_sequence(Sequence._of(group, counts))
+            return
+        _check_witness(moduli, found, counts, n)
+        _check_witness(moduli, _found(_square_3n(moduli, items, n), "block selection"), counts, n)
 
     if exhaustive:
-        enumerate_multisets(group, 3 * n, run_one, budget=budget)
+        def emit(mults: list[int], a: int, hi: int, s: int) -> None:
+            mults[0] = length - a  # as enumerate_multisets, in its order
+            run_one(mults)
+
+        _walk(moduli, length + 1, length, _chunks(moduli, length + 1, length), [length], emit,
+              budget.max_nodes, deadline, zero_sum=True)
     else:
         rng = random.Random(seed)
-        pack = get_pack(group.moduli, 0)
-        plus = [pack.plus(i) for i in range(group.order)]
-        deadline = start + budget.max_seconds
+        axes = list(zip(*elements))
         attempts = 0
         while checked < samples:
             attempts += 1
             if attempts > budget.max_nodes or time.monotonic() > deadline:
                 raise BudgetExceeded(f"sampling budget exhausted after {attempts} draws")
-            mults = _random_multiset(rng, group.order, 3 * n)
-            total = 0
-            for i, m in enumerate(mults):
-                for _ in range(m):
-                    total = plus[i][total]
-            if total:
+            mults = _random_multiset(rng, group.order, length)
+            if any(sum(map(mul, mults, axis)) % n for axis in axes):
                 continue
-            run_one(_sequence_of(group, mults))
+            run_one(mults)
 
     return PropertyReport(
         name="lemma3n",

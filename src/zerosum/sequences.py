@@ -22,6 +22,20 @@ def counts_sum(moduli: tuple[int, ...], counts: Mapping[Element, int]) -> Elemen
     )
 
 
+def _check_witness(
+    moduli: tuple[int, ...], counts: Mapping[Element, int], parent=None, size=None, total=None
+) -> None:
+    """The rules of a witness, on plain counts: it sums to zero (to `total`,
+    its sum when known), and, given a parent's counts and a size, lies inside
+    them and has exactly that many elements. Raises what a `Witness` raises."""
+    if any(counts_sum(moduli, counts) if total is None else total):
+        raise ValueError(f"witness does not sum to the identity: {dict(sorted(counts.items()))}")
+    if parent is not None and any(parent.get(el, 0) < m for el, m in counts.items()):
+        raise ValueError("witness exceeds parent multiplicities")
+    if size is not None and (length := sum(counts.values())) != size:
+        raise ValueError(f"witness has length {length}, expected {size}")
+
+
 class Sequence:
     """A finite multiset of group elements, stored as element -> multiplicity.
 
@@ -127,17 +141,13 @@ class Witness(Sequence):
     def _set(self, group: Group, counts: Mapping[Element, int]) -> None:
         """Both constructors end here, so the trusted one checks the sum too."""
         super()._set(group, counts)
-        if not self.is_zero_sum():
-            raise ValueError(f"witness does not sum to the identity: {self.counts}")
+        _check_witness(group.moduli, self.counts, total=self.total_sum)
 
     def validate_against(self, parent: Sequence, size: int | None = None) -> None:
         """Check containment in the parent and, optionally, the exact size."""
         if parent.group != self.group:
             raise ValueError("witness group does not match parent group")
-        if not parent.contains_multiset(self.counts):
-            raise ValueError("witness exceeds parent multiplicities")
-        if size is not None and self.length != size:
-            raise ValueError(f"witness has length {self.length}, expected {size}")
+        _check_witness(self.group.moduli, self.counts, parent.counts, size, self.total_sum)
 
 
 def _format_element(el: Element) -> str:

@@ -265,3 +265,46 @@ def test_pack_shares_rotation_masks_by_axis_and_shift():
     assert pack.parts(pack.index((1, 2)), 2)[0] is a[0]
     # The per-(element, copies) tuple is cached too.
     assert pack.parts(pack.index((2, 1))) is a
+
+
+def _fold_oracle(moduli, k, mask, x, mult):
+    """Up to `mult` copies of x added to every (count, sum) bit of `mask`,
+    with the group's own arithmetic rather than rotation masks."""
+    g = make_group(moduli)
+    elements = list(g.elements())
+    index = {el: i for i, el in enumerate(elements)}
+    out = 0
+    for c in range(k + 1):
+        for i, el in enumerate(elements):
+            if mask >> (c * len(elements) + i) & 1:
+                for j in range(min(mult, k - c) + 1):
+                    out |= 1 << ((c + j) * len(elements) + index[g.add(el, g.scale(x, j))])
+    return out
+
+
+@pytest.mark.parametrize("moduli", [(7,), (3, 3), (2, 6)])
+def test_add_copies_replays_a_cached_chunk_plan(moduli):
+    from zerosum._bitdp import GroupPack
+
+    rng = random.Random(sum(moduli))
+    for k in range(1, 7):
+        pack = GroupPack(moduli, k)
+        for i in range(pack.order):
+            x = pack.coords(i)
+            for mult in range(k + 3):
+                mask = pack.initial | rng.getrandbits(pack.width) & rng.getrandbits(pack.width)
+                one_at_a_time = mask
+                for _ in range(mult):
+                    one_at_a_time = pack.add_copies(one_at_a_time, i, 1)
+                got = pack.add_copies(mask, i, mult)
+                assert got == one_at_a_time == _fold_oracle(moduli, k, mask, x, mult)
+                # The plan is keyed on the copies that can matter, min(mult, k),
+                # and holds the very `parts` tuples of its chunks.
+                plan = pack._plans[i, min(mult, k)]
+                assert (i, mult) not in pack._plans or mult <= k
+                assert sum(shift for shift, _ in plan) == min(mult, k) * pack.order
+                for shift, parts in plan:
+                    assert parts is pack.parts(i, shift // pack.order)
+            plan = pack._plans[i, k]
+            pack.add_copies(pack.initial, i, k + 2)  # replays the (i, k) plan
+            assert pack._plans[i, k] is plan and (i, k + 2) not in pack._plans

@@ -1,8 +1,10 @@
 """Constants search: formulas, enumeration, brute force, and suite checks."""
 
+import collections
 import functools
 import itertools
 import json
+import random
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +25,8 @@ from zerosum import (
     conjecture_value,
     count_zero_sum_subseqs,
     enumerate_multisets,
+    extract_square_3n,
+    find_zero_sum_subseq,
     formula_modified_cyclic,
     formula_modified_square,
     has_zero_sum_of_length,
@@ -581,6 +585,106 @@ def test_lemma3n_sampled_small():
     rep = check_lemma_3n(4, samples=25, seed=2)
     assert rep.passed and rep.params["mode"] == "sample"
     assert rep.checked == 25
+
+
+def _record_lemma_3n(monkeypatch) -> list:
+    """Wrap the two witness searches of check_lemma_3n; each checked multiset
+    leaves [items, engine witness, extractor witness]."""
+    import zerosum.search as search
+
+    seen = []
+    find, square = search._find, search._square_3n
+
+    def record_find(moduli, items, k):
+        seen.append([list(items), find(moduli, items, k), None])
+        return seen[-1][1]
+
+    def record_square(moduli, items, k):
+        seen[-1][2] = square(moduli, items, k)
+        return seen[-1][2]
+
+    monkeypatch.setattr(search, "_find", record_find)
+    monkeypatch.setattr(search, "_square_3n", record_square)
+    return seen
+
+
+def _agrees_with_public_path(group, seen, n):
+    for items, engine, proof in seen:
+        seq = Sequence(group, dict(items))
+        assert engine == find_zero_sum_subseq(seq, n).counts
+        assert proof == extract_square_3n(seq).counts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lemma3n_counts_check_agrees_with_public_path_exhaustive(monkeypatch, n):
+    seen = _record_lemma_3n(monkeypatch)
+    rep = check_lemma_3n(n)
+    group = make_group([n, n])
+    zero_sum = set()
+    for combo in itertools.combinations_with_replacement(group.elements(), 3 * n):
+        if not any(sum(c) % n for c in zip(*combo)):
+            zero_sum.add(tuple(sorted(collections.Counter(combo).items())))
+    assert rep.passed and rep.checked == len(seen) == len(zero_sum)
+    assert {tuple(items) for items, _, _ in seen} == zero_sum
+    walk = []
+    enumerate_multisets(group, 3 * n, lambda seq: walk.append(seq.items()))
+    assert [items for items, _, _ in seen] == walk  # in the walk's colex order
+    _agrees_with_public_path(group, seen, n)
+
+
+@pytest.mark.parametrize("n, seed", [(4, 5), (6, 6)])
+def test_lemma3n_counts_check_agrees_with_public_path_sampled(monkeypatch, n, seed):
+    import zerosum.search as search
+
+    seen = _record_lemma_3n(monkeypatch)
+    rep = check_lemma_3n(n, samples=200, seed=seed)
+    group = make_group([n, n])
+    # The same draws, tested for a zero sum with the group's own arithmetic.
+    rng, elements, drawn = random.Random(seed), list(group.elements()), []
+    while len(drawn) < 200:
+        mults = search._random_multiset(rng, group.order, 3 * n)
+        total = group.identity()
+        for el, m in zip(elements, mults):
+            total = group.add(total, group.scale(el, m))
+        if total == group.identity():
+            drawn.append([(el, m) for el, m in zip(elements, mults) if m])
+    assert rep.passed and rep.checked == 200
+    assert [items for items, _, _ in seen] == drawn
+    _agrees_with_public_path(group, seen, n)
+
+
+# What the check must raise, or report, when one witness search returns a bad
+# witness: the errors of Witness and validate_against, as before the check ran
+# on counts.
+_BAD_WITNESSES = {
+    "size": (lambda moduli, items, k: {}, ValueError, "witness has length 0, expected {n}"),
+    "sum": (lambda moduli, items, k: {(0, 1): 1}, ValueError,
+            "witness does not sum to the identity: {{(0, 1): 1}}"),
+    "contained": (lambda moduli, items, k: {(0, 0): 3 * k + 1}, ValueError,
+                  "witness exceeds parent multiplicities"),
+    "none": (lambda moduli, items, k: None, AssertionError, "guaranteed block selection not found"),
+}
+
+
+@pytest.mark.parametrize("search_name", ["_square_3n", "_find"])
+@pytest.mark.parametrize("bad", sorted(_BAD_WITNESSES))
+@pytest.mark.parametrize("n, samples", [(2, None), (4, 20)])
+def test_lemma3n_validates_each_witness(monkeypatch, search_name, bad, n, samples):
+    import zerosum.search as search
+
+    fake, error, message = _BAD_WITNESSES[bad]
+    monkeypatch.setattr(search, search_name, fake)
+    kw = {} if samples is None else {"samples": samples, "seed": 3}
+    if search_name == "_find" and bad == "none":
+        rep = check_lemma_3n(n, **kw)
+        assert not rep.passed and rep.violations == rep.checked == (24 if n == 2 else samples)
+        assert rep.counterexample == "engine found no witness in " + (
+            "Z/2^2: (0,0)^6" if n == 2 else "Z/4^2: (1,0) (1,1)^4 (1,2) (2,0)^2 (2,3)^2 (3,2)^2"
+        )
+        return
+    with pytest.raises(error) as info:
+        check_lemma_3n(n, **kw)
+    assert type(info.value) is error and str(info.value) == message.format(n=n)
 
 
 def test_verify_explicit_samples_are_not_the_default():

@@ -130,8 +130,7 @@ def test_square_blocks_size_one_matches_general_route(n):
             expected.append(_general_size1_block(g, counts))
             _subtract(counts, expected[-1])
         expected.append(_general_size1_tail(counts))
-        deco, rest = _peel_blocks(g.moduli, seq.counts, 1, 3)
-        _next_block(g.moduli, rest, 1, _square_3n, deco)
+        deco = _peel_blocks(g.moduli, seq.counts, 1, 3, _square_3n)
         assert deco.blocks == expected
         assert deco.block_sums == [Sequence(g, b).total_sum for b in expected]
 
