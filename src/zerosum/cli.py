@@ -1,16 +1,23 @@
 """Command-line front door: detect, count, extract, construct, constant, verify.
 
-Exit codes: 0 success, 1 property violated or value discrepancy, 2 usage
-error, 3 budget exhausted. Errors go to stderr as one line with a stable
-machine-greppable prefix "ERROR:<kind>:".
+Exit codes: 0 success, 1 property violated or value discrepancy, 2 usage,
+parse or precondition error, 3 budget exhausted, 4 internal error (a fault
+in the program, not in its input). Errors go to stderr as one line with a
+stable machine-greppable prefix "ERROR:<kind>:".
+
+The CLI is the only place that starts worker processes: `constant` and
+`verify` open one pool when --workers (or ZEROSUM_WORKERS) is above 1 and
+hand it to the library as an executor.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 from .constructions import (
     build_cyclic_extremal,
@@ -120,22 +127,26 @@ def _budget_from(args) -> SearchBudget:
     return budget
 
 
-def _workers_from(args) -> int:
+def _pool_from(args) -> contextlib.AbstractContextManager:
+    """A worker pool for the library when --workers (or ZEROSUM_WORKERS) is
+    above 1; otherwise a context that yields None, the library's serial mode."""
     env = os.environ.get("ZEROSUM_WORKERS")
     workers = int(env) if env else 1
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         workers = args.workers
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    return workers
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_text: str | None = None) -> None:
+    """Print one command's result; JSON gets the schema and command keys."""
     if args.format == "json":
+        payload = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":
         if csv_text is None:
-            raise UsageError(f"--format csv is not supported for {payload['command']}")
+            raise UsageError(f"--format csv is not supported for {args.command}")
         sys.stdout.write(csv_text)
     else:
         for line in text_lines:
@@ -150,8 +161,6 @@ def _cmd_detect(args) -> int:
     seq = _load_sequence(args)
     witness = find_zero_sum_subseq(seq, args.k)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "detect",
         "sequence": serialize_sequence(seq),
         "k": args.k,
         "found": witness is not None,
@@ -166,8 +175,6 @@ def _cmd_count(args) -> int:
     seq = _load_sequence(args)
     value = count_zero_sum_subseqs(seq, args.k, modulus=args.mod)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "count",
         "sequence": serialize_sequence(seq),
         "k": args.k,
         "modulus": args.mod,
@@ -235,8 +242,6 @@ def _cmd_extract(args) -> int:
     seq = _load_sequence(args)
     witness, used = _dispatch_extract(seq, args.t, args.method)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "extract",
         "sequence": serialize_sequence(seq),
         "t": args.t,
         "method_requested": args.method,
@@ -272,8 +277,6 @@ def _cmd_construct(args) -> int:
         raise UsageError(f"unknown family {args.family!r}")
     report = validate_extremal(seq, forbidden)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "construct",
         "family": args.family,
         "sequence": serialize_sequence(seq),
         "sequence_json": sequence_to_jsonable(seq),
@@ -313,18 +316,12 @@ def _cmd_constant(args) -> int:
     claimed = None
     if args.claimed_from == "formula":
         claimed = _claimed_from_formula(group, args.t)
-    report = brute_force_modified_constant(
-        group,
-        args.t,
-        budget=_budget_from(args),
-        workers=_workers_from(args),
-        claimed_value=claimed,
-    )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "constant",
-        "report": report.to_jsonable(),
-    }
+    budget = _budget_from(args)
+    with _pool_from(args) as pool:
+        report = brute_force_modified_constant(
+            group, args.t, budget=budget, claimed_value=claimed, pool=pool
+        )
+    payload = {"report": report.to_jsonable()}
     text = [
         f"group={report.group} t={report.target} computed={report.computed_value}"
         + (f" claimed={report.claimed_value}" if report.claimed_value is not None else ""),
@@ -342,18 +339,18 @@ def _cmd_verify(args) -> int:
     t_values = _parse_int_list(args.t) if args.t else None
     if args.suite == "square" and args.extended and n_values is None:
         n_values = [2, 3, 4]
-    reports = verify_theorem(
-        args.suite,
-        n_values=n_values,
-        t_values=t_values,
-        budget=_budget_from(args),
-        workers=_workers_from(args),
-        seed=args.seed,
-        samples=args.samples,
-    )
+    budget = _budget_from(args)
+    with _pool_from(args) as pool:
+        reports = verify_theorem(
+            args.suite,
+            n_values=n_values,
+            t_values=t_values,
+            budget=budget,
+            pool=pool,
+            seed=args.seed,
+            samples=args.samples,
+        )
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
         "suite": args.suite,
         "reports": [r.to_jsonable() for r in reports],
     }
@@ -482,6 +479,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _error("usage", str(exc))
         return 2
+    except Exception as exc:
+        # Anything else is a fault in the program: exit 1 would read as a
+        # property violation, so it gets its own kind and code.
+        _error("internal", f"{type(exc).__name__}: {exc}")
+        return 4
 
 
 if __name__ == "__main__":

@@ -54,19 +54,6 @@ class Group:
     def identity(self) -> Element:
         return (0,) * self.rank
 
-    def element(self, *coords: int) -> Element:
-        """Validate residues and return them as an element tuple."""
-        if len(coords) != self.rank:
-            raise ValueError(
-                f"expected {self.rank} coordinates for {self}, got {len(coords)}"
-            )
-        for c, m in zip(coords, self.moduli):
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coordinate {c!r} is not an integer")
-            if not 0 <= c < m:
-                raise ValueError(f"coordinate {c} out of range [0, {m})")
-        return tuple(coords)
-
     def contains(self, el: Element) -> bool:
         return (
             isinstance(el, tuple)

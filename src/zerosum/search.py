@@ -24,8 +24,8 @@ workers.
 
 The unit of search is the chunk of vectors that share the last element's
 multiplicity. Enumeration and serial walks take the chunks in order against
-one running node budget; a pooled walk hands the same chunks to its workers
-and merges them in order."""
+one running node budget; a pooled walk hands the same chunks to the caller's
+executor and merges them in order. Nothing here starts a worker process."""
 
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import math
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -109,8 +109,6 @@ class SearchStats:
 @dataclass
 class EnumerationStats:
     visited: int = 0
-    nodes: int = 0
-    wall_ms: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +202,25 @@ def _cap_levels(moduli: tuple[int, ...], affine: bool) -> tuple[tuple[int, ...],
 def _zero_lengths(moduli: tuple[int, ...], length: int, affine: bool) -> tuple[int, ...]:
     """Per sum index s, the lengths L <= `length` (as bit L) at which a leaf
     of sum s stands for a zero-sum multiset. With translations, that is s in
-    LG = {Lg}, which holds when gcd(L, n_i) divides the i-th coordinate of s
-    for every i, so it repeats with period exp(G); without them, s = 0 at
-    every length."""
+    LG = {Lg}, which holds when gcd(L, n_i) divides the i-th coordinate of s,
+    or equally gcd(s_i, n_i), for every i. So a row repeats with period
+    exp(G) and depends on s only through its gcd signature (gcd(s_i, n_i))_i:
+    each distinct signature's row is built once and shared by its sums (Z/n
+    has d(n) of them). Without translations, s = 0 at every length."""
     pack = get_pack(moduli, 0)
     every = (1 << (length + 1)) - 1
     if not affine:
         return (every,) + (0,) * (pack.order - 1)
     e = math.lcm(*moduli)
     spread = sum(1 << k for k in range(0, length + 1, e))
-    rows = []
-    for s in range(pack.order):
-        c = pack.coords(s)
-        period = sum(
-            1 << L for L in range(e) if all(x % math.gcd(L, n) == 0 for x, n in zip(c, moduli))
-        )
-        rows.append(period * spread & every)
-    return tuple(rows)
+    signatures = [tuple(map(math.gcd, pack.coords(s), moduli)) for s in range(pack.order)]
+    rows = {
+        sig: sum(
+            1 << L for L in range(e) if all(g % math.gcd(L, n) == 0 for g, n in zip(sig, moduli))
+        ) * spread & every
+        for sig in set(signatures)
+    }
+    return tuple(rows[sig] for sig in signatures)
 
 
 class _Stop(Exception):
@@ -440,7 +440,6 @@ def enumerate_multisets(
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     budget = budget or SearchBudget()
-    start = time.monotonic()
     stats = EnumerationStats()
     t = length + 1 if target is None else target
 
@@ -449,19 +448,10 @@ def enumerate_multisets(
         stats.visited += 1
         visitor(_sequence_of(group, mults))
 
-    need = [length]  # the leaves that cover `length`
-    stats.nodes, _ = _walk(
-        group.moduli,
-        t,
-        length,
-        _chunks(group.moduli, t, length),
-        need,
-        emit,
-        budget.max_nodes,
-        start + budget.max_seconds,
-        zero_sum=zero_sum_only,
+    _walk(
+        group.moduli, t, length, _chunks(group.moduli, t, length), [length], emit,
+        budget.max_nodes, time.monotonic() + budget.max_seconds, zero_sum=zero_sum_only,
     )
-    stats.wall_ms = int((time.monotonic() - start) * 1000)
     return stats
 
 
@@ -533,7 +523,7 @@ def _profile(
     moduli: tuple[int, ...],
     target: int,
     length: int,
-    pool: ProcessPoolExecutor | None,
+    pool: Executor | None,
     max_nodes: int,
     deadline: float,
 ) -> _Profile:
@@ -709,9 +699,8 @@ def brute_force_modified_constant(
     group: Group,
     t: int,
     budget: SearchBudget | None = None,
-    workers: int = 1,
     claimed_value: int | None = None,
-    pool: ProcessPoolExecutor | None = None,
+    pool: Executor | None = None,
 ) -> ConstantReport:
     """s'(G, t): the smallest v such that every zero-sum multiset of each
     length >= v has a zero-sum subsequence of length t. The extremal witness
@@ -723,6 +712,8 @@ def brute_force_modified_constant(
     s_t(G), the smallest length from which every multiset has one; the
     report's window is (s'(G, t), s_t(G)). The witness walk at length v - 1
     then draws on the same node budget, and both walks count in the stats.
+    With a `pool`, the capped walk's chunks run on that executor; the
+    witness walk is serial either way.
     """
     if t < 1:
         raise ValueError(f"target length must be >= 1, got {t}")
@@ -734,16 +725,7 @@ def brute_force_modified_constant(
     budget = budget or SearchBudget()
     start = time.monotonic()
     deadline = start + budget.max_seconds
-    own_pool = pool is None and workers > 1
-    if own_pool:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        profile = _profile(
-            group.moduli, t, (t - 1) * group.order, pool, budget.max_nodes, deadline
-        )
-    finally:
-        if own_pool:
-            pool.shutdown()
+    profile = _profile(group.moduli, t, (t - 1) * group.order, pool, budget.max_nodes, deadline)
     # Length 0 always fails for t >= 1: the empty sequence is zero-sum and has
     # no length-t subsequence.
     last_fail = max(profile.zero)
@@ -778,7 +760,7 @@ def check_all_have_witness(
     *,
     name: str,
     budget: SearchBudget | None = None,
-    pool: ProcessPoolExecutor | None = None,
+    pool: Executor | None = None,
 ) -> PropertyReport:
     """Every multiset of the given size over the group must contain a
     zero-sum subsequence of the target length."""
@@ -957,11 +939,12 @@ def verify_theorem(
     n_values: Seq[int] | None = None,
     t_values: Seq[int] | None = None,
     budget: SearchBudget | None = None,
-    workers: int = 1,
+    pool: Executor | None = None,
     seed: int = 0,
     samples: int | None = None,
 ) -> list[ConstantReport | PropertyReport]:
-    """Run one named verification suite and return its reports.
+    """Run one named verification suite and return its reports; the
+    brute-force suites run their capped walks on `pool` when one is given.
 
     cyclic      brute-force s' over Z/n at target n*t versus the closed form
     square      brute-force s' over (Z/n)^2 at target n versus the closed form
@@ -1000,9 +983,4 @@ def verify_theorem(
     defaults, report = suites[suite]
     ns = list(defaults if n_values is None else n_values)
     ts = list(t_values) if suite == "cyclic" and t_values is not None else [1]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        return [report(n, t) for t in ts for n in ns]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    return [report(n, t) for t in ts for n in ns]

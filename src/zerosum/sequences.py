@@ -112,22 +112,6 @@ class Sequence:
         }
         return Sequence._of(g, shifted)
 
-    def contains_multiset(self, other: Mapping[Element, int]) -> bool:
-        return all(self.counts.get(el, 0) >= m for el, m in other.items())
-
-    def remove_witness(self, w: "Witness") -> "Sequence":
-        """Remove a contained sub-multiset; drops zero-multiplicity keys."""
-        if w.group != self.group:
-            raise ValueError("witness group does not match sequence group")
-        if not self.contains_multiset(w.counts):
-            raise ValueError("witness is not contained in the sequence")
-        counts = dict(self.counts)
-        for el, m in w.counts.items():
-            counts[el] -= m
-            if counts[el] == 0:
-                del counts[el]
-        return Sequence._of(self.group, counts)
-
 
 class Witness(Sequence):
     """A sub-multiset certifying a zero-sum subsequence; always sums to identity."""

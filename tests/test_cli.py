@@ -7,6 +7,7 @@ import time
 import pytest
 
 import zerosum.cli as cli
+import zerosum.search as search
 from zerosum import (
     PropertyReport,
     Sequence,
@@ -284,6 +285,16 @@ def test_witness_revalidates_through_detect(capsys):
     )
     assert code2 == 0
     assert out2.strip() != "none"
+
+
+def test_internal_fault_exits_4_with_one_line(capsys, monkeypatch):
+    # A fault in the program is neither a violated property (exit 1) nor a
+    # usage error (exit 2): one ERROR:internal: line, exit code 4.
+    monkeypatch.setattr(search, "_square_3n", lambda *args: None)
+    code, out, err = run(capsys, "verify", "--suite", "lemma3n", "--n", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "ERROR:internal: AssertionError: guaranteed block selection not found\n"
 
 
 def test_env_workers(capsys, monkeypatch):

@@ -39,10 +39,6 @@ def test_dimension_mismatch():
     g = make_group([6])
     with pytest.raises(ValueError):
         g.add((4,), (1, 2))
-    with pytest.raises(ValueError):
-        g.element(1, 2)
-    with pytest.raises(ValueError):
-        g.element(6)
 
 
 @pytest.mark.parametrize(

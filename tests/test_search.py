@@ -1,9 +1,11 @@
 """Constants search: formulas, enumeration, brute force, and suite checks."""
 
 import collections
+import contextlib
 import functools
 import itertools
 import json
+import math
 import random
 import re
 import time
@@ -39,7 +41,9 @@ from zerosum import (
 )
 
 from zerosum._bitdp import get_pack
-from zerosum.search import _automorphisms, _cap_levels, _first_failing, _orbit, _profile
+from zerosum.search import (
+    _automorphisms, _cap_levels, _first_failing, _orbit, _profile, _zero_lengths,
+)
 
 from conftest import oracle_exists
 
@@ -328,6 +332,24 @@ def test_orbit_is_every_nonzero_element_of_elementary_groups():
             assert _cap_levels(moduli, True)[1] == tuple(range(order - 2))
 
 
+@pytest.mark.parametrize("moduli", [(12,), (30,), (2, 6), (4, 4)])
+def test_zero_lengths_rows_match_each_lg(moduli):
+    # Bit L of the row of sum s is set exactly when s lies in LG = {Lg},
+    # listed here element by element, for every L up to 3 exp(G); and the
+    # sums with one gcd signature (gcd(s_i, n_i))_i share one row object.
+    length = 3 * math.lcm(*moduli)
+    pack = get_pack(moduli, 0)
+    elements = list(make_group(list(moduli)).elements())
+    rows = _zero_lengths(moduli, length, True)
+    assert len(rows) == pack.order and all(row >> (length + 1) == 0 for row in rows)
+    for L in range(length + 1):
+        lg = {pack.index(tuple(L * x % n for x, n in zip(g, moduli))) for g in elements}
+        assert {s for s, row in enumerate(rows) if row >> L & 1} == lg, L
+    shared = {}
+    for s, row in enumerate(rows):
+        assert row is shared.setdefault(tuple(map(math.gcd, pack.coords(s), moduli)), row)
+
+
 @st.composite
 def witness_cases(draw):
     moduli = draw(st.sampled_from(SMALL_GROUPS))
@@ -506,30 +528,32 @@ def test_budget_caps_the_whole_length(workers):
     # s'(Z/8, 16) walks 27,995 nodes over 16 outer chunks, and no single
     # chunk reaches 12,000 (the largest holds 5,624): the cap is on their
     # sum. The witness walk then takes 1,012 more nodes from the same budget.
-    cap = 12000
-    with pytest.raises(BudgetExceeded) as exc:
-        brute_force_modified_constant(
-            make_group([8]), 16, budget=SearchBudget(max_nodes=cap), workers=workers
-        )
-    spent = int(re.search(r"(\d+) nodes, 12000 allowed", str(exc.value)).group(1))
-    if workers == 1:
-        # A serial run stops at the first node past the cap, whatever chunk it is in.
-        assert str(exc.value) == "node budget exhausted: 12001 nodes, 12000 allowed"
-    else:
-        # A pooled run stops collecting once the finished chunks pass the cap.
-        assert cap < spent <= workers * (cap + 1)
-    total = 29007
-    with pytest.raises(BudgetExceeded) as exc:
-        brute_force_modified_constant(
-            make_group([8]), 16, budget=SearchBudget(max_nodes=total - 1), workers=workers
-        )
-    # The witness walk, serial at any worker count, trips at its last node.
-    assert str(exc.value) == f"node budget exhausted: {total} nodes, {total - 1} allowed"
-    rep = brute_force_modified_constant(
-        make_group([8]), 16, budget=SearchBudget(max_nodes=total), workers=workers
-    )
-    assert rep.computed_value == 22
-    assert rep.stats.nodes_visited == total
+    # One worker is the serial run (no executor); two are a caller's pool.
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+
+        def constant(max_nodes):
+            return brute_force_modified_constant(
+                make_group([8]), 16, budget=SearchBudget(max_nodes=max_nodes), pool=pool
+            )
+
+        cap = 12000
+        with pytest.raises(BudgetExceeded) as exc:
+            constant(cap)
+        spent = int(re.search(r"(\d+) nodes, 12000 allowed", str(exc.value)).group(1))
+        if workers == 1:
+            # A serial run stops at the first node past the cap, whatever chunk it is in.
+            assert str(exc.value) == "node budget exhausted: 12001 nodes, 12000 allowed"
+        else:
+            # A pooled run stops collecting once the finished chunks pass the cap.
+            assert cap < spent <= workers * (cap + 1)
+        total = 29007
+        with pytest.raises(BudgetExceeded) as exc:
+            constant(total - 1)
+        # The witness walk, serial at any worker count, trips at its last node.
+        assert str(exc.value) == f"node budget exhausted: {total} nodes, {total - 1} allowed"
+        rep = constant(total)
+        assert rep.computed_value == 22
+        assert rep.stats.nodes_visited == total
 
 
 def test_check_all_have_witness():

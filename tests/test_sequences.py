@@ -115,19 +115,6 @@ def test_shift_inverse(seq):
         assert seq.shift_all(c).length == seq.length
 
 
-def test_remove_witness_examples():
-    g = make_group([3])
-    s = Sequence(g, {(1,): 4, (2,): 4})
-    w = Witness(g, {(1,): 2, (2,): 2})
-    assert s.remove_witness(w).counts == {(1,): 2, (2,): 2}
-
-    empty = Witness(g, {})
-    assert s.remove_witness(empty) == s
-
-    with pytest.raises(ValueError):
-        Sequence(g, {(0,): 1}).remove_witness(Witness(g, {(0,): 2}))
-
-
 def test_witness_must_be_zero_sum():
     g = make_group([4])
     with pytest.raises(ValueError):
