@@ -97,8 +97,11 @@ def _load_sequence(args) -> Sequence:
         group = parse_group(args.group)
         return parse_elements(group, args.seq, lenient=args.lenient)
     if args.seq_file is not None:
-        with open(args.seq_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.seq_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --seq-file {args.seq_file}: {exc.strerror}") from None
         if text.lstrip().startswith("{"):
             seq = sequence_from_jsonable(json.loads(text), lenient=args.lenient)
         else:

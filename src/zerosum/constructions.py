@@ -10,7 +10,7 @@ the total sum vanish without creating new zero-sum subsequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .engine import has_zero_sum_in_lengths
@@ -136,13 +136,7 @@ class ExtremalReport:
         return self.zero_sum and not self.has_forbidden_witness
 
     def to_jsonable(self) -> dict:
-        return {
-            "zero_sum": self.zero_sum,
-            "length": self.length,
-            "forbidden_lengths": list(self.forbidden_lengths),
-            "has_forbidden_witness": self.has_forbidden_witness,
-            "valid": self.valid,
-        }
+        return {**asdict(self), "valid": self.valid}
 
 
 def validate_extremal(seq: Sequence, forbidden: Iterable[int]) -> ExtremalReport:

@@ -13,14 +13,15 @@ subsequence of length t (when exp(G) divides t) form a sub-multiset-closed,
 finite family F, so one pruned walk lists every length at which some
 multiset fails. Automorphisms of G keep F, and so do translations x -> x + g,
 which move the sum of a t-subset by tg = 0. So the walk visits one
-representative per orbit of the affine maps x -> a(x) + g only, and a
-representative of length L stands for a zero-sum multiset when its sum lies
-in LG = {Lg}. Two cap levels pick the representatives: no element takes more
-copies than the top element, and none of those that a stabiliser of the top
-carries the next element to takes more than that one. One short uncapped
+representative per orbit of the maps x -> a(x) + g (a an automorphism) only,
+and a representative of length L stands for a zero-sum multiset when its sum
+lies in LG = {Lg}. Two cap levels pick the representatives: no element takes
+more copies than the top element, and none of those that a stabiliser of the
+top carries the next element to takes more than that one. One short uncapped
 walk then finds the first failing vector of the one length that needs it, in
-colex order. Results do not depend on how the work is partitioned across
-workers.
+colex order; when exp(G) does not divide t, every length fails, and that
+walk alone answers a witness check. Results do not depend on how the work is
+partitioned across workers.
 
 The unit of search is the chunk of vectors that share the last element's
 multiplicity. Enumeration and serial walks take the chunks in order against
@@ -34,7 +35,7 @@ import random
 import sys
 import time
 from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence as Seq
@@ -97,13 +98,6 @@ class SearchStats:
     nodes_visited: int = 0
     sequences_checked: int = 0
     wall_ms: int = 0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "nodes_visited": self.nodes_visited,
-            "sequences_checked": self.sequences_checked,
-            "wall_ms": self.wall_ms,
-        }
 
 
 @dataclass
@@ -171,46 +165,40 @@ def _orbit(moduli: tuple[int, ...], x: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _cap_levels(moduli: tuple[int, ...], affine: bool) -> tuple[tuple[int, ...], ...]:
-    """The walk's cap table: entry k lists the elements that take at most as
-    many copies as element |G| - 1 - k, the one k levels below the top.
+def _cap_levels(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The walk's cap table, sound when exp(G) divides the target: entry k
+    lists the elements that take at most as many copies as element
+    |G| - 1 - k, the one k levels below the top.
 
-    With translations (`affine`), the first level names every other element,
-    the identity included: translations are transitive, so some translate
-    of each multiset has its most frequent element on top. The second names
-    top + Orb(e2 - top) for e2 = |G| - 2, less e2: the maps
-    x -> top + a(x - top) fix the top element, so a representative with the
-    top at its maximum can also have e2 at its maximum over those elements.
-    Without translations, the one level names the automorphism orbit of the
-    top element. Any part of a true orbit is sound to cap, so the part
-    `_orbit` finds suffices."""
+    The first level names every other element, the identity included:
+    translations are transitive, so some translate of each multiset has its
+    most frequent element on top. The second names top + Orb(e2 - top) for
+    e2 = |G| - 2, less e2: the maps x -> top + a(x - top) fix the top
+    element, so a representative with the top at its maximum can also have
+    e2 at its maximum over those elements. Any part of a true orbit is sound
+    to cap, so the part `_orbit` finds suffices."""
     pack = get_pack(moduli, 0)
     top = pack.order - 1
-    coords = pack.coords(top)
-    if not affine:
-        return (tuple(sorted(pack.index(x) for x in _orbit(moduli, coords) if x != coords)),)
     if top < 2:
         return (tuple(range(top)),)
     e2 = top - 1
-    step = tuple((a - b) % n for a, b, n in zip(pack.coords(e2), coords, moduli))
+    step = tuple((a - b) % n for a, b, n in zip(pack.coords(e2), pack.coords(top), moduli))
     row = pack.plus(top)
     second = {row[pack.index(y)] for y in _orbit(moduli, step)} - {e2}
     return tuple(range(top)), tuple(sorted(second))
 
 
 @lru_cache(maxsize=64)
-def _zero_lengths(moduli: tuple[int, ...], length: int, affine: bool) -> tuple[int, ...]:
+def _zero_lengths(moduli: tuple[int, ...], length: int) -> tuple[int, ...]:
     """Per sum index s, the lengths L <= `length` (as bit L) at which a leaf
-    of sum s stands for a zero-sum multiset. With translations, that is s in
-    LG = {Lg}, which holds when gcd(L, n_i) divides the i-th coordinate of s,
-    or equally gcd(s_i, n_i), for every i. So a row repeats with period
+    of sum s stands for a zero-sum multiset when exp(G) divides the target:
+    s in LG = {Lg}, which holds when gcd(L, n_i) divides the i-th coordinate
+    of s, or equally gcd(s_i, n_i), for every i. So a row repeats with period
     exp(G) and depends on s only through its gcd signature (gcd(s_i, n_i))_i:
     each distinct signature's row is built once and shared by its sums (Z/n
-    has d(n) of them). Without translations, s = 0 at every length."""
+    has d(n) of them)."""
     pack = get_pack(moduli, 0)
     every = (1 << (length + 1)) - 1
-    if not affine:
-        return (every,) + (0,) * (pack.order - 1)
     e = math.lcm(*moduli)
     spread = sum(1 << k for k in range(0, length + 1, e))
     signatures = [tuple(map(math.gcd, pack.coords(s), moduli)) for s in range(pack.order)]
@@ -271,9 +259,11 @@ def _walk(
     (target - 1)(i + 1) copies left for elements 0..i is skipped.
 
     The prefix sum is one element index, advanced through the rows of
-    `pack.plus`. A leaf with room for r more copies reaches `need` iff its
-    mask misses `gate[need + r]`, the pad of need - a; `gates[s]` is that
-    gate for each sum emitted and a gate no mask misses for the others.
+    `pack.plus`; an element's row and rotation parts are built when it first
+    takes a copy, so a walk cut short builds few of them. A leaf with room
+    for r more copies reaches `need` iff its mask misses `gate[need + r]`,
+    the pad of need - a; `gates[s]` is that gate for each sum emitted and a
+    gate no mask misses for the others.
     Element 1 runs its leaves in its own loop, `step[i]` walks element i
     (setting its cap level first, if one hangs there), and the node count
     travels through arguments and return values. The rotation masks of
@@ -284,8 +274,8 @@ def _walk(
         sys.setrecursionlimit(depth)
     pack = get_pack(moduli, target)
     order = pack.order
-    plus = [pack.plus(i) for i in range(order)]
-    parts = [pack.parts(i) for i in range(order)]
+    plus: list = [None] * order  # element rows and rotation parts, built on first use
+    parts: list = [None] * order
     probe_top = 1 << (target * order)
     # pad[m]: the bits of count target - j and sum 0 for j <= min(m, target).
     pad = []
@@ -295,8 +285,8 @@ def _walk(
             bits |= 1 << ((target - m) * order)
         pad.append(bits)
     gate = [0] * length + pad
-    never = [1] * len(gate)  # every mask holds the empty subsequence
-    gates = [gate] + [never if zero_sum else gate] * (order - 1)
+    never = [1] * len(gate) if zero_sum else gate  # every mask holds the empty subsequence
+    gates = [gate] + [never] * (order - 1)
     zeros = pad[target]
     last_r = target - 1
     cap = [length] * order  # copies allowed per element, set by the cap levels
@@ -311,6 +301,8 @@ def _walk(
         nonlocal leaves
         if b > room[1]:
             return nodes
+        if plus[i] is None:
+            plus[i], parts[i] = pack.plus(i), pack.parts(i)
         plus_i = plus[i]
         ((lo, up, down, lod),) = parts[i]  # element 1 has one nonzero coordinate
         r_min = max(b - cap[1], 0)
@@ -346,9 +338,12 @@ def _walk(
         below = step[i - 1]
         mults[i] = 0
         nodes = below(i - 1, b, s, mask, nodes)
+        copies = min(b, cap[i])
+        if copies and plus[i] is None:
+            plus[i], parts[i] = pack.plus(i), pack.parts(i)
         plus_i = plus[i]
         parts_i = parts[i]
-        for j in range(1, min(b, cap[i]) + 1):
+        for j in range(1, copies + 1):
             nodes += 1
             if nodes > max_nodes:
                 raise _budget_error(nodes, max_nodes)
@@ -390,6 +385,8 @@ def _walk(
             for i in first:
                 cap[i] = outer
             if top:  # each chunk grows its own prefix: its nodes do not depend on the others
+                if outer and plus[top] is None:
+                    plus[top], parts[top] = pack.plus(top), pack.parts(top)
                 for _ in range(outer):
                     nodes += 1
                     if nodes > max_nodes:
@@ -485,15 +482,12 @@ def _profile_chunks(
     under the cap table. Pure function of its arguments, so results are
     independent of scheduling.
 
-    When exp(G) divides the target, translations keep the family walked, so
-    the walk visits one representative per orbit of the affine group, and a
-    leaf of sum s counts toward `zero` at each length L it covers with s in
-    LG. Otherwise only automorphisms keep it: the cap table caps the top
-    element's automorphism orbit alone, and a leaf counts when s = 0. Either
-    way one `need` serves every leaf: the smallest length from outers[0] on
-    not yet in `zero`."""
-    affine = target % math.lcm(*moduli) == 0
-    lengths = _zero_lengths(moduli, length, affine)
+    exp(G) must divide the target: then translations keep the family walked,
+    so the walk visits one representative per orbit of the maps
+    x -> a(x) + g, and a leaf of sum s counts toward `zero` at each length L
+    it covers with s in LG. One `need` serves every leaf: the smallest
+    length from outers[0] on not yet in `zero`."""
+    lengths = _zero_lengths(moduli, length)
     zero = 0  # bit L: length L is known to fail for some zero-sum multiset
     # Every leaf has at least outers[0] elements, and the chunk's first leaf
     # is outers[0] copies of the last element.
@@ -514,7 +508,7 @@ def _profile_chunks(
 
     nodes, leaves = _walk(
         moduli, target, length, outers, need, record, max_nodes, deadline,
-        levels=_cap_levels(moduli, affine),
+        levels=_cap_levels(moduli),
     )
     return _Profile(frozenset(L for L in range(length + 1) if zero >> L & 1), top, nodes, leaves)
 
@@ -527,7 +521,8 @@ def _profile(
     max_nodes: int,
     deadline: float,
 ) -> _Profile:
-    """The profile of one walk up to `length`, split by outer multiplicity.
+    """The profile of one walk up to `length`, split by outer multiplicity;
+    exp(G) must divide the target.
 
     The split is the same at any worker count, and chunks merge in walk
     order, so the lengths and the node counts do not depend on scheduling.
@@ -617,19 +612,9 @@ class ConstantReport:
         return not self.discrepancy
 
     def to_jsonable(self) -> dict:
-        return {
-            "type": "constant",
-            "group": self.group,
-            "target": self.target,
-            "claimed_value": self.claimed_value,
-            "computed_value": self.computed_value,
-            "status": "DISCREPANCY" if self.discrepancy else "OK",
-            "extremal_witness": self.extremal_witness,
-            "window_lo": self.window[0],
-            "window_hi": self.window[1],
-            "stats": self.stats.to_jsonable(),
-            "note": self.note,
-        }
+        data = asdict(self)
+        data["window_lo"], data["window_hi"] = data.pop("window")
+        return {"type": "constant", "status": "DISCREPANCY" if self.discrepancy else "OK", **data}
 
 
 @dataclass
@@ -651,18 +636,7 @@ class PropertyReport:
         return self.passed
 
     def to_jsonable(self) -> dict:
-        return {
-            "type": "property",
-            "name": self.name,
-            "params": dict(sorted(self.params.items())),
-            "passed": self.passed,
-            "checked": self.checked,
-            "violations": self.violations,
-            "vacuous": self.vacuous,
-            "counterexample": self.counterexample,
-            "wall_ms": self.wall_ms,
-            "note": self.note,
-        }
+        return {"type": "property", **asdict(self)}
 
 
 def reports_to_csv(reports: Iterable[ConstantReport | PropertyReport]) -> str:
@@ -763,19 +737,22 @@ def check_all_have_witness(
     pool: Executor | None = None,
 ) -> PropertyReport:
     """Every multiset of the given size over the group must contain a
-    zero-sum subsequence of the target length."""
+    zero-sum subsequence of the target length. Unless exp(G) divides the
+    target, g of order exp(G) repeated `size` times has none, and only the
+    counterexample walk runs."""
     if target < 1 or size < 0:
         raise ValueError(f"need target >= 1 and size >= 0, got target={target}, size={size}")
     budget = budget or SearchBudget()
     start = time.monotonic()
     deadline = start + budget.max_seconds
-    profile = _profile(group.moduli, target, size, pool, budget.max_nodes, deadline)
-    passed = profile.top < size
-    checked = profile.leaves
+    passed, checked, spent = False, 0, 0
+    if target % group.exponent == 0:
+        profile = _profile(group.moduli, target, size, pool, budget.max_nodes, deadline)
+        passed, checked, spent = profile.top < size, profile.leaves, profile.nodes
     counterexample = None
     if not passed:
         vector, _, leaves = _first_failing(
-            group.moduli, target, size, False, budget.max_nodes, deadline, profile.nodes
+            group.moduli, target, size, False, budget.max_nodes, deadline, spent
         )
         checked += leaves
         counterexample = serialize_sequence(_sequence_of(group, vector))

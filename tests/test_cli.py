@@ -270,6 +270,16 @@ def test_seq_file_roundtrip(tmp_path, capsys):
     assert out.strip() == "Z/6: 1^4 2^4"
 
 
+def test_unreadable_seq_file_is_a_usage_error(tmp_path, capsys):
+    # A missing file or a directory is the user's input, not a fault in the
+    # program: one ERROR:usage: line with the reason, and exit code 2.
+    missing = tmp_path / "missing.txt"
+    for path, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, "detect", "--seq-file", str(path), "--k", "2")
+        assert (code, out) == (2, "")
+        assert err == f"ERROR:usage: cannot read --seq-file {path}: {reason}\n"
+
+
 def test_witness_revalidates_through_detect(capsys):
     # A printed witness re-validates when piped back through detect.
     code, out, _ = run(

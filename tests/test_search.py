@@ -140,6 +140,12 @@ def test_enumerate_matches_oracle(case):
     assert stats.visited == len(expected)
 
 
+def _multiple_of_exponent(group, t):
+    """The least multiple of exp(G) that is at least t: the capped walk's
+    tables are sound only for such targets."""
+    return -(-t // group.exponent) * group.exponent
+
+
 def test_profile_serial_pooled_and_enumerated_agree():
     # The serial chunk loop, the pool's per-chunk map and enumeration walk the
     # same chunks: the same profile, nodes and leaves at any worker count; the
@@ -151,7 +157,7 @@ def test_profile_serial_pooled_and_enumerated_agree():
         @settings(max_examples=40, deadline=None)
         def check(case):
             group, length, target, zero_sum_only = case
-            t = length + 1 if target is None else target
+            t = _multiple_of_exponent(group, length + 1 if target is None else target)
             deadline = time.monotonic() + 900
             profiles = [
                 _profile(group.moduli, t, length, p, 10**8, deadline) for p in (None, pool)
@@ -177,7 +183,7 @@ def test_profile_node_cap_is_exact(case, data):
     # cap below the uncapped count stops the serial walk at the first node
     # past it, and any cap at or above it changes nothing.
     group, length, target, _ = case
-    t = length + 1 if target is None else target
+    t = _multiple_of_exponent(group, length + 1 if target is None else target)
     deadline = time.monotonic() + 900
     uncapped = _profile(group.moduli, t, length, None, 10**8, deadline)
     nodes = uncapped.nodes
@@ -298,20 +304,17 @@ def test_orbit_maps_are_automorphisms(moduli):
 
 @pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
 def test_cap_levels_lie_in_their_orbits(moduli):
-    # Every element a cap level names may be capped: with translations, the
-    # first level lies in the Aff(G)-orbit of the top element and the
-    # second in the orbit of e2 (index |G| - 2) under the stabiliser of the
-    # top, x -> top + a(x - top) for every automorphism a; without
-    # translations, the one level lies in the Aut(G)-orbit of the top. The
-    # orbits are found by brute force over every automorphism.
+    # Every element a cap level names may be capped: the first level lies in
+    # the Aff(G)-orbit of the top element and the second in the orbit of e2
+    # (index |G| - 2) under the stabiliser of the top, x -> top + a(x - top)
+    # for every automorphism a. The orbits are found by brute force over
+    # every automorphism.
     group = make_group(list(moduli))
     coords = get_pack(moduli, 0).coords
     top = coords(group.order - 1)
     aut = _brute_force_orbit(moduli)
     affine = {group.add(y, g) for y in aut for g in group.elements()}
-    (plain,) = _cap_levels(moduli, False)
-    assert {coords(i) for i in plain} <= aut - {top}
-    levels = _cap_levels(moduli, True)
+    levels = _cap_levels(moduli)
     assert {coords(i) for i in levels[0]} <= affine - {top}
     assert len(levels[0]) == group.order - 1  # translations are transitive
     if group.order > 2:
@@ -322,14 +325,16 @@ def test_cap_levels_lie_in_their_orbits(moduli):
 
 
 def test_orbit_is_every_nonzero_element_of_elementary_groups():
-    # GL(r, p) is transitive on the nonzero vectors of (Z/p)^r, and
-    # AGL(r, p) is 2-transitive on all of (Z/p)^r, so with translations the
-    # second level caps every element but the top two.
+    # GL(r, p) is transitive on the nonzero vectors of (Z/p)^r, so `_orbit`
+    # reaches every one of them from the top element, and AGL(r, p) is
+    # 2-transitive on all of (Z/p)^r, so the second level caps every element
+    # but the top two.
     for moduli in ((2,), (5,), (2, 2, 2, 2), (3, 3), (3, 3, 3), (5, 5)):
-        order = make_group(list(moduli)).order
-        assert _cap_levels(moduli, False) == (tuple(range(1, order - 1)),)
-        if order > 2:
-            assert _cap_levels(moduli, True)[1] == tuple(range(order - 2))
+        group = make_group(list(moduli))
+        top = tuple(n - 1 for n in moduli)
+        assert _orbit(moduli, top) == set(group.elements()) - {group.identity()}
+        if group.order > 2:
+            assert _cap_levels(moduli)[1] == tuple(range(group.order - 2))
 
 
 @pytest.mark.parametrize("moduli", [(12,), (30,), (2, 6), (4, 4)])
@@ -340,7 +345,7 @@ def test_zero_lengths_rows_match_each_lg(moduli):
     length = 3 * math.lcm(*moduli)
     pack = get_pack(moduli, 0)
     elements = list(make_group(list(moduli)).elements())
-    rows = _zero_lengths(moduli, length, True)
+    rows = _zero_lengths(moduli, length)
     assert len(rows) == pack.order and all(row >> (length + 1) == 0 for row in rows)
     for L in range(length + 1):
         lg = {pack.index(tuple(L * x % n for x, n in zip(g, moduli))) for g in elements}
@@ -365,24 +370,64 @@ def witness_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_capped_profile_matches_uncapped_walk(case):
     # The capped walk gives the same failing lengths as the uncapped
-    # enumeration, for any target, exp(G) dividing it or not; through
-    # `check_all_have_witness`, the verdict and the counterexample (the
-    # first failing multiset in colex order) match too.
+    # enumeration, at the drawn target rounded up to a multiple of exp(G);
+    # through `check_all_have_witness`, at the drawn target, exp(G) dividing
+    # it or not, the verdict and the counterexample (the first failing
+    # multiset in colex order) match too.
     group, size, target = case
-    profile = _profile(group.moduli, target, size, None, 10**8, time.monotonic() + 900)
-    zero, top, first = set(), -1, None
-    for length in range(size + 1):
-        seen = []
-        enumerate_multisets(group, length, seen.append, target=target, zero_sum_only=False)
-        if seen:
-            top = length
-            first = seen[0]
-        if any(seq.is_zero_sum() for seq in seen):
-            zero.add(length)
-    assert (profile.zero, profile.top) == (zero, top)
+
+    def uncapped(t):
+        zero, top, first = set(), -1, None
+        for length in range(size + 1):
+            seen = []
+            enumerate_multisets(group, length, seen.append, target=t, zero_sum_only=False)
+            if seen:
+                top = length
+                first = seen[0]
+            if any(seq.is_zero_sum() for seq in seen):
+                zero.add(length)
+        return zero, top, first
+
+    t = _multiple_of_exponent(group, target)
+    walks = {x: uncapped(x) for x in {t, target}}
+    profile = _profile(group.moduli, t, size, None, 10**8, time.monotonic() + 900)
+    assert (profile.zero, profile.top) == walks[t][:2]
+    _, top, first = walks[target]
     rep = check_all_have_witness(group, size, target, name="capped")
     assert rep.passed == (top < size)
     assert rep.counterexample == (None if rep.passed else serialize_sequence(first))
+
+
+@pytest.mark.parametrize(
+    "moduli, t, size, checked", [((4,), 2, 7, 7), ((2, 4), 6, 8, 4), ((6,), 4, 9, 7)], ids=str
+)
+def test_witness_check_off_the_exponent_walks_only_for_the_counterexample(moduli, t, size, checked):
+    # When exp(G) does not divide t, g of order exp(G) repeated any number
+    # of times has no zero-sum subsequence of length t, so every size fails.
+    # The counterexample is the first multiset the enumeration visits, and
+    # `checked` counts the leaves of the counterexample walk alone.
+    group = make_group(list(moduli))
+    deadline = time.monotonic() + 900
+    for n in range(t + 4):
+        rep = check_all_have_witness(group, n, t, name="off")
+        seen = []
+        enumerate_multisets(group, n, seen.append, target=t, zero_sum_only=False)
+        assert not rep.passed and rep.violations == 1
+        assert rep.counterexample == serialize_sequence(seen[0])
+        assert rep.checked == _first_failing(moduli, t, n, False, 10**8, deadline, 0)[2]
+    assert check_all_have_witness(group, size, t, name="off").checked == checked
+
+
+def test_budget_stopped_walk_builds_few_element_tables():
+    # An element's row and rotation parts are built when it first takes a
+    # copy, so a walk the node budget stops early builds them for a few
+    # elements, not for all n - 1 nonzero ones.
+    get_pack.cache_clear()
+    n = 600
+    with pytest.raises(BudgetExceeded):
+        brute_force_modified_constant(make_group([n]), n, budget=SearchBudget(max_nodes=1000))
+    built = len(get_pack((n,), n)._axis_parts)
+    assert built < 50, built
 
 
 # Groups where the second cap level names a proper subset of the elements,
@@ -399,7 +444,7 @@ def test_capped_profile_matches_uncapped_walk_per_length(moduli, t, size):
     # when the uncapped walk at that length reaches a leaf; the walk under
     # both cap levels and the LG test must list the same lengths.
     order = make_group(list(moduli)).order
-    assert 0 < len(_cap_levels(moduli, True)[1]) < order - 2
+    assert 0 < len(_cap_levels(moduli)[1]) < order - 2
     deadline = time.monotonic() + 900
     profile = _profile(moduli, t, size, None, 10**8, deadline)
     zero, every = set(), set()
