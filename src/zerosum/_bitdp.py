@@ -22,6 +22,16 @@ from operator import mul
 MAX_BITS = 2 * 10**8
 
 
+def tile(bits: int, span: int, full: int) -> int:
+    """`bits` (below bit `span`) repeated every `span` bits over the bits of
+    `full`, a run of ones from bit 0, by doubling: time linear in its width."""
+    width = full.bit_length()
+    while span < width:
+        bits |= bits << span
+        span <<= 1
+    return bits & full
+
+
 class GroupPack:
     """Index-keyed shift machinery for one (moduli, k) pair."""
 
@@ -106,13 +116,7 @@ class GroupPack:
         """
         na, sa = self.moduli[axis], self.strides[axis] * cell
         down = (na - c) * sa
-        lo = (1 << down) - 1
-        span = na * sa  # the period of lo, which divides the width
-        width = full.bit_length()
-        while span < width:
-            lo |= lo << span
-            span <<= 1
-        lo &= full
+        lo = tile((1 << down) - 1, na * sa, full)  # na * sa divides the width
         return lo, c * sa, down, (full ^ lo) >> down
 
     # -- folding items into a mask --------------------------------------------

@@ -40,7 +40,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence as Seq
 
-from ._bitdp import get_pack
+from ._bitdp import get_pack, tile
 from .engine import _find, count_zero_sum_subseqs
 from .extractors import PreconditionError, _found, _square_3n, factor_smallest_prime
 from .groups import Group, make_group, min_nondivisor
@@ -195,17 +195,16 @@ def _zero_lengths(moduli: tuple[int, ...], length: int) -> tuple[int, ...]:
     s in LG = {Lg}, which holds when gcd(L, n_i) divides the i-th coordinate
     of s, or equally gcd(s_i, n_i), for every i. So a row repeats with period
     exp(G) and depends on s only through its gcd signature (gcd(s_i, n_i))_i:
-    each distinct signature's row is built once and shared by its sums (Z/n
-    has d(n) of them)."""
+    each distinct signature's row is built for one period, tiled out to
+    `length`, and shared by its sums (Z/n has d(n) of them)."""
     pack = get_pack(moduli, 0)
     every = (1 << (length + 1)) - 1
     e = math.lcm(*moduli)
-    spread = sum(1 << k for k in range(0, length + 1, e))
     signatures = [tuple(map(math.gcd, pack.coords(s), moduli)) for s in range(pack.order)]
     rows = {
-        sig: sum(
+        sig: tile(sum(
             1 << L for L in range(e) if all(g % math.gcd(L, n) == 0 for g, n in zip(sig, moduli))
-        ) * spread & every
+        ), e, every)
         for sig in set(signatures)
     }
     return tuple(rows[sig] for sig in signatures)
@@ -238,15 +237,15 @@ def _walk(
 
     A leaf assigns every nonidentity element. With size a and sum s, it
     stays witness-free under r copies of element 0 (the identity) exactly
-    for r <= rmax < target (the pads nest), so it covers the lengths a..hi
-    with hi = a + min(rmax, cap of element 0). `emit(mults, a, hi, s)` sees
-    each leaf with a + rmax >= need[0] (with `zero_sum`, only those with
-    s = 0); the caller may raise `need` as it goes, to values up to
-    length + target, which no leaf reaches, and stops the walk by returning
-    true. mults[0] is the caller's. Restricted to one length, walk order is
-    colex order. The node count starts at `spent`, so a walk can draw on the
-    budget another one left; the walk raises once its nodes pass
-    `max_nodes`, and returns (nodes, leaves reached).
+    for r <= rmax < target (more copies only add subsequences), so it
+    covers the lengths a..hi with hi = a + min(rmax, cap of element 0).
+    `emit(mults, a, hi, s)` sees each leaf with rmax >= need[0] - a (with
+    `zero_sum`, only those with s = 0); the caller may raise `need` as it
+    goes, to values up to length + target, which no leaf reaches, and stops
+    the walk by returning true. mults[0] is the caller's. Restricted to one
+    length, walk order is colex order. The node count starts at `spent`, so
+    a walk can draw on the budget another one left; the walk raises once its
+    nodes pass `max_nodes`, and returns (nodes, leaves reached).
 
     `levels` is a cap table (see `_cap_levels`); an empty one walks
     uncapped. In each chunk the elements of levels[0] take at most as many
@@ -260,10 +259,11 @@ def _walk(
 
     The prefix sum is one element index, advanced through the rows of
     `pack.plus`; an element's row and rotation parts are built when it first
-    takes a copy, so a walk cut short builds few of them. A leaf with room
-    for r more copies reaches `need` iff its mask misses `gate[need + r]`,
-    the pad of need - a; `gates[s]` is that gate for each sum emitted and a
-    gate no mask misses for the others.
+    takes a copy, so a walk cut short builds few of them. A leaf's rmax is
+    target - 1 less the largest count at which its mask holds sum 0, read
+    only once the leaf's sum passes; for a leaf with room for r more
+    copies, need[0] - a is need[0] + r - length. No table grows with
+    `length` or the target.
     Element 1 runs its leaves in its own loop, `step[i]` walks element i
     (setting its cap level first, if one hangs there), and the node count
     travels through arguments and return values. The rotation masks of
@@ -277,17 +277,7 @@ def _walk(
     plus: list = [None] * order  # element rows and rotation parts, built on first use
     parts: list = [None] * order
     probe_top = 1 << (target * order)
-    # pad[m]: the bits of count target - j and sum 0 for j <= min(m, target).
-    pad = []
-    bits = 0
-    for m in range(length + target + 1):
-        if m <= target:
-            bits |= 1 << ((target - m) * order)
-        pad.append(bits)
-    gate = [0] * length + pad
-    never = [1] * len(gate) if zero_sum else gate  # every mask holds the empty subsequence
-    gates = [gate] + [never] * (order - 1)
-    zeros = pad[target]
+    zeros = tile(1, order, (probe_top << 1) - 1)  # sum 0 at counts 0..target
     last_r = target - 1
     cap = [length] * order  # copies allowed per element, set by the cap levels
     room = [length] * order  # copies that elements 0..i can still take
@@ -308,13 +298,14 @@ def _walk(
         r_min = max(b - cap[1], 0)
         fill = cap[0]
         for r in range(b, r_min - 1, -1):
-            if not mask & gates[s][need[0] + r]:
-                mults[i] = b - r
+            if not (zero_sum and s):
                 a = length - r
                 rmax = last_r - ((mask & zeros).bit_length() - 1) // order
-                if emit(mults, a, a + min(rmax, fill), s):
-                    leaves += b - r + 1
-                    raise _Stop(nodes)
+                if rmax >= need[0] - a:
+                    mults[i] = b - r
+                    if emit(mults, a, a + min(rmax, fill), s):
+                        leaves += b - r + 1
+                        raise _Stop(nodes)
             if r == r_min:
                 break
             nodes += 1
@@ -402,11 +393,10 @@ def _walk(
                 nodes = step[top - 1](top - 1, b, s, mask, nodes)
             else:  # the chunk is one leaf
                 leaves += 1
-                rmax = last_r - ((mask & zeros).bit_length() - 1) // order
-                if not mask & gates[s][need[0] + b] and emit(
-                    mults, outer, outer + min(rmax, cap[0]), s
-                ):
-                    break
+                if not (zero_sum and s):
+                    rmax = last_r - ((mask & zeros).bit_length() - 1) // order
+                    if rmax >= need[0] - outer and emit(mults, outer, outer + min(rmax, cap[0]), s):
+                        break
     except _Stop as stop:
         nodes = stop.args[0]
     return nodes, leaves

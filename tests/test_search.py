@@ -9,6 +9,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -421,11 +422,19 @@ def test_witness_check_off_the_exponent_walks_only_for_the_counterexample(moduli
 def test_budget_stopped_walk_builds_few_element_tables():
     # An element's row and rotation parts are built when it first takes a
     # copy, so a walk the node budget stops early builds them for a few
-    # elements, not for all n - 1 nonzero ones.
+    # elements, not for all n - 1 nonzero ones. The walk keeps no table that
+    # grows with its length or the target, so the traced peak stays small.
     get_pack.cache_clear()
+    _zero_lengths.cache_clear()
     n = 600
-    with pytest.raises(BudgetExceeded):
-        brute_force_modified_constant(make_group([n]), n, budget=SearchBudget(max_nodes=1000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            brute_force_modified_constant(make_group([n]), n, budget=SearchBudget(max_nodes=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
     built = len(get_pack((n,), n)._axis_parts)
     assert built < 50, built
 
