@@ -17,7 +17,6 @@ import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .constructions import (
     build_cyclic_extremal,
@@ -139,7 +138,13 @@ def _pool_from(args) -> contextlib.AbstractContextManager:
         workers = args.workers
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    if workers == 1:
+        return contextlib.nullcontext()
+    # Imported here so that a serial run loads no concurrent.* or
+    # multiprocessing.* module.
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_text: str | None = None) -> None:

@@ -29,30 +29,10 @@ def _solve_congruence(coeff: int, rhs: int, n: int) -> int:
     return (rhs // g) * pow(coeff // g, -1, n_red) % n_red
 
 
-@dataclass(frozen=True)
-class CyclicExtremalParams:
-    n: int
-    t: int
-    ell: int
-    g: int
-    zeros_count: int
-    ones_count: int
-    shift: int
-
-
-@dataclass(frozen=True)
-class SquareExtremalParams:
-    n: int
-    ell: int
-    g: int
-    a: int
-    b: int
-    c: int
-    d: int
-    shift: tuple[int, int]
-
-
-def cyclic_extremal_params(n: int, t: int) -> CyclicExtremalParams:
+def build_cyclic_extremal(n: int, t: int) -> Sequence:
+    """Zero-sum sequence over Z/n of length (t+1)n - l with no zero-sum
+    subsequence of length n*t: tn - g zeros and n - l + g ones, g = gcd(n, l),
+    shifted by c with l*c = n - l + g (mod n)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if t < 1:
@@ -62,23 +42,19 @@ def cyclic_extremal_params(n: int, t: int) -> CyclicExtremalParams:
     zeros = t * n - g
     ones = n - ell + g
     shift = _solve_congruence(ell, ones % n, n)
-    return CyclicExtremalParams(n, t, ell, g, zeros, ones, shift)
-
-
-def build_cyclic_extremal(n: int, t: int) -> Sequence:
-    """Zero-sum sequence over Z/n of length (t+1)n - l with no zero-sum
-    subsequence of length n*t."""
-    p = cyclic_extremal_params(n, t)
     counts: dict[Element, int] = {}
-    if p.zeros_count:
-        counts[(0,)] = p.zeros_count
-    if p.ones_count:
-        counts[(1,)] = p.ones_count
+    if zeros:
+        counts[(0,)] = zeros
+    if ones:
+        counts[(1,)] = ones
     seq = Sequence(make_group([n]), counts)
-    return seq.shift_all((p.shift,))
+    return seq.shift_all((shift,))
 
 
-def square_extremal_params(n: int) -> SquareExtremalParams:
+def build_square_extremal(n: int) -> Sequence:
+    """Zero-sum sequence over (Z/n)^2 of length 4n - l with no zero-sum
+    subsequence of length n: a, b, c, d copies of (0,0), (0,1), (1,0), (1,1),
+    shifted by (r, s) with l*r = c + d and l*s = b + d (mod n)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     ell = min_nondivisor(n, 4)
@@ -92,17 +68,10 @@ def square_extremal_params(n: int) -> SquareExtremalParams:
     b = c = n - 1
     r = _solve_congruence(ell, (c + d) % n, n)
     s = _solve_congruence(ell, (b + d) % n, n)
-    return SquareExtremalParams(n, ell, g, a, b, c, d, (r, s))
-
-
-def build_square_extremal(n: int) -> Sequence:
-    """Zero-sum sequence over (Z/n)^2 of length 4n - l with no zero-sum
-    subsequence of length n."""
-    p = square_extremal_params(n)
-    skeleton = {(0, 0): p.a, (0, 1): p.b, (1, 0): p.c, (1, 1): p.d}
+    skeleton = {(0, 0): a, (0, 1): b, (1, 0): c, (1, 1): d}
     counts = {el: m for el, m in skeleton.items() if m}
     seq = Sequence(make_group([n, n]), counts)
-    return seq.shift_all(p.shift)
+    return seq.shift_all((r, s))
 
 
 def build_power2_extremal(k: int, r: int) -> Sequence:

@@ -40,24 +40,16 @@ class PreconditionError(ValueError):
     """An extractor was called outside its stated hypotheses."""
 
 
-@dataclass(frozen=True)
-class PrimeSplit:
-    """n = p * m with p the smallest prime factor."""
-
-    n: int
-    p: int
-    m: int
-
-
-def factor_smallest_prime(n: int) -> PrimeSplit:
+def factor_smallest_prime(n: int) -> tuple[int, int]:
+    """(p, n // p) with p the smallest prime factor of n."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     p = 2
     while p * p <= n:
         if n % p == 0:
-            return PrimeSplit(n, p, n // p)
+            return p, n // p
         p += 1
-    return PrimeSplit(n, n, 1)
+    return n, 1
 
 
 @dataclass
@@ -274,8 +266,7 @@ def _square_3n(moduli: tuple[int, ...], items: list[tuple[Element, int]], n: int
     (Z/n)^2. It is also the pick for the square extractors' last block."""
     if n == 1:
         return {(0, 0): 1}
-    split = factor_smallest_prime(n)
-    p, m = split.p, split.m
+    p, m = factor_smallest_prime(n)
     deco = _peel_blocks(moduli, items, m, 3 * m, _square_3n)
     union = _combine_blocks(moduli, deco, p)
     if union is None:

@@ -34,17 +34,19 @@ import math
 import random
 import sys
 import time
-from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence as Seq
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence as Seq
 
 from ._bitdp import get_pack, tile
 from .engine import _find, count_zero_sum_subseqs
 from .extractors import PreconditionError, _found, _square_3n, factor_smallest_prime
 from .groups import Group, make_group, min_nondivisor
 from .sequences import Sequence, _check_witness, serialize_sequence
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
 # ---------------------------------------------------------------------------
@@ -775,27 +777,35 @@ def check_lemma_por2p(
     subsequence of length p, which the search kernel enumerates. At p = 2
     every one of them is checked; otherwise `count` uniform draws from them
     at each size are. `vacuous` counts the multisets of both sizes that lie
-    outside the hypothesis.
+    outside the hypothesis. Each size's walk gets the whole node budget; the
+    wall-clock budget covers both walks and the counting together.
     """
-    if p < 2 or factor_smallest_prime(p).p != p:
+    if p < 2 or factor_smallest_prime(p)[0] != p:
         raise PreconditionError(f"p must be prime, got {p}")
     mode = "exhaustive" if p == 2 else "sample"
     budget = budget or SearchBudget()
     start = time.monotonic()
+    deadline = start + budget.max_seconds
     group = make_group([p, p])
     sizes = (3 * p - 2, 3 * p - 1)
     rng = random.Random(seed)
     checked = vacuous = violations = 0
     counterexample = None
     for size in sizes:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise BudgetExceeded("wall-clock budget exhausted")
         cases: list[Sequence] = []
         enumerate_multisets(
-            group, size, cases.append, target=p, zero_sum_only=False, budget=budget
+            group, size, cases.append, target=p, zero_sum_only=False,
+            budget=SearchBudget(max_nodes=budget.max_nodes, max_seconds=left),
         )
         vacuous += math.comb(size + group.order - 1, size) - len(cases)
         if mode == "sample" and cases:
             cases = rng.choices(cases, k=count)
         for seq in cases:
+            if time.monotonic() > deadline:
+                raise BudgetExceeded("wall-clock budget exhausted")
             checked += 1
             if count_zero_sum_subseqs(seq, 2 * p, modulus=p) != p - 1:
                 violations += 1

@@ -1,7 +1,10 @@
 """CLI behavior: subcommands, formats, exit codes, error prefixes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -315,6 +318,17 @@ def test_env_workers(capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert all(r["status"] == "OK" for r in payload["reports"])
+
+
+def test_import_loads_no_pool_module():
+    # Only a run with more than one worker needs the process pool's modules.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import zerosum.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_env_budget(capsys, monkeypatch):

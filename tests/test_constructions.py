@@ -1,4 +1,6 @@
-"""Extremal builders: parameter algebra, spec cases, and validation."""
+"""Extremal builders: multiplicities, spec cases, and validation."""
+
+import math
 
 import pytest
 
@@ -14,7 +16,6 @@ from zerosum import (
     parse_sequence,
     validate_extremal,
 )
-from zerosum.constructions import cyclic_extremal_params, square_extremal_params
 
 
 def test_cyclic_spec_cases():
@@ -30,14 +31,24 @@ def test_cyclic_spec_cases():
 
 
 def test_cyclic_params_bounds():
+    # The shift c is read off the built sequence: it holds only c and c + 1,
+    # with l * c = (copies of c + 1) mod n.
     for n in range(2, 60):
+        ell = min_nondivisor(n, 1)
+        g = math.gcd(n, ell)
         for t in (1, 2, 3):
-            p = cyclic_extremal_params(n, t)
-            assert p.zeros_count + p.ones_count == (t + 1) * n - p.ell
-            assert 0 <= p.zeros_count <= t * n - 1
-            assert 0 <= p.ones_count <= n - 1
-            assert p.ones_count % p.g == 0
-            assert (p.ell * p.shift - p.ones_count) % n == 0
+            seq = build_cyclic_extremal(n, t)
+
+            def at(x):
+                return seq.counts.get((x % n,), 0)
+
+            shift = min(
+                c for c in range(n)
+                if at(c) + at(c + 1) == seq.length and (ell * c - at(c + 1)) % n == 0
+            )
+            assert at(shift) == t * n - g <= t * n - 1
+            assert at(shift + 1) == n - ell + g <= n - 1
+            assert at(shift + 1) % g == 0
 
 
 def test_square_spec_cases():
@@ -47,19 +58,34 @@ def test_square_spec_cases():
     s = build_square_extremal(3)
     assert s.counts == {(1, 1): 2, (1, 2): 2, (2, 1): 2, (2, 2): 2}
 
-    p = square_extremal_params(4)
-    assert (p.a, p.b, p.c, p.d) == (2, 3, 3, 3)
-    assert build_square_extremal(4).length == 11
+    s = build_square_extremal(4)
+    assert s.counts == {(2, 2): 2, (2, 3): 3, (3, 2): 3, (3, 3): 3}
+    assert s.length == 11
 
 
 def test_square_params_bounds():
+    # The shift (r, s) is read off the built sequence: it holds only the
+    # corners (r + i, s + j), with l * r = c + d and l * s = b + d (mod n)
+    # for the corner multiplicities a, b, c, d at (0,0), (0,1), (1,0), (1,1).
     for n in range(2, 40):
-        p = square_extremal_params(n)
-        assert p.a + p.b + p.c + p.d == 4 * n - p.ell
-        for m in (p.a, p.b, p.c, p.d):
+        ell = min_nondivisor(n, 4)
+        g = math.gcd(n, ell)
+        seq = build_square_extremal(n)
+
+        def corners(r, s):
+            return [seq.counts.get(((r + i) % n, (s + j) % n), 0) for i in (0, 1) for j in (0, 1)]
+
+        a, b, c, d = next(
+            (a, b, c, d)
+            for r in range(n) for s in range(n)
+            for a, b, c, d in [corners(r, s)]
+            if a + b + c + d == seq.length and (ell * r - c - d) % n == 0 and (ell * s - b - d) % n == 0
+        )
+        assert a + b + c + d == 4 * n - ell
+        for m in (a, b, c, d):
             assert 0 <= m <= n - 1
-        assert (p.c + p.d) % p.g == 0
-        assert (p.b + p.d) % p.g == 0
+        assert (c + d) % g == 0
+        assert (b + d) % g == 0
 
 
 def test_power2_cases():

@@ -25,11 +25,9 @@ from conftest import random_zero_sum
 
 
 def test_factor_smallest_prime():
-    assert factor_smallest_prime(6) == factor_smallest_prime(6).__class__(6, 2, 3)
-    s = factor_smallest_prime(9)
-    assert (s.p, s.m) == (3, 3)
-    s = factor_smallest_prime(7)
-    assert (s.p, s.m) == (7, 1)
+    assert factor_smallest_prime(6) == (2, 3)
+    assert factor_smallest_prime(9) == (3, 3)
+    assert factor_smallest_prime(7) == (7, 1)
     with pytest.raises(ValueError):
         factor_smallest_prime(1)
 

@@ -10,6 +10,7 @@ import random
 import re
 import time
 import tracemalloc
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -651,6 +652,48 @@ def test_por2p_sampled_small():
     rep = check_lemma_por2p(3, count=50, seed=1)
     assert rep.params["mode"] == "sample"
     assert rep.passed and rep.checked >= 100  # 50 hypothesis cases per size
+
+
+def test_por2p_one_deadline_covers_both_sizes_and_the_counting(monkeypatch):
+    # A fake clock that only the counting moves, one second per case.
+    import zerosum.search as search
+
+    now = [0.0]
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    count = search.count_zero_sum_subseqs
+
+    def slow_count(*args, **kwargs):
+        now[0] += 1
+        return count(*args, **kwargs)
+
+    walks = []
+    enumerate_all = search.enumerate_multisets
+
+    def record(*args, budget, **kwargs):
+        walks.append((budget.max_nodes, budget.max_seconds))
+        return enumerate_all(*args, budget=budget, **kwargs)
+
+    monkeypatch.setattr(search, "count_zero_sum_subseqs", slow_count)
+    monkeypatch.setattr(search, "enumerate_multisets", record)
+
+    def run(max_seconds):
+        walks.clear()
+        now[0] = 0.0
+        return check_lemma_por2p(3, count=5, budget=SearchBudget(max_nodes=10**6, max_seconds=max_seconds))
+
+    # Five cases per size. Each walk gets the whole node budget, and the
+    # second walk only the seconds the first size's counting left.
+    assert run(12).checked == 10
+    assert walks == [(10**6, 12), (10**6, 7)]
+    # The counting reads the clock: the cases starting at 0, 1, 2 and 3 s are
+    # counted, the fifth is not.
+    with pytest.raises(BudgetExceeded, match="wall-clock budget exhausted"):
+        run(3.5)
+    assert now[0] == 4
+    # The first size spends all 5 s: the second size is not walked.
+    with pytest.raises(BudgetExceeded, match="wall-clock budget exhausted"):
+        run(5)
+    assert len(walks) == 1
 
 
 def test_lemma3n_exhaustive_small():
