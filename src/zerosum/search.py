@@ -25,8 +25,10 @@ partitioned across workers.
 
 The unit of search is the chunk of vectors that share the last element's
 multiplicity. Enumeration and serial walks take the chunks in order against
-one running node budget; a pooled walk hands the same chunks to the caller's
-executor and merges them in order. Nothing here starts a worker process."""
+one running node budget; a pooled walk does so too until it outgrows the
+cost of starting a pool, then hands the chunks left to the caller's
+executor and merges them in order. Nothing here starts a worker process
+itself."""
 
 from __future__ import annotations
 
@@ -247,7 +249,10 @@ def _walk(
     the walk by returning true. mults[0] is the caller's. Restricted to one
     length, walk order is colex order. The node count starts at `spent`, so
     a walk can draw on the budget another one left; the walk raises once its
-    nodes pass `max_nodes`, and returns (nodes, leaves reached).
+    nodes pass `max_nodes`, or once the clock passes `deadline`, which it
+    reads at each chunk start (so a walk whose setup outlasts its time limit
+    stops before its first node) and every 1,024 nodes. It returns (nodes,
+    leaves reached).
 
     `levels` is a cap table (see `_cap_levels`); an empty one walks
     uncapped. In each chunk the elements of levels[0] take at most as many
@@ -373,6 +378,8 @@ def _walk(
     nodes = spent
     try:
         for outer in outers:
+            if time.monotonic() > deadline:
+                raise BudgetExceeded("wall-clock budget exhausted")
             mask = pack.initial
             s = 0
             for i in first:
@@ -469,10 +476,12 @@ def _profile_chunks(
     outers: Seq[int],
     max_nodes: int,
     deadline: float,
+    spent: int = 0,
 ) -> _Profile:
     """The profile of the given outer-multiplicity chunks, walked in order
     under the cap table. Pure function of its arguments, so results are
-    independent of scheduling.
+    independent of scheduling. The walk draws on the node budget that
+    `spent` nodes left; the profile counts its own nodes only.
 
     exp(G) must divide the target: then translations keep the family walked,
     so the walk visits one representative per orbit of the maps
@@ -500,9 +509,19 @@ def _profile_chunks(
 
     nodes, leaves = _walk(
         moduli, target, length, outers, need, record, max_nodes, deadline,
-        levels=_cap_levels(moduli),
+        levels=_cap_levels(moduli), spent=spent,
     )
-    return _Profile(frozenset(L for L in range(length + 1) if zero >> L & 1), top, nodes, leaves)
+    return _Profile(
+        frozenset(L for L in range(length + 1) if zero >> L & 1), top, nodes - spent, leaves
+    )
+
+
+# A pooled walk hands its chunks to the pool only past this many nodes. An
+# idle 2-process pool costs 13-17 ms to fork, run its first tasks and shut
+# down, about 15,000 nodes at the walk's 0.6-1 M nodes/s (2-core Xeon,
+# Python 3.11). Two workers at best halve the rest of the walk, so they save
+# that cost only on a rest of twice as many nodes, about 30,000.
+_POOL_START_NODES = 1 << 15
 
 
 def _profile(
@@ -519,33 +538,43 @@ def _profile(
     The split is the same at any worker count, and chunks merge in walk
     order, so the lengths and the node counts do not depend on scheduling.
     A serial run walks the chunks against one running node budget. A pooled
-    run gives each chunk the whole budget, collects the results in order,
-    and once the finished nodes pass the cap cancels the chunks not yet
-    started and raises: it overspends by at most one chunk per worker.
+    run does the same in the calling process, a chunk at a time, until its
+    nodes pass `_POOL_START_NODES`; so a small walk starts no worker
+    process, and a larger one starts them only once the walk's tables are
+    built, which forked workers inherit. The chunks left then go to the pool
+    with the budget the caller left. The
+    results are collected in order, and once the finished nodes pass the cap
+    the chunks not yet started are cancelled and the run raises: the pooled
+    part overspends by at most one chunk per worker.
     """
     chunks = _chunks(moduli, target, length)
     if pool is None:
         return _profile_chunks(moduli, target, length, chunks, max_nodes, deadline)
+    rest = iter(chunks)
+    parts: list[_Profile] = []
+    nodes = 0
+    for outer in rest:
+        parts.append(_profile_chunks(moduli, target, length, (outer,), max_nodes, deadline, nodes))
+        nodes += parts[-1].nodes
+        if nodes > _POOL_START_NODES:
+            break
     futures = [
-        pool.submit(_profile_chunks, moduli, target, length, (v,), max_nodes, deadline)
-        for v in chunks
+        pool.submit(_profile_chunks, moduli, target, length, (v,), max_nodes, deadline, nodes)
+        for v in rest
     ]
-    zero: frozenset[int] = frozenset()
-    top = -1
-    nodes = leaves = 0
     try:
         for future in futures:
-            part = future.result()
-            nodes += part.nodes
+            parts.append(future.result())
+            nodes += parts[-1].nodes
             if nodes > max_nodes:
                 raise _budget_error(nodes, max_nodes)
-            leaves += part.leaves
-            zero |= part.zero
-            top = max(top, part.top)
     finally:
         for future in futures:
             future.cancel()
-    return _Profile(zero, top, nodes, leaves)
+    return _Profile(
+        frozenset().union(*(p.zero for p in parts)), max(p.top for p in parts), nodes,
+        sum(p.leaves for p in parts),
+    )
 
 
 def _first_failing(

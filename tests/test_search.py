@@ -6,12 +6,13 @@ import functools
 import itertools
 import json
 import math
+import multiprocessing
 import random
 import re
 import time
 import tracemalloc
 import types
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,7 +45,8 @@ from zerosum import (
 
 from zerosum._bitdp import get_pack
 from zerosum.search import (
-    _automorphisms, _cap_levels, _first_failing, _orbit, _profile, _zero_lengths,
+    _POOL_START_NODES, _automorphisms, _cap_levels, _first_failing, _orbit, _profile,
+    _zero_lengths,
 )
 
 from conftest import oracle_exists
@@ -149,7 +151,8 @@ def _multiple_of_exponent(group, t):
 
 
 def test_profile_serial_pooled_and_enumerated_agree():
-    # The serial chunk loop, the pool's per-chunk map and enumeration walk the
+    # The serial chunk loop, the pooled path's chunk-by-chunk loop (these
+    # walks stay below the pool's start constant) and enumeration walk the
     # same chunks: the same profile, nodes and leaves at any worker count; the
     # walk's length fails exactly when the enumeration emits something, and
     # the first failing multiset there is the first the enumeration emits.
@@ -609,6 +612,101 @@ def test_budget_caps_the_whole_length(workers):
         rep = constant(total)
         assert rep.computed_value == 22
         assert rep.stats.nodes_visited == total
+
+
+class _RecordingExecutor(Executor):
+    """Records the arguments of each call submitted, and runs it on `inner`,
+    or at once in this process when there is none."""
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.submitted = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted.append(args)
+        if self.inner is not None:
+            return self.inner.submit(fn, *args, **kwargs)
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def test_pooled_walk_below_the_start_constant_starts_no_worker():
+    # s'(Z/8, 16) walks 27,995 nodes, fewer than _POOL_START_NODES: a pooled
+    # run walks every chunk in this process, submits nothing, and a real
+    # pool forks no process.
+    moduli, t, length = (8,), 16, 15 * 8
+    deadline = time.monotonic() + 900
+    serial = _profile(moduli, t, length, None, 10**8, deadline)
+    assert serial.nodes == 27995 < _POOL_START_NODES
+    pool = _RecordingExecutor()
+    assert _profile(moduli, t, length, pool, 10**8, deadline) == serial
+    assert pool.submitted == []
+    before = len(multiprocessing.active_children())
+    with ProcessPoolExecutor(2) as real:
+        rep = brute_force_modified_constant(make_group([8]), 16, pool=real)
+        assert len(multiprocessing.active_children()) == before
+    assert rep.computed_value == 22 and rep.stats.nodes_visited == 29007
+
+
+# (G, t), the chunks the caller walks before its nodes pass
+# _POOL_START_NODES, and those nodes: Z/12 at t=12 walks chunks 0-3 of 12
+# (0 + 640 + 21,867 + 60,947) of its 215,157 nodes, (Z/4)^2 at t=8 chunks 0-2
+# of 8 (0 + 6,238 + 26,642) of 71,685.
+HANDOFF_CASES = [((12,), 12, 4, 83454), ((4, 4), 8, 3, 32880)]
+
+
+@pytest.mark.parametrize("moduli, t, kept, handoff", HANDOFF_CASES, ids=str)
+def test_pooled_walk_submits_the_chunks_left_after_the_callers(moduli, t, kept, handoff):
+    length = (t - 1) * math.prod(moduli)
+    deadline = time.monotonic() + 900
+    serial = _profile(moduli, t, length, None, 10**8, deadline)
+    with ProcessPoolExecutor(2) as real:
+        pool = _RecordingExecutor(real)
+        assert _profile(moduli, t, length, pool, 10**8, deadline) == serial
+    # Each chunk left goes to the pool once, in order, with the budget the
+    # caller's nodes left.
+    assert pool.submitted == [
+        (moduli, t, length, (v,), 10**8, deadline, handoff) for v in range(kept, t)
+    ]
+
+
+def test_pooled_budget_is_exact_in_the_caller_and_one_chunk_past_it():
+    moduli, t, length = (12,), 12, 11 * 12
+    deadline = time.monotonic() + 900
+    # Below the handoff the caller stops at the first node past the cap, and
+    # nothing reaches the pool.
+    pool = _RecordingExecutor()
+    with pytest.raises(BudgetExceeded) as exc:
+        _profile(moduli, t, length, pool, 30000, deadline)
+    assert str(exc.value) == "node budget exhausted: 30001 nodes, 30000 allowed"
+    assert pool.submitted == []
+    # Past it, the collector adds the pooled chunks in order and stops at the
+    # first that passes the cap, or a chunk stops itself there: the count it
+    # reports passes the cap by less than one chunk.
+    largest = 55692  # chunk 4's nodes, the largest chunk left after the handoff
+    with ProcessPoolExecutor(2) as real:
+        for cap in (100000, 150000, 200000):
+            pool = _RecordingExecutor(real)
+            with pytest.raises(BudgetExceeded) as exc:
+                _profile(moduli, t, length, pool, cap, deadline)
+            spent = int(re.search(rf"(\d+) nodes, {cap} allowed", str(exc.value)).group(1))
+            assert cap < spent <= cap + largest
+            assert [args[3] for args in pool.submitted] == [(v,) for v in range(4, 12)]
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_profile_reads_the_deadline_before_the_first_node(pooled):
+    # Z/6 at t=6 walks far fewer nodes than the 1,024 between clock reads in
+    # the walk, yet a deadline already past stops it at its first chunk.
+    moduli, t, length = (6,), 6, 5 * 6
+    pool = _RecordingExecutor() if pooled else None
+    assert _profile(moduli, t, length, pool, 10**8, time.monotonic() + 900).nodes < 1024
+    with pytest.raises(BudgetExceeded, match="^wall-clock budget exhausted$"):
+        _profile(moduli, t, length, pool, 10**8, time.monotonic() - 1)
 
 
 def test_check_all_have_witness():
