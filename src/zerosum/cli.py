@@ -8,8 +8,8 @@ stable machine-greppable prefix "ERROR:<kind>:".
 The CLI is the only place that starts worker processes: `constant` and
 `verify` open one pool when --workers (or ZEROSUM_WORKERS) is above 1 and
 hand it to the library as an executor. The pool forks its workers at the
-first task submitted, and a walk submits none until it has walked 2^15
-nodes itself, so a small run starts no process.
+first task submitted, and a walk submits none until its own walk in the
+calling process has passed 2^15 nodes, so a small run starts no process.
 """
 
 from __future__ import annotations

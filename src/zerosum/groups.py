@@ -12,7 +12,7 @@ from typing import Iterator
 # An element is a tuple of residues, one per cyclic factor.
 Element = tuple[int, ...]
 
-DEFAULT_MAX_ORDER = 10**6
+MAX_ORDER = 10**6
 
 _FACTOR_RE = re.compile(r"z/(\d+)(?:\^(\d+))?$", re.IGNORECASE)
 
@@ -103,7 +103,7 @@ class Group:
         return "x".join(parts)
 
 
-def make_group(moduli, max_order: int = DEFAULT_MAX_ORDER) -> Group:
+def make_group(moduli) -> Group:
     """Build a validated Group from a list of cyclic factor moduli."""
     mods = tuple(moduli)
     if not mods:
@@ -112,12 +112,12 @@ def make_group(moduli, max_order: int = DEFAULT_MAX_ORDER) -> Group:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"modulus must be an integer >= 1, got {m!r}")
     order = math.prod(mods)
-    if order > max_order:
-        raise ValueError(f"group order {order} exceeds the cap {max_order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"group order {order} exceeds the cap {MAX_ORDER}")
     return Group(mods)
 
 
-def parse_group(text: str, max_order: int = DEFAULT_MAX_ORDER) -> Group:
+def parse_group(text: str) -> Group:
     """Parse group syntax like "Z/6", "Z/3^2" (= (Z/3)^2), or "Z/2xZ/6".
 
     Case-insensitive; whitespace is ignored. The exponent repeats the cyclic
@@ -139,6 +139,6 @@ def parse_group(text: str, max_order: int = DEFAULT_MAX_ORDER) -> Group:
             raise GroupParseError(f"factor power must be >= 1 in {text!r}")
         moduli.extend([modulus] * power)
     try:
-        return make_group(moduli, max_order=max_order)
+        return make_group(moduli)
     except ValueError as exc:
         raise GroupParseError(str(exc)) from exc

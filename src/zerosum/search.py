@@ -24,11 +24,11 @@ walk alone answers a witness check. Results do not depend on how the work is
 partitioned across workers.
 
 The unit of search is the chunk of vectors that share the last element's
-multiplicity. Enumeration and serial walks take the chunks in order against
-one running node budget; a pooled walk does so too until it outgrows the
-cost of starting a pool, then hands the chunks left to the caller's
-executor and merges them in order. Nothing here starts a worker process
-itself."""
+multiplicity. Every walk takes the chunks in order against one running node
+budget in the calling process; a pooled profile walk stops once it outgrows
+the cost of starting a pool, hands each chunk left to the caller's executor
+as the profile of that one chunk, and merges them in order. Nothing here
+starts a worker process itself."""
 
 from __future__ import annotations
 
@@ -232,6 +232,7 @@ def _walk(
     levels: tuple[tuple[int, ...], ...] = (),
     zero_sum: bool = False,
     spent: int = 0,
+    until: float = math.inf,
 ) -> tuple[int, int]:
     """Depth-first walk over the given chunks (last multiplicities, in
     order) of the multisets of size at most `length` with no zero-sum
@@ -246,13 +247,17 @@ def _walk(
     `emit(mults, a, hi, s)` sees each leaf with rmax >= need[0] - a (with
     `zero_sum`, only those with s = 0); the caller may raise `need` as it
     goes, to values up to length + target, which no leaf reaches, and stops
-    the walk by returning true. mults[0] is the caller's. Restricted to one
-    length, walk order is colex order. The node count starts at `spent`, so
-    a walk can draw on the budget another one left; the walk raises once its
-    nodes pass `max_nodes`, or once the clock passes `deadline`, which it
-    reads at each chunk start (so a walk whose setup outlasts its time limit
-    stops before its first node) and every 1,024 nodes. It returns (nodes,
-    leaves reached).
+    the walk by returning true. At each chunk start the walk raises need[0]
+    to the chunk's outer multiplicity, which no leaf of the chunk is
+    shorter than, so a walk may start at any chunk with need[0] = 0.
+    mults[0] is the caller's. Restricted to one length, walk order is
+    colex order. The node count starts at `spent`, so a walk can draw on the
+    budget another one left; the walk raises once its nodes pass
+    `max_nodes`, or once the clock passes `deadline`, which it reads at each
+    chunk start (so a walk whose setup outlasts its time limit stops before
+    its first node) and every 1,024 nodes. It stops at the first chunk end
+    where its nodes pass `until`, leaving the chunks not started in
+    `outers`. It returns (nodes, leaves reached).
 
     `levels` is a cap table (see `_cap_levels`); an empty one walks
     uncapped. In each chunk the elements of levels[0] take at most as many
@@ -384,6 +389,8 @@ def _walk(
             s = 0
             for i in first:
                 cap[i] = outer
+            if need[0] < outer:
+                need[0] = outer
             if top:  # each chunk grows its own prefix: its nodes do not depend on the others
                 if outer and plus[top] is None:
                     plus[top], parts[top] = pack.plus(top), pack.parts(top)
@@ -406,6 +413,8 @@ def _walk(
                     rmax = last_r - ((mask & zeros).bit_length() - 1) // order
                     if rmax >= need[0] - outer and emit(mults, outer, outer + min(rmax, cap[0]), s):
                         break
+            if nodes > until:
+                break
     except _Stop as stop:
         nodes = stop.args[0]
     return nodes, leaves
@@ -469,53 +478,6 @@ class _Profile(NamedTuple):
     leaves: int
 
 
-def _profile_chunks(
-    moduli: tuple[int, ...],
-    target: int,
-    length: int,
-    outers: Seq[int],
-    max_nodes: int,
-    deadline: float,
-    spent: int = 0,
-) -> _Profile:
-    """The profile of the given outer-multiplicity chunks, walked in order
-    under the cap table. Pure function of its arguments, so results are
-    independent of scheduling. The walk draws on the node budget that
-    `spent` nodes left; the profile counts its own nodes only.
-
-    exp(G) must divide the target: then translations keep the family walked,
-    so the walk visits one representative per orbit of the maps
-    x -> a(x) + g, and a leaf of sum s counts toward `zero` at each length L
-    it covers with s in LG. One `need` serves every leaf: the smallest
-    length from outers[0] on not yet in `zero`."""
-    lengths = _zero_lengths(moduli, length)
-    zero = 0  # bit L: length L is known to fail for some zero-sum multiset
-    # Every leaf has at least outers[0] elements, and the chunk's first leaf
-    # is outers[0] copies of the last element.
-    top = outers[0] - 1
-    need = [outers[0]]
-
-    def record(mults: list[int], a: int, hi: int, s: int) -> None:
-        nonlocal top, zero
-        if hi > length:
-            hi = length
-        if hi > top:
-            top = hi
-        zero |= lengths[s] & ((2 << hi) - (1 << a))
-        floor = need[0]
-        while zero >> floor & 1:
-            floor += 1
-        need[0] = floor
-
-    nodes, leaves = _walk(
-        moduli, target, length, outers, need, record, max_nodes, deadline,
-        levels=_cap_levels(moduli), spent=spent,
-    )
-    return _Profile(
-        frozenset(L for L in range(length + 1) if zero >> L & 1), top, nodes - spent, leaves
-    )
-
-
 # A pooled walk hands its chunks to the pool only past this many nodes. An
 # idle 2-process pool costs 13-17 ms to fork, run its first tasks and shut
 # down, about 15,000 nodes at the walk's 0.6-1 M nodes/s (2-core Xeon,
@@ -531,49 +493,72 @@ def _profile(
     pool: Executor | None,
     max_nodes: int,
     deadline: float,
+    outers: Iterable[int] | None = None,
+    spent: int = 0,
 ) -> _Profile:
-    """The profile of one walk up to `length`, split by outer multiplicity;
-    exp(G) must divide the target.
+    """The profile of one walk up to `length` over the given chunks (by
+    default all of them) under the cap table; exp(G) must divide the target.
+    Then translations keep the family walked, so the walk visits one
+    representative per orbit of the maps x -> a(x) + g, and a leaf of sum s
+    counts toward `zero` at each length L it covers with s in LG. One `need`
+    serves every leaf: the smallest length not yet in `zero`. Chunk v holds
+    v copies of the top element, a translate of v copies of the identity, so
+    a walk from chunk 0 has every length below v in `zero` by chunk v, and
+    the walk's floor of v there changes no leaf. The walk draws on the node
+    budget that `spent` nodes left; the profile counts its own nodes only.
 
-    The split is the same at any worker count, and chunks merge in walk
-    order, so the lengths and the node counts do not depend on scheduling.
-    A serial run walks the chunks against one running node budget. A pooled
-    run does the same in the calling process, a chunk at a time, until its
-    nodes pass `_POOL_START_NODES`; so a small walk starts no worker
-    process, and a larger one starts them only once the walk's tables are
-    built, which forked workers inherit. The chunks left then go to the pool
-    with the budget the caller left. The
-    results are collected in order, and once the finished nodes pass the cap
-    the chunks not yet started are cancelled and the run raises: the pooled
-    part overspends by at most one chunk per worker.
+    One walk in the calling process takes the chunks in order against the
+    running budget: all of them without a pool, and with one until its nodes
+    pass `_POOL_START_NODES`, so a small walk starts no worker process and a
+    larger one starts them only once the walk's tables are built, which
+    forked workers inherit. Each chunk left then goes to the pool as the
+    profile of that one chunk, with the budget the caller left. The chunks
+    are the same at any worker count and merge in walk order, so the lengths
+    and the node counts do not depend on scheduling; once the finished nodes
+    pass the cap, the chunks not yet started are cancelled and the run
+    raises: the pooled part overspends by at most one chunk per worker.
     """
-    chunks = _chunks(moduli, target, length)
-    if pool is None:
-        return _profile_chunks(moduli, target, length, chunks, max_nodes, deadline)
-    rest = iter(chunks)
-    parts: list[_Profile] = []
-    nodes = 0
-    for outer in rest:
-        parts.append(_profile_chunks(moduli, target, length, (outer,), max_nodes, deadline, nodes))
-        nodes += parts[-1].nodes
-        if nodes > _POOL_START_NODES:
-            break
-    futures = [
-        pool.submit(_profile_chunks, moduli, target, length, (v,), max_nodes, deadline, nodes)
-        for v in rest
+    lengths = _zero_lengths(moduli, length)
+    chunks = iter(_chunks(moduli, target, length) if outers is None else outers)
+    zero = 0  # bit L: length L is known to fail for some zero-sum multiset
+    top = -1
+    need = [0]
+
+    def record(mults: list[int], a: int, hi: int, s: int) -> None:
+        nonlocal top, zero
+        if hi > length:
+            hi = length
+        if hi > top:
+            top = hi
+        zero |= lengths[s] & ((2 << hi) - (1 << a))
+        floor = need[0]
+        while zero >> floor & 1:
+            floor += 1
+        need[0] = floor
+
+    nodes, leaves = _walk(
+        moduli, target, length, chunks, need, record, max_nodes, deadline,
+        levels=_cap_levels(moduli), spent=spent,
+        until=math.inf if pool is None else _POOL_START_NODES,
+    )
+    futures = [  # without a pool the walk has taken every chunk
+        pool.submit(_profile, moduli, target, length, None, max_nodes, deadline, (v,), nodes)
+        for v in chunks
     ]
     try:
         for future in futures:
-            parts.append(future.result())
-            nodes += parts[-1].nodes
+            part = future.result()
+            nodes += part.nodes
             if nodes > max_nodes:
                 raise _budget_error(nodes, max_nodes)
+            zero |= sum(1 << L for L in part.zero)
+            top = max(top, part.top)
+            leaves += part.leaves
     finally:
         for future in futures:
             future.cancel()
     return _Profile(
-        frozenset().union(*(p.zero for p in parts)), max(p.top for p in parts), nodes,
-        sum(p.leaves for p in parts),
+        frozenset(L for L in range(length + 1) if zero >> L & 1), top, nodes - spent, leaves
     )
 
 

@@ -616,14 +616,19 @@ def test_budget_caps_the_whole_length(workers):
 
 class _RecordingExecutor(Executor):
     """Records the arguments of each call submitted, and runs it on `inner`,
-    or at once in this process when there is none."""
+    or at once in this process when there is none. With a `walks` counter,
+    it also records the counter's value at each submit."""
 
-    def __init__(self, inner=None):
+    def __init__(self, inner=None, walks=None):
         self.inner = inner
+        self.walks = walks
         self.submitted = []
+        self.walks_at_submit = []
 
     def submit(self, fn, /, *args, **kwargs):
         self.submitted.append(args)
+        if self.walks is not None:
+            self.walks_at_submit.append(self.walks[0])
         if self.inner is not None:
             return self.inner.submit(fn, *args, **kwargs)
         future = Future()
@@ -652,7 +657,7 @@ def test_pooled_walk_below_the_start_constant_starts_no_worker():
     assert rep.computed_value == 22 and rep.stats.nodes_visited == 29007
 
 
-# (G, t), the chunks the caller walks before its nodes pass
+# (G, t), the chunks the caller's walk takes before its nodes pass
 # _POOL_START_NODES, and those nodes: Z/12 at t=12 walks chunks 0-3 of 12
 # (0 + 640 + 21,867 + 60,947) of its 215,157 nodes, (Z/4)^2 at t=8 chunks 0-2
 # of 8 (0 + 6,238 + 26,642) of 71,685.
@@ -667,11 +672,34 @@ def test_pooled_walk_submits_the_chunks_left_after_the_callers(moduli, t, kept, 
     with ProcessPoolExecutor(2) as real:
         pool = _RecordingExecutor(real)
         assert _profile(moduli, t, length, pool, 10**8, deadline) == serial
-    # Each chunk left goes to the pool once, in order, with the budget the
-    # caller's nodes left.
+    # Each chunk left goes to the pool once, in order, as the profile of that
+    # one chunk with no pool and the budget the caller's nodes left.
     assert pool.submitted == [
-        (moduli, t, length, (v,), 10**8, deadline, handoff) for v in range(kept, t)
+        (moduli, t, length, None, 10**8, deadline, (v,), handoff) for v in range(kept, t)
     ]
+
+
+def test_pooled_walk_walks_the_callers_chunks_in_one_walk(monkeypatch):
+    # The caller's chunks before the handoff are one walk, as in a serial
+    # run: Z/12 at t=12 reaches its first submit after one `_walk` call, and
+    # each chunk submitted is one more.
+    import zerosum.search as search
+
+    walks = [0]
+    inner = search._walk
+
+    def counted(*args, **kwargs):
+        walks[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_walk", counted)
+    moduli, t, length = (12,), 12, 11 * 12
+    pool = _RecordingExecutor(walks=walks)
+    _profile(moduli, t, length, pool, 10**8, time.monotonic() + 900)
+    assert pool.walks_at_submit == list(range(1, 9))
+    walks[0] = 0
+    _profile(moduli, t, length, None, 10**8, time.monotonic() + 900)
+    assert walks == [1]
 
 
 def test_pooled_budget_is_exact_in_the_caller_and_one_chunk_past_it():
@@ -695,7 +723,9 @@ def test_pooled_budget_is_exact_in_the_caller_and_one_chunk_past_it():
                 _profile(moduli, t, length, pool, cap, deadline)
             spent = int(re.search(rf"(\d+) nodes, {cap} allowed", str(exc.value)).group(1))
             assert cap < spent <= cap + largest
-            assert [args[3] for args in pool.submitted] == [(v,) for v in range(4, 12)]
+            assert [args[3:] for args in pool.submitted] == [
+                (None, cap, deadline, (v,), 83454) for v in range(4, 12)
+            ]
 
 
 @pytest.mark.parametrize("pooled", [False, True])
