@@ -95,8 +95,7 @@ def _load_sequence(args) -> Sequence:
     if args.seq is not None:
         if args.group is None:
             raise UsageError("--seq needs --group")
-        group = parse_group(args.group)
-        return parse_elements(group, args.seq, lenient=args.lenient)
+        return parse_elements(parse_group(args.group), args.seq, lenient=args.lenient)
     if args.seq_file is not None:
         try:
             with open(args.seq_file, "r", encoding="utf-8") as fh:
@@ -104,7 +103,11 @@ def _load_sequence(args) -> Sequence:
         except OSError as exc:
             raise UsageError(f"cannot read --seq-file {args.seq_file}: {exc.strerror}") from None
         if text.lstrip().startswith("{"):
-            seq = sequence_from_jsonable(json.loads(text), lenient=args.lenient)
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise SequenceParseError(f"invalid JSON in --seq-file: {exc}") from None
+            seq = sequence_from_jsonable(data, lenient=args.lenient)
         else:
             seq = parse_sequence(text.strip(), lenient=args.lenient)
         if args.group is not None and parse_group(args.group) != seq.group:
@@ -232,20 +235,18 @@ def _dispatch_extract(seq: Sequence, target: int, method: str):
             return extract_square_3n(seq), "square3n"
         _require_shorter(seq, method, 4, n)
         return extract_square_block(seq, 4 * n - seq.length), "squareblock"
-    if method == "auto":
-        # Each extractor checks its own hypotheses; outside them, dp.
-        n = group.moduli[0]
-        try:
-            if group.rank == 1 and target % n == 0:
-                return extract_cyclic_nt(seq, target // n), "nt"
-            if group.rank == 2 and target == n:
-                if seq.length == 3 * n:
-                    return extract_square_3n(seq), "square3n"
-                return extract_square_n(seq), "squaren"
-        except PreconditionError:
-            pass
-        return find_zero_sum_subseq(seq, target), "dp"
-    raise UsageError(f"unknown method {method!r}")
+    # auto: each extractor checks its own hypotheses; outside them, dp.
+    n = group.moduli[0]
+    try:
+        if group.rank == 1 and target % n == 0:
+            return extract_cyclic_nt(seq, target // n), "nt"
+        if group.rank == 2 and target == n:
+            if seq.length == 3 * n:
+                return extract_square_3n(seq), "square3n"
+            return extract_square_n(seq), "squaren"
+    except PreconditionError:
+        pass
+    return find_zero_sum_subseq(seq, target), "dp"
 
 
 def _cmd_extract(args) -> int:
@@ -276,15 +277,13 @@ def _cmd_construct(args) -> int:
             raise UsageError("construct --family square needs --n")
         seq = build_square_extremal(args.n)
         forbidden = (args.n,)
-    elif args.family == "power2":
+    else:  # power2
         if args.r is None:
             raise UsageError("construct --family power2 needs --r")
         if args.n is not None and args.n != 2:
             raise UsageError("the power2 family is only defined for n = 2")
         seq = build_power2_extremal(1, args.r)
         forbidden = (2,)
-    else:
-        raise UsageError(f"unknown family {args.family!r}")
     report = validate_extremal(seq, forbidden)
     payload = {
         "family": args.family,
@@ -320,8 +319,6 @@ def _claimed_from_formula(group: Group, t: int) -> int:
 
 
 def _cmd_constant(args) -> int:
-    if args.group is None:
-        raise UsageError("constant needs --group")
     group = parse_group(args.group)
     claimed = None
     if args.claimed_from == "formula":
@@ -474,9 +471,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
-        _error("usage", str(exc))
-        return 2
     except (GroupParseError, SequenceParseError) as exc:
         _error("parse", str(exc))
         return 2

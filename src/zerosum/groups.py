@@ -61,14 +61,6 @@ class Group:
             and all(isinstance(c, int) and 0 <= c < m for c, m in zip(el, self.moduli))
         )
 
-    def reduce(self, coords: tuple[int, ...]) -> Element:
-        """Reduce arbitrary integer coordinates modulo the factor moduli."""
-        if len(coords) != self.rank:
-            raise ValueError(
-                f"expected {self.rank} coordinates for {self}, got {len(coords)}"
-            )
-        return tuple(c % m for c, m in zip(coords, self.moduli))
-
     def add(self, a: Element, b: Element) -> Element:
         self._check(a)
         self._check(b)

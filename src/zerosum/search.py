@@ -971,7 +971,9 @@ def verify_theorem(
     }
     if suite not in suites:
         raise ValueError(f"unknown suite {suite!r}")
+    if t_values is not None and suite != "cyclic":
+        raise ValueError(f"t values apply only to the cyclic suite, not {suite!r}")
     defaults, report = suites[suite]
     ns = list(defaults if n_values is None else n_values)
-    ts = list(t_values) if suite == "cyclic" and t_values is not None else [1]
+    ts = [1] if t_values is None else list(t_values)
     return [report(n, t) for t in ts for n in ns]

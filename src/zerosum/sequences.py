@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .groups import Element, Group, GroupParseError, parse_group
+from .groups import Element, Group, GroupParseError, make_group, parse_group
 
 _TOKEN_RE = re.compile(r"(\([^()]*\)|[+-]?\d+)(?:\s*\^\s*([+-]?\d+))?")
 
@@ -49,18 +49,13 @@ class Sequence:
 
     __slots__ = ("group", "counts", "length", "total_sum")
 
-    def __init__(self, group: Group, counts: Mapping[Element, int], lenient: bool = False):
-        clean: dict[Element, int] = {}
+    def __init__(self, group: Group, counts: Mapping[Element, int]):
         for el, mult in counts.items():
-            el = tuple(el)
-            if lenient:
-                el = group.reduce(el)
-            elif not group.contains(el):
+            if not group.contains(el):
                 raise ValueError(f"{el!r} is not an element of {group}")
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise ValueError(f"multiplicity for {el!r} must be >= 1, got {mult!r}")
-            clean[el] = clean.get(el, 0) + mult
-        self._set(group, clean)
+        self._set(group, counts)
 
     @classmethod
     def _of(cls, group: Group, counts: Mapping[Element, int]):
@@ -118,10 +113,6 @@ class Witness(Sequence):
 
     __slots__ = ()
 
-    def __init__(self, group: Group, counts: Mapping[Element, int]):
-        """Checked like a Sequence, but never lenient."""
-        super().__init__(group, counts)
-
     def _set(self, group: Group, counts: Mapping[Element, int]) -> None:
         """Both constructors end here, so the trusted one checks the sum too."""
         super()._set(group, counts)
@@ -149,37 +140,54 @@ def serialize_sequence(seq: Sequence) -> str:
     return f"{seq.group}: {body}" if body else f"{seq.group}:"
 
 
-def parse_elements(group: Group, text: str, lenient: bool = False) -> Sequence:
-    """Parse the element body of a sequence ("1^4 2^4" or "(0,1) (1,0)^2")."""
+def _read_terms(group: Group, terms: Iterable[tuple], lenient: bool = False) -> Sequence:
+    """The one check of parsed text and JSON: each (token, coords, mult) term
+    has an int multiplicity >= 1 and one int coordinate per factor, each in
+    range unless `lenient` reduces it. Messages name a term by its token."""
     counts: dict[Element, int] = {}
+    for token, coords, mult in terms:
+        if type(mult) is not int:
+            raise SequenceParseError(f"multiplicity of {token!r} must be an integer, got {mult!r}")
+        if mult < 1:
+            raise SequenceParseError(f"multiplicity must be >= 1, got {mult}")
+        if not coords:
+            raise SequenceParseError(f"empty element tuple in {token!r}")
+        if len(coords) != group.rank:
+            raise SequenceParseError(
+                f"element {token!r} has {len(coords)} coordinates, group {group} has rank {group.rank}"
+            )
+        if any(type(c) is not int for c in coords):
+            raise SequenceParseError(f"element {token!r} has a coordinate that is not an integer")
+        coords = tuple(c % q if lenient else c for c, q in zip(coords, group.moduli))
+        if not group.contains(coords):
+            raise SequenceParseError(f"element {token!r} out of range for {group}")
+        counts[coords] = counts.get(coords, 0) + mult
+    return Sequence._of(group, counts)  # every element was checked above
+
+
+def _text_terms(text: str) -> Iterator[tuple[str, tuple, int]]:
+    """Tokenize an element body into terms for `_read_terms`, one at a time,
+    so each is checked before the text after it is read."""
     pos = 0
     for m in _TOKEN_RE.finditer(text):
         if text[pos:m.start()].strip():
             raise SequenceParseError(f"unexpected text {text[pos:m.start()]!r}")
         pos = m.end()
         token, mult_text = m.group(1), m.group(2)
-        mult = int(mult_text) if mult_text is not None else 1
-        if mult < 1:
-            raise SequenceParseError(f"multiplicity must be >= 1, got {mult}")
-        if token.startswith("("):
-            inner = token[1:-1].strip()
-            if not inner:
-                raise SequenceParseError(f"empty element tuple in {token!r}")
-            coords = tuple(int(p) for p in inner.split(","))
-        else:
-            coords = (int(token),)
-        if len(coords) != group.rank:
-            raise SequenceParseError(
-                f"element {token!r} has {len(coords)} coordinates, group {group} has rank {group.rank}"
-            )
-        if lenient:
-            coords = group.reduce(coords)
-        elif not group.contains(coords):
-            raise SequenceParseError(f"element {token!r} out of range for {group}")
-        counts[coords] = counts.get(coords, 0) + mult
+        inner = token[1:-1] if token.startswith("(") else token
+        parts = inner.split(",") if inner.strip() else []
+        try:
+            coords = tuple(int(p) for p in parts)
+        except ValueError:
+            coords = tuple(parts)  # not all integers: `_read_terms` refuses them
+        yield token, coords, int(mult_text) if mult_text is not None else 1
     if text[pos:].strip():
         raise SequenceParseError(f"unexpected trailing text {text[pos:]!r}")
-    return Sequence._of(group, counts)  # every element was checked above
+
+
+def parse_elements(group: Group, text: str, lenient: bool = False) -> Sequence:
+    """Parse the element body of a sequence ("1^4 2^4" or "(0,1) (1,0)^2")."""
+    return _read_terms(group, _text_terms(text), lenient)
 
 
 def parse_sequence(text: str, lenient: bool = False) -> Sequence:
@@ -200,15 +208,18 @@ def sequence_to_jsonable(seq: Sequence) -> dict:
 
 
 def sequence_from_jsonable(data: dict, lenient: bool = False) -> Sequence:
-    from .groups import make_group
-
+    """Read {"group": {"moduli": [...]}, "counts": [[coords, mult], ...]}."""
     try:
         moduli = data["group"]["moduli"]
         pairs = data["counts"]
     except (KeyError, TypeError) as exc:
         raise SequenceParseError(f"malformed sequence JSON: {exc}") from exc
-    group = make_group(moduli)
-    counts: dict[Element, int] = {}
-    for coords, mult in pairs:
-        counts[tuple(coords)] = counts.get(tuple(coords), 0) + int(mult)
-    return Sequence(group, counts, lenient=lenient)
+    if not (isinstance(moduli, list) and isinstance(pairs, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], list) for pair in pairs
+    )):
+        raise SequenceParseError("malformed sequence JSON: want a moduli list and [coords, mult] pairs")
+    try:
+        group = make_group(moduli)
+    except ValueError as exc:
+        raise SequenceParseError(str(exc)) from exc
+    return _read_terms(group, ((coords, coords, mult) for coords, mult in pairs), lenient)

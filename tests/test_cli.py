@@ -256,6 +256,55 @@ def test_usage_errors(capsys):
     assert err.startswith("ERROR:usage:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "nope"],
+        ["detect", "--group", "Z/3", "--seq", "1"],
+        ["frobnicate"],
+    ],
+    ids=["unknown-suite", "missing-k", "unknown-subcommand"],
+)
+def test_argparse_errors_are_one_usage_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR:usage:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["detect", "count", "extract", "construct", "constant", "verify"])
+def test_subcommand_help_exits_0(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: zerosum {command}")
+
+
+@pytest.mark.parametrize("suite", ["square", "egz", "conjecture"])
+def test_verify_t_is_a_usage_error_outside_the_cyclic_suite(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "2", "--t", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR:usage:") and "cyclic suite" in err
+
+
+@pytest.mark.parametrize(
+    "group, t, claimed",
+    [("Z/3^2", "3", 9), ("Z/2^3", "2", 9), ("Z/3^2", "6", None), ("Z/2xZ/4", "4", None)],
+)
+def test_constant_claimed_from_formula(capsys, group, t, claimed):
+    # The square theorem, the conjectured value for (Z/2)^r, and two targets
+    # with no closed form, refused before any search.
+    code, out, err = run(
+        capsys, "--format", "json", "constant", "--group", group, "--t", t,
+        "--claimed-from", "formula",
+    )
+    if claimed is None:
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR:usage: no closed form")
+        return
+    report = json.loads(out)["report"]
+    assert code == 0
+    assert report["claimed_value"] == report["computed_value"] == claimed
+
+
 def test_seq_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "seq.txt"
     path.write_text("Z/6: 1^4 2^4\n", encoding="utf-8")
@@ -271,6 +320,39 @@ def test_seq_file_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "detect", "--seq-file", str(jpath), "--k", "8")
     assert code == 0
     assert out.strip() == "Z/6: 1^4 2^4"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"group": {"moduli": [6]}, "counts": [[5, 1]]}',
+        '{"group": {"moduli": [6]}, "counts": 7}',
+        '{"group": {"moduli": [6]}, "counts": [[[1], 2.5]]}',
+        '{"group": {"moduli": [6]}, "counts": [[[1], true]]}',
+        '{"group": {"moduli": [6]}, "counts": [[[1], "x"]]}',
+        '{"group": {"moduli": [0]}, "counts": []}',
+        '{"group": {"moduli": [5000, 5000]}, "counts": []}',
+        '{"group": {"moduli": [6]}, "counts": [[[1], 2]',
+    ],
+)
+def test_malformed_json_seq_file_is_a_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "seq.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "detect", "--seq-file", str(path), "--k", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR:parse:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "seq, message",
+    [
+        ("(1,)", "element '(1,)' has a coordinate that is not an integer"),
+        ("(a,b)", "element '(a,b)' has a coordinate that is not an integer"),
+    ],
+)
+def test_non_integer_coordinate_is_a_parse_error(capsys, seq, message):
+    code, out, err = run(capsys, "detect", "--group", "Z/3^2", "--seq", seq, "--k", "1")
+    assert (code, out, err) == (2, "", f"ERROR:parse: {message}\n")
 
 
 def test_unreadable_seq_file_is_a_usage_error(tmp_path, capsys):

@@ -770,6 +770,24 @@ def test_por2p_exhaustive_p2():
     assert rep.checked + rep.vacuous == 35 + 56
 
 
+def test_por2p_reports_violations_and_the_first_as_counterexample(monkeypatch):
+    # A counter that is wrong on every case after the first: each of those is
+    # a violation, and the first of them is the counterexample.
+    import zerosum.search as search
+
+    seen = []
+
+    def wrong_after_first(seq, k, modulus=None):
+        seen.append(seq)
+        return count_zero_sum_subseqs(seq, k, modulus=modulus) + (len(seen) > 1)
+
+    monkeypatch.setattr(search, "count_zero_sum_subseqs", wrong_after_first)
+    rep = check_lemma_por2p(3, count=5)
+    assert rep.checked == len(seen) == 10  # five draws at each size
+    assert not rep.passed and rep.violations == rep.checked - 1
+    assert rep.counterexample == serialize_sequence(seen[1])
+
+
 def test_por2p_hand_example():
     j = parse_sequence("Z/2^2: (0,0) (0,1) (1,0) (1,1)")
     assert count_zero_sum_subseqs(j, 2) == 0

@@ -42,11 +42,42 @@ def test_parse_lenient_reduces():
 
 @pytest.mark.parametrize(
     "text",
-    ["Z/3 1 2", "Z/3: 1^0", "Z/3: 1^-2", "Z/3: (1,2)", "Z/2^2: (1)", "Z/3: x", "Z/3: 1 junk"],
+    [
+        "Z/3 1 2", "Z/3: 1^0", "Z/3: 1^-2", "Z/3: (1,2)", "Z/2^2: (1)", "Z/3: x", "Z/3: 1 junk",
+        "Z/3^2: (1,)", "Z/3^2: (a,b)", "Z/3: ()",
+    ],
 )
 def test_parse_rejects(text):
     with pytest.raises(SequenceParseError):
         parse_sequence(text)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {"group": {"moduli": [6]}},
+        {"group": {"moduli": 6}, "counts": []},
+        {"group": {"moduli": [0]}, "counts": []},
+        {"group": {"moduli": [6]}, "counts": [[5, 1]]},
+        {"group": {"moduli": [6]}, "counts": [[[1], 2.5]]},
+        {"group": {"moduli": [6]}, "counts": [[[1], True]]},
+        {"group": {"moduli": [6]}, "counts": [[[1], 0]]},
+        {"group": {"moduli": [6]}, "counts": [[[], 1]]},
+        {"group": {"moduli": [6]}, "counts": [[[1, 2], 1]]},
+        {"group": {"moduli": [6]}, "counts": [[["1"], 1]]},
+        {"group": {"moduli": [6]}, "counts": [[[True], 1]]},
+        {"group": {"moduli": [6]}, "counts": [[[6], 1]]},
+    ],
+)
+def test_json_rejects(data):
+    with pytest.raises(SequenceParseError):
+        sequence_from_jsonable(data)
+
+
+def test_json_lenient_reduces_and_merges():
+    data = {"group": {"moduli": [3]}, "counts": [[[5], 1], [[-1], 2], [[0], 1]]}
+    assert sequence_from_jsonable(data, lenient=True).counts == {(0,): 1, (2,): 3}
 
 
 def test_parse_empty_and_merge():
