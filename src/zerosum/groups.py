@@ -58,7 +58,7 @@ class Group:
         return (
             isinstance(el, tuple)
             and len(el) == self.rank
-            and all(isinstance(c, int) and 0 <= c < m for c, m in zip(el, self.moduli))
+            and all(type(c) is int and 0 <= c < m for c, m in zip(el, self.moduli))
         )
 
     def add(self, a: Element, b: Element) -> Element:

@@ -38,7 +38,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence as Seq
 
 from ._bitdp import get_pack, tile
@@ -843,10 +842,80 @@ def check_lemma_por2p(
 # Recursive-lemma check at length 3n
 
 
-def _random_multiset(rng: random.Random, order: int, size: int) -> list[int]:
-    """Uniform multiplicity vector of the given total via stars and bars."""
-    bars = [-1, *sorted(rng.sample(range(size + order - 1), order - 1)), size + order - 1]
-    return [b - a - 1 for a, b in zip(bars, bars[1:])]
+def _pick(index: int, blocks: Iterable[tuple[int, object]]) -> tuple[object, int]:
+    """The choice whose block of indices holds `index`, and the offset of
+    `index` into that block; `blocks` yields (size, choice) in index order."""
+    for size, choice in blocks:
+        if index < size:
+            return choice, index
+        index -= size
+    raise ValueError("index out of range")
+
+
+def _zero_sum_ranks(n: int, length: int, deadline: float) -> tuple[int, Callable[[int], list[int]]]:
+    """The number of zero-sum multisets of `length` elements over (Z/n)^2,
+    and the map from each index below it to one of them, a multiplicity
+    vector in the pack's index layout. Each such multiset has exactly one
+    index, so `rng.randrange(total)` draws them uniformly.
+
+    The elements fall into n classes by first coordinate. suffix[a][r][g]
+    counts the multisets of r elements whose first coordinates are >= a and
+    whose sum is g (a pack index); within[b][r][h] counts the multisets of r
+    elements of any one class whose second coordinates are >= b and sum to
+    h mod n. An index picks, class by class, the class's size r and second
+    sum h, then the class's multiplicities. The counts are exact integers.
+    Building the tables reads the deadline once per class.
+    """
+    pack, order = get_pack((n, n), 0), n * n
+
+    def start(width: int) -> list[list[int]]:  # the empty multiset only
+        return [[1] + [0] * (width - 1)] + [[0] * width for _ in range(length)]
+
+    def add(table: list[list[int]], minus: list[int]) -> list[list[int]]:
+        # Any number of copies of one more element; minus[g] is g minus it.
+        rows = [table[0]]
+        for row in table[1:]:
+            prev = rows[-1]
+            rows.append([x + prev[j] for x, j in zip(row, minus)])
+        return rows
+
+    within = [start(n)]
+    for b in range(n - 1, -1, -1):
+        within.append(add(within[-1], [(h - b) % n for h in range(n)]))
+    within.reverse()
+    suffix = [start(order)]
+    for a in range(n - 1, -1, -1):
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("wall-clock budget exhausted")
+        table = suffix[-1]
+        for b in range(n):
+            table = add(table, pack.plus(pack.index((-a % n, -b % n))))
+        suffix.append(table)
+    suffix.reverse()
+    sizes = within[0]
+
+    def multiset(index: int) -> list[int]:
+        mults = [0] * order
+        # The classes from a on hold `left` elements that sum to (g1, g2).
+        left, g1, g2 = length, 0, 0
+        for a in range(n):
+            rest = suffix[a + 1]
+            (r, h), index = _pick(index, (
+                (ways * rest[left - r][(g1 - a * r) % n * n + (g2 - h) % n], (r, h))
+                for r in range(left + 1) for h, ways in enumerate(sizes[r])
+            ))
+            index, inner = divmod(index, sizes[r][h])
+            left, g1, g2 = left - r, (g1 - a * r) % n, (g2 - h) % n
+            for b in range(n):
+                if not r:
+                    break
+                below = within[b + 1]
+                m, inner = _pick(inner, ((below[r - m][(h - m * b) % n], m) for m in range(r + 1)))
+                mults[a * n + b] = m
+                r, h = r - m, (h - m * b) % n
+        return mults
+
+    return suffix[0][length][0], multiset
 
 
 def check_lemma_3n(
@@ -859,9 +928,11 @@ def check_lemma_3n(
     witness, and the block-recursive extractor succeeds on each of them.
 
     Exhaustive when the instance space is desk-sized (n <= 3), in the order
-    of `enumerate_multisets`, and sampled otherwise. `_find` and the
-    extractor's `_square_3n` run on counts, each witness is validated once as
-    a `Witness` would be, and only a counterexample's text builds a `Sequence`.
+    of `enumerate_multisets`, and otherwise `samples` uniform draws, one
+    `_zero_sum_ranks` index each; every draw counts against the node budget.
+    `_find` and the extractor's `_square_3n` run on counts, each witness is
+    validated once as a `Witness` would be, and only a counterexample's text
+    builds a `Sequence`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -897,16 +968,11 @@ def check_lemma_3n(
               budget.max_nodes, deadline, zero_sum=True)
     else:
         rng = random.Random(seed)
-        axes = list(zip(*elements))
-        attempts = 0
-        while checked < samples:
-            attempts += 1
-            if attempts > budget.max_nodes or time.monotonic() > deadline:
-                raise BudgetExceeded(f"sampling budget exhausted after {attempts} draws")
-            mults = _random_multiset(rng, group.order, length)
-            if any(sum(map(mul, mults, axis)) % n for axis in axes):
-                continue
-            run_one(mults)
+        total, multiset = _zero_sum_ranks(n, length, deadline)
+        for draws in range(1, samples + 1):
+            if draws > budget.max_nodes or time.monotonic() > deadline:
+                raise BudgetExceeded(f"sampling budget exhausted after {draws} draws")
+            run_one(multiset(rng.randrange(total)))
 
     return PropertyReport(
         name="lemma3n",

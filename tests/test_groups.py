@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zerosum import Group, GroupParseError, make_group, min_nondivisor, parse_group
+from zerosum import Group, GroupParseError, Sequence, make_group, min_nondivisor, parse_group
 
 
 def test_make_group_examples():
@@ -32,6 +32,20 @@ def test_arithmetic_examples():
     assert g.scale((4,), 3) == (0,)
     g2 = make_group([3, 3])
     assert g2.neg((1, 2)) == (2, 1)
+
+
+@pytest.mark.parametrize("el", [(True,), (False,), (1.0,), (6,), (-1,), [1], (1, 2)])
+def test_contains_refuses_non_elements(el):
+    g = make_group([6])
+    assert g.contains((1,)) and not g.contains(el)
+    with pytest.raises(ValueError, match="is not an element of Z/6"):
+        g.add(el, (1,))
+
+
+def test_sequence_refuses_bool_coordinates():
+    # A bool coordinate would serialize as "Z/6: True", which no parser reads.
+    with pytest.raises(ValueError, match=r"^\(True,\) is not an element of Z/6$"):
+        Sequence(make_group([6]), {(True,): 1})
 
 
 def test_dimension_mismatch():

@@ -906,18 +906,79 @@ def test_lemma3n_counts_check_agrees_with_public_path_sampled(monkeypatch, n, se
     seen = _record_lemma_3n(monkeypatch)
     rep = check_lemma_3n(n, samples=200, seed=seed)
     group = make_group([n, n])
-    # The same draws, tested for a zero sum with the group's own arithmetic.
+    # The same draws, each tested for 3n elements and a zero sum with the
+    # group's own arithmetic.
     rng, elements, drawn = random.Random(seed), list(group.elements()), []
-    while len(drawn) < 200:
-        mults = search._random_multiset(rng, group.order, 3 * n)
-        total = group.identity()
+    total, multiset = search._zero_sum_ranks(n, 3 * n, math.inf)
+    for _ in range(200):
+        mults = multiset(rng.randrange(total))
+        total_sum = group.identity()
         for el, m in zip(elements, mults):
-            total = group.add(total, group.scale(el, m))
-        if total == group.identity():
-            drawn.append([(el, m) for el, m in zip(elements, mults) if m])
+            total_sum = group.add(total_sum, group.scale(el, m))
+        assert sum(mults) == 3 * n and total_sum == group.identity()
+        drawn.append([(el, m) for el, m in zip(elements, mults) if m])
     assert rep.passed and rep.checked == 200
     assert [items for items, _, _ in seen] == drawn
     _agrees_with_public_path(group, seen, n)
+
+
+@pytest.mark.parametrize("n, golden", [(2, 24), (3, 2710)])
+def test_zero_sum_ranks_list_the_walk_once(n, golden):
+    # Every index below `total` maps to a different zero-sum multiset, and
+    # together they are the walk's: the golden `checked` of lemma3n at n.
+    import zerosum.search as search
+
+    group = make_group([n, n])
+    total, multiset = search._zero_sum_ranks(n, 3 * n, math.inf)
+    ranked = [
+        tuple((el, m) for el, m in zip(group.elements(), multiset(i)) if m) for i in range(total)
+    ]
+    walk = []
+    enumerate_multisets(group, 3 * n, lambda seq: walk.append(tuple(seq.items())))
+    assert total == len(set(ranked)) == len(walk) == golden
+    assert set(ranked) == set(walk)
+    with pytest.raises(ValueError, match="index out of range"):
+        multiset(total)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_zero_sum_ranks_total_matches_a_per_element_count(n):
+    # (size, sum) -> number of multisets, one element at a time, any number
+    # of copies of each, sizes up to 3n.
+    import zerosum.search as search
+
+    group = make_group([n, n])
+    ways = {(0, group.identity()): 1}
+    for el in group.elements():
+        for (size, s), w in list(ways.items()):
+            for m in range(1, 3 * n - size + 1):
+                key = (size + m, group.add(s, group.scale(el, m)))
+                ways[key] = ways.get(key, 0) + w
+    assert search._zero_sum_ranks(n, 3 * n, math.inf)[0] == ways[(3 * n, group.identity())]
+
+
+def test_lemma3n_sampling_budget_is_a_cap(monkeypatch):
+    import zerosum.search as search
+
+    seen = _record_lemma_3n(monkeypatch)
+    # Three draws are allowed, and the fourth is refused.
+    with pytest.raises(BudgetExceeded, match=r"^sampling budget exhausted after 4 draws$"):
+        check_lemma_3n(6, samples=10, budget=SearchBudget(max_nodes=3))
+    assert len(seen) == 3
+    seen.clear()
+    with pytest.raises(BudgetExceeded):
+        check_lemma_3n(6, samples=10, budget=SearchBudget(max_seconds=0))
+    assert seen == []
+    # A fake clock that moves one second per read: the start, then one read
+    # per class while the tables are built, then one per draw.
+    reads = itertools.count()
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: next(reads)))
+    with pytest.raises(BudgetExceeded, match=r"^wall-clock budget exhausted$"):
+        check_lemma_3n(6, samples=10, budget=SearchBudget(max_seconds=5))
+    reads = itertools.count()
+    with pytest.raises(BudgetExceeded, match=r"^sampling budget exhausted after 3 draws$"):
+        check_lemma_3n(6, samples=10, budget=SearchBudget(max_seconds=8))
+    assert len(seen) == 2
 
 
 # What the check must raise, or report, when one witness search returns a bad
@@ -946,7 +1007,7 @@ def test_lemma3n_validates_each_witness(monkeypatch, search_name, bad, n, sample
         rep = check_lemma_3n(n, **kw)
         assert not rep.passed and rep.violations == rep.checked == (24 if n == 2 else samples)
         assert rep.counterexample == "engine found no witness in " + (
-            "Z/2^2: (0,0)^6" if n == 2 else "Z/4^2: (1,0) (1,1)^4 (1,2) (2,0)^2 (2,3)^2 (3,2)^2"
+            "Z/2^2: (0,0)^6" if n == 2 else "Z/4^2: (0,0) (0,1) (0,3) (1,0) (1,1) (2,2)^6 (2,3)"
         )
         return
     with pytest.raises(error) as info:
