@@ -13,7 +13,7 @@ from typing import Iterable
 
 from ._bitdp import MAX_BITS, get_pack
 from .groups import Element
-from .sequences import Sequence, Witness
+from .sequences import Sequence, Witness, _found_witness
 
 
 def _check_k(seq: Sequence, k: int) -> None:
@@ -32,11 +32,7 @@ def find_zero_sum_subseq(seq: Sequence, k: int) -> Witness | None:
     """
     _check_k(seq, k)
     counts = _find(seq.group.moduli, seq.items(), k)
-    if counts is None:
-        return None
-    witness = Witness._of(seq.group, counts)
-    witness.validate_against(seq, size=k)
-    return witness
+    return None if counts is None else _found_witness(seq, counts, k)
 
 
 def _find(

@@ -17,7 +17,7 @@ pairs, and the last block of the square extractors comes from `_square_3n`,
 the recursion behind `extract_square_3n` on counts. No Sequence or Witness
 is built for a reduced, lifted or intermediate multiset: only a witness an
 extractor returns becomes a `Witness`, which must sum to zero and is checked
-against the caller's sequence by `validate_against`.
+against the caller's sequence once; a failed check raises AssertionError.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 
 from .engine import _find, find_zero_sum_subseq
 from .groups import Element, min_nondivisor
-from .sequences import Sequence, Witness, counts_sum
+from .sequences import Sequence, Witness, _found_witness, counts_sum
 
 
 Counts = dict[Element, int]
@@ -157,9 +157,7 @@ def _combine_blocks(moduli: tuple[int, ...], deco: BlockDecomposition, k: int) -
 
 
 def _witness(seq: Sequence, counts: Counts | None, size: int) -> Witness:
-    witness = Witness._of(seq.group, _found(counts, "block selection"))
-    witness.validate_against(seq, size=size)
-    return witness
+    return _found_witness(seq, _found(counts, "block selection"), size)
 
 
 def _require(cond: bool, message: str, *args) -> None:

@@ -24,11 +24,13 @@ walk alone answers a witness check. Results do not depend on how the work is
 partitioned across workers.
 
 The unit of search is the chunk of vectors that share the last element's
-multiplicity. Every walk takes the chunks in order against one running node
-budget in the calling process; a pooled profile walk stops once it outgrows
-the cost of starting a pool, hands each chunk left to the caller's executor
-as the profile of that one chunk, and merges them in order. Nothing here
-starts a worker process itself."""
+multiplicity, whose prefix is one fold of the pack (`add_copies`). The walk
+has two entry points: `_profile`, capped, over every length, and `_vectors`,
+over one length in colex order. Every walk takes the chunks in order against
+one running node budget in the calling process; a pooled profile walk stops
+once it outgrows the cost of starting a pool, hands each chunk left to the
+caller's executor as the profile of that one chunk, and merges them in
+order. Nothing here starts a worker process itself."""
 
 from __future__ import annotations
 
@@ -236,27 +238,27 @@ def _walk(
     """Depth-first walk over the given chunks (last multiplicities, in
     order) of the multisets of size at most `length` with no zero-sum
     subsequence of length `target`, in colex order: the last element's
-    multiplicity varies slowest. A prefix whose packed reachability mask,
-    grown one copy at a time, has such a subsequence cuts its whole subtree.
+    multiplicity varies slowest. A chunk's `outer` copies of that element
+    are one `pack.add_copies` fold, counted as `outer` nodes (`_chunks` gives
+    no outer that holds a witness); below them the mask grows one copy at a
+    time, and a prefix whose mask has a witness cuts its whole subtree.
 
     A leaf assigns every nonidentity element. With size a and sum s, it
     stays witness-free under r copies of element 0 (the identity) exactly
     for r <= rmax < target (more copies only add subsequences), so it
     covers the lengths a..hi with hi = a + min(rmax, cap of element 0).
     `emit(mults, a, hi, s)` sees each leaf with rmax >= need[0] - a (with
-    `zero_sum`, only those with s = 0); the caller may raise `need` as it
-    goes, to values up to length + target, which no leaf reaches, and stops
-    the walk by returning true. At each chunk start the walk raises need[0]
-    to the chunk's outer multiplicity, which no leaf of the chunk is
-    shorter than, so a walk may start at any chunk with need[0] = 0.
-    mults[0] is the caller's. Restricted to one length, walk order is
-    colex order. The node count starts at `spent`, so a walk can draw on the
-    budget another one left; the walk raises once its nodes pass
-    `max_nodes`, or once the clock passes `deadline`, which it reads at each
-    chunk start (so a walk whose setup outlasts its time limit stops before
-    its first node) and every 1,024 nodes. It stops at the first chunk end
-    where its nodes pass `until`, leaving the chunks not started in
-    `outers`. It returns (nodes, leaves reached).
+    `zero_sum`, only those with s = 0), with mults[0] unset; it may raise
+    `need` up to length + target, which no leaf reaches, and stops the walk
+    by returning true. At each chunk start the walk raises need[0] to the
+    chunk's outer multiplicity, which no leaf of the chunk is shorter than,
+    so a walk may start at any chunk. The node count starts at `spent`; the
+    walk raises once it passes `max_nodes` (a prefix that passes it reports
+    the first node past the cap), or once the clock passes `deadline`, which
+    it reads at each chunk start (so a walk whose setup outlasts its time
+    limit stops before its first node) and every 1,024 nodes. It stops at
+    the first chunk end where its nodes pass `until`, leaving the chunks not
+    started in `outers`. It returns (nodes, leaves reached).
 
     `levels` is a cap table (see `_cap_levels`); an empty one walks
     uncapped. In each chunk the elements of levels[0] take at most as many
@@ -264,21 +266,22 @@ def _walk(
     copies, those of levels[k] take at most as many as it; such a cap is
     only set where that element is element 2 or higher, so the leaf loop of
     element 1 never sees a cap change. When `need` starts at `length` or
-    more, only leaves that reach `length` count; if exp(G) also divides the
-    target, no element takes target copies, so an element i with more than
-    (target - 1)(i + 1) copies left for elements 0..i is skipped.
+    more and exp(G) divides the target, no element takes target copies, so
+    an element i with more than (target - 1)(i + 1) copies left for
+    elements 0..i is skipped.
 
-    The prefix sum is one element index, advanced through the rows of
-    `pack.plus`; an element's row and rotation parts are built when it first
-    takes a copy, so a walk cut short builds few of them. A leaf's rmax is
-    target - 1 less the largest count at which its mask holds sum 0, read
-    only once the leaf's sum passes; for a leaf with room for r more
-    copies, need[0] - a is need[0] + r - length. No table grows with
-    `length` or the target.
-    Element 1 runs its leaves in its own loop, `step[i]` walks element i
-    (setting its cap level first, if one hangs there), and the node count
-    travels through arguments and return values. The rotation masks of
-    `pack.parts` span the packed width, so a grown mask needs no truncation.
+    The prefix sum is one element index: outer times the top element's
+    coordinates, then advanced through a row of `pack.plus` per copy. An
+    element's row and rotation parts are built when it first takes a copy,
+    so a walk cut short builds few of them. A leaf's rmax is target - 1
+    less the largest count at which its mask holds sum 0, read only once
+    the leaf's sum passes; for a leaf with room for r more copies,
+    need[0] - a is need[0] + r - length. No table grows with `length` or
+    the target. Element 1 runs its leaves in its own loop, `step[i]` walks
+    element i (setting its cap level first, if one hangs there), and the
+    node count travels through arguments and return values. The rotation
+    masks of `pack.parts` span the packed width, so a grown mask needs no
+    truncation.
     """
     depth = math.prod(moduli) + 200  # the walk takes one frame per element
     if sys.getrecursionlimit() < depth:
@@ -384,25 +387,16 @@ def _walk(
         for outer in outers:
             if time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted")
-            mask = pack.initial
-            s = 0
             for i in first:
                 cap[i] = outer
             if need[0] < outer:
                 need[0] = outer
-            if top:  # each chunk grows its own prefix: its nodes do not depend on the others
-                if outer and plus[top] is None:
-                    plus[top], parts[top] = pack.plus(top), pack.parts(top)
-                for _ in range(outer):
-                    nodes += 1
-                    if nodes > max_nodes:
-                        raise _budget_error(nodes, max_nodes)
-                    moved = mask << order
-                    for lo, up, down, lod in parts[top]:
-                        moved = ((moved & lo) << up) | ((moved >> down) & lod)
-                    mask |= moved  # `_chunks` gives only outers that hold no witness
-                    s = plus[top][s]
-                mults[top] = outer
+            if nodes + outer > max_nodes:  # nodes <= max_nodes here: the first node past is max_nodes + 1
+                raise _budget_error(max_nodes + 1, max_nodes)
+            nodes += outer
+            mask = pack.add_copies(pack.initial, top, outer)
+            s = pack.index(tuple(outer * c % m for c, m in zip(pack.coords(top), moduli)))
+            mults[top] = outer
             b = length - outer
             if top >= 2:
                 nodes = step[top - 1](top - 1, b, s, mask, nodes)
@@ -417,6 +411,25 @@ def _walk(
     except _Stop as stop:
         nodes = stop.args[0]
     return nodes, leaves
+
+
+def _vectors(
+    moduli: tuple[int, ...], target: int, length: int, zero_sum: bool,
+    visit: Callable[[list[int]], bool | None], max_nodes: int, deadline: float, spent: int = 0,
+) -> tuple[int, int]:
+    """The uncapped walk over the multiplicity vectors of exactly `length`
+    elements with no zero-sum subsequence of length `target` (with
+    `zero_sum`, only the zero-sum ones), in colex order, which is `_walk`'s
+    order at one length: `visit(mults)` sees each vector whole and stops the
+    walk by returning true. The node count continues from `spent` against
+    the same cap. Returns (nodes, leaves reached)."""
+
+    def emit(mults: list[int], a: int, hi: int, s: int) -> bool | None:
+        mults[0] = length - a
+        return visit(mults)
+
+    return _walk(moduli, target, length, _chunks(moduli, target, length), [length], emit,
+                 max_nodes, deadline, zero_sum=zero_sum, spent=spent)
 
 
 def _sequence_of(group: Group, mults: Seq[int]) -> Sequence:
@@ -445,16 +458,14 @@ def enumerate_multisets(
         raise ValueError(f"length must be >= 0, got {length}")
     budget = budget or SearchBudget()
     stats = EnumerationStats()
-    t = length + 1 if target is None else target
 
-    def emit(mults: list[int], a: int, hi: int, s: int) -> None:
-        mults[0] = length - a
+    def visit(mults: list[int]) -> None:
         stats.visited += 1
         visitor(_sequence_of(group, mults))
 
-    _walk(
-        group.moduli, t, length, _chunks(group.moduli, t, length), [length], emit,
-        budget.max_nodes, time.monotonic() + budget.max_seconds, zero_sum=zero_sum_only,
+    _vectors(
+        group.moduli, length + 1 if target is None else target, length, zero_sum_only, visit,
+        budget.max_nodes, time.monotonic() + budget.max_seconds,
     )
     return stats
 
@@ -562,29 +573,20 @@ def _profile(
 
 
 def _first_failing(
-    moduli: tuple[int, ...],
-    target: int,
-    length: int,
-    zero_sum: bool,
-    max_nodes: int,
-    deadline: float,
-    spent: int,
+    moduli: tuple[int, ...], target: int, length: int, zero_sum: bool, max_nodes: int, deadline: float, spent: int
 ) -> tuple[tuple[int, ...] | None, int, int]:
     """The first multiplicity vector of the given length in colex order with
     no zero-sum subsequence of length `target` (with `zero_sum`, the first
-    zero-sum one), or None: one serial uncapped walk that stops at its first
-    leaf. Returns the vector, the node count continued from `spent` against
-    the same cap, and the leaves reached."""
+    zero-sum one), or None: the `_vectors` walk stopped at its first vector.
+    Returns the vector, the node count continued from `spent` against the
+    same cap, and the leaves reached."""
     found: list[tuple[int, ...]] = []
 
-    def stop(mults: list[int], a: int, hi: int, s: int) -> bool:
-        found.append((length - a, *mults[1:]))
+    def stop(mults: list[int]) -> bool:
+        found.append(tuple(mults))
         return True
 
-    nodes, leaves = _walk(
-        moduli, target, length, _chunks(moduli, target, length), [length], stop,
-        max_nodes, deadline, zero_sum=zero_sum, spent=spent,
-    )
+    nodes, leaves = _vectors(moduli, target, length, zero_sum, stop, max_nodes, deadline, spent)
     return (found[0] if found else None), nodes, leaves
 
 
@@ -931,8 +933,9 @@ def check_lemma_3n(
     of `enumerate_multisets`, and otherwise `samples` uniform draws, one
     `_zero_sum_ranks` index each; every draw counts against the node budget.
     `_find` and the extractor's `_square_3n` run on counts, each witness is
-    validated once as a `Witness` would be, and only a counterexample's text
-    builds a `Sequence`.
+    validated once by a `Witness`'s rules (a failure, the program's fault,
+    raises AssertionError), and only a counterexample's text builds a
+    `Sequence`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -956,16 +959,11 @@ def check_lemma_3n(
             if counterexample is None:
                 counterexample = "engine found no witness in " + serialize_sequence(Sequence._of(group, counts))
             return
-        _check_witness(moduli, found, counts, n)
-        _check_witness(moduli, _found(_square_3n(moduli, items, n), "block selection"), counts, n)
+        for witness in (found, _found(_square_3n(moduli, items, n), "block selection")):
+            _check_witness(moduli, witness, counts, n, error=AssertionError)
 
-    if exhaustive:
-        def emit(mults: list[int], a: int, hi: int, s: int) -> None:
-            mults[0] = length - a  # as enumerate_multisets, in its order
-            run_one(mults)
-
-        _walk(moduli, length + 1, length, _chunks(moduli, length + 1, length), [length], emit,
-              budget.max_nodes, deadline, zero_sum=True)
+    if exhaustive:  # as enumerate_multisets, in its order
+        _vectors(moduli, length + 1, length, True, run_one, budget.max_nodes, deadline)
     else:
         rng = random.Random(seed)
         total, multiset = _zero_sum_ranks(n, length, deadline)

@@ -23,17 +23,18 @@ def counts_sum(moduli: tuple[int, ...], counts: Mapping[Element, int]) -> Elemen
 
 
 def _check_witness(
-    moduli: tuple[int, ...], counts: Mapping[Element, int], parent=None, size=None, total=None
+    moduli: tuple[int, ...], counts: Mapping[Element, int], parent=None, size=None, total=None, error=ValueError
 ) -> None:
     """The rules of a witness, on plain counts: it sums to zero (to `total`,
     its sum when known), and, given a parent's counts and a size, lies inside
-    them and has exactly that many elements. Raises what a `Witness` raises."""
+    them and has exactly that many elements. Raises `error`: ValueError for
+    a `Witness`, AssertionError for a witness the program found."""
     if any(counts_sum(moduli, counts) if total is None else total):
-        raise ValueError(f"witness does not sum to the identity: {dict(sorted(counts.items()))}")
+        raise error(f"witness does not sum to the identity: {dict(sorted(counts.items()))}")
     if parent is not None and any(parent.get(el, 0) < m for el, m in counts.items()):
-        raise ValueError("witness exceeds parent multiplicities")
+        raise error("witness exceeds parent multiplicities")
     if size is not None and (length := sum(counts.values())) != size:
-        raise ValueError(f"witness has length {length}, expected {size}")
+        raise error(f"witness has length {length}, expected {size}")
 
 
 class Sequence:
@@ -123,6 +124,12 @@ class Witness(Sequence):
         if parent.group != self.group:
             raise ValueError("witness group does not match parent group")
         _check_witness(self.group.moduli, self.counts, parent.counts, size, self.total_sum)
+
+
+def _found_witness(parent: Sequence, counts: Mapping[Element, int], size: int) -> Witness:
+    """The witness of `size` elements that the program found in `parent`."""
+    _check_witness(parent.group.moduli, counts, parent.counts, size, error=AssertionError)
+    return Witness._of(parent.group, counts)
 
 
 def _format_element(el: Element) -> str:

@@ -235,6 +235,18 @@ def test_budget_exit_code(capsys):
     assert err.startswith("ERROR:budget:")
 
 
+@pytest.mark.parametrize("budget", [419, 420, 421])
+def test_budget_line_when_the_cap_falls_inside_a_chunk_prefix(capsys, budget):
+    # Z/8 at t=16: chunk 3 starts after 419 nodes with a prefix of 3 copies
+    # of the top element. A cap at or inside it reports the first node past
+    # the cap, as a walk that adds those copies one at a time would.
+    deadline = time.monotonic() + 900
+    assert search._profile((8,), 16, 15 * 8, None, 10**8, deadline, range(3)).nodes == 419
+    code, out, err = run(capsys, "constant", "--group", "Z/8", "--t", "16", "--budget", str(budget))
+    assert (code, out) == (3, "")
+    assert err == f"ERROR:budget: node budget exhausted: {budget + 1} nodes, {budget} allowed\n"
+
+
 def test_infinite_constant_exit_code(capsys):
     # s'(Z/4, 2) is infinite: 4 does not divide 2. The refusal is immediate.
     start = time.monotonic()
@@ -390,6 +402,15 @@ def test_internal_fault_exits_4_with_one_line(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "ERROR:internal: AssertionError: guaranteed block selection not found\n"
+
+
+def test_failed_check_of_a_found_witness_is_an_internal_fault(capsys, monkeypatch):
+    # A witness the program found that fails its own check is a fault in the
+    # program, not a usage error: exit 4 with the check's message.
+    monkeypatch.setattr(search, "_find", lambda *args: {})
+    code, out, err = run(capsys, "verify", "--suite", "lemma3n", "--n", "2")
+    assert (code, out) == (4, "")
+    assert err == "ERROR:internal: AssertionError: witness has length 0, expected 2\n"
 
 
 def test_env_workers(capsys, monkeypatch):

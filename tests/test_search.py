@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import random
 import re
+import sys
 import time
 import tracemalloc
 import types
@@ -702,6 +703,24 @@ def test_pooled_walk_walks_the_callers_chunks_in_one_walk(monkeypatch):
     assert walks == [1]
 
 
+@pytest.mark.parametrize("reader", ["last", "dfs"])
+def test_walk_reads_the_clock_inside_a_chunk(monkeypatch, reader):
+    # Inside a chunk the walk reads the clock every 1,024 nodes, both in the
+    # leaf loop of element 1 (`last`) and in the copy loop of the elements
+    # above it (`dfs`). Z/8 at t=16 has chunks of 4,445 and 5,624 nodes, so a
+    # clock that passes the deadline only when `reader` reads it, and never at
+    # a chunk start, stops the walk from inside a chunk.
+    import zerosum.search as search
+
+    def monotonic():
+        return math.inf if sys._getframe(1).f_code.co_name == reader else 0.0
+
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=monotonic))
+    with pytest.raises(BudgetExceeded, match=r"^wall-clock budget exhausted$") as info:
+        brute_force_modified_constant(make_group([8]), 16)
+    assert info.traceback[-1].name == reader
+
+
 def test_pooled_budget_is_exact_in_the_caller_and_one_chunk_past_it():
     moduli, t, length = (12,), 12, 11 * 12
     deadline = time.monotonic() + 900
@@ -982,13 +1001,14 @@ def test_lemma3n_sampling_budget_is_a_cap(monkeypatch):
 
 
 # What the check must raise, or report, when one witness search returns a bad
-# witness: the errors of Witness and validate_against, as before the check ran
-# on counts.
+# witness: the messages of Witness and validate_against, raised as
+# AssertionError, since a witness the program found that fails its check is a
+# fault in the program, not in the caller's input.
 _BAD_WITNESSES = {
-    "size": (lambda moduli, items, k: {}, ValueError, "witness has length 0, expected {n}"),
-    "sum": (lambda moduli, items, k: {(0, 1): 1}, ValueError,
+    "size": (lambda moduli, items, k: {}, AssertionError, "witness has length 0, expected {n}"),
+    "sum": (lambda moduli, items, k: {(0, 1): 1}, AssertionError,
             "witness does not sum to the identity: {{(0, 1): 1}}"),
-    "contained": (lambda moduli, items, k: {(0, 0): 3 * k + 1}, ValueError,
+    "contained": (lambda moduli, items, k: {(0, 0): 3 * k + 1}, AssertionError,
                   "witness exceeds parent multiplicities"),
     "none": (lambda moduli, items, k: None, AssertionError, "guaranteed block selection not found"),
 }

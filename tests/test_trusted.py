@@ -183,3 +183,27 @@ def test_every_internal_witness_holds_group_elements():
         shifted = seq.shift_all(tuple(rng.randrange(m) for _ in range(2)))
         assert all(sq.contains(el) for el in shifted.counts)
         assert shifted.length == seq.length
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({}, "witness has length 0, expected 2"),
+    ({(0, 1): 1}, "witness does not sum to the identity: {(0, 1): 1}"),
+    ({(0, 0): 7}, "witness exceeds parent multiplicities"),
+])
+def test_failed_check_of_a_found_witness_is_an_assertion(monkeypatch, bad, message):
+    # A witness that the program found and that fails its check is a fault in
+    # the program: AssertionError with the check's message, in the engine and
+    # in the extractors alike. The same counts from a caller stay a ValueError.
+    import zerosum.engine as engine
+    import zerosum.extractors as extractors
+
+    seq = Sequence(make_group([2, 2]), {(0, 0): 6})
+    monkeypatch.setattr(engine, "_find", lambda *args: dict(bad))
+    monkeypatch.setattr(extractors, "_square_3n", lambda *args: dict(bad))
+    for found in (lambda: find_zero_sum_subseq(seq, 2), lambda: extract_square_3n(seq)):
+        with pytest.raises(AssertionError) as info:
+            found()
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        Witness(seq.group, bad).validate_against(seq, size=2)
+    assert type(info.value) is ValueError and str(info.value) == message
