@@ -76,17 +76,18 @@ def _error(kind: str, message: str) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Range syntax: "4", "2..10", or "2,3,5"."""
+    """Range syntax: "4", "2..10", or "2,3,5"; an empty range or list is refused."""
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    if "," in text:
-        return [int(p) for p in text.split(",") if p.strip()]
-    return [int(text)]
+        values, kind = list(range(int(lo_text), int(hi_text) + 1)), "range"
+    elif "," in text:
+        values, kind = [int(p) for p in text.split(",") if p.strip()], "list"
+    else:
+        return [int(text)]
+    if not values:
+        raise UsageError(f"empty {kind} {text!r}")
+    return values
 
 
 def _load_sequence(args) -> Sequence:

@@ -222,7 +222,7 @@ def extract_cyclic_nt(seq: Sequence, t: int) -> Witness:
 
 def extract_cyclic_nt_rounds(seq: Sequence, t: int) -> list[Witness]:
     """The per-round length-n witnesses; each round's removal stays zero-sum."""
-    return [Witness._of(seq.group, w) for w in _cyclic_nt_rounds(seq, t)]
+    return [_found_witness(seq, w, seq.group.moduli[0]) for w in _cyclic_nt_rounds(seq, t)]
 
 
 def _cyclic_nt_rounds(seq: Sequence, t: int) -> list[Counts]:

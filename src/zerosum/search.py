@@ -15,13 +15,14 @@ multiset fails. Automorphisms of G keep F, and so do translations x -> x + g,
 which move the sum of a t-subset by tg = 0. So the walk visits one
 representative per orbit of the maps x -> a(x) + g (a an automorphism) only,
 and a representative of length L stands for a zero-sum multiset when its sum
-lies in LG = {Lg}. Two cap levels pick the representatives: no element takes
-more copies than the top element, and none of those that a stabiliser of the
-top carries the next element to takes more than that one. One short uncapped
-walk then finds the first failing vector of the one length that needs it, in
-colex order; when exp(G) does not divide t, every length fails, and that
-walk alone answers a witness check. Results do not depend on how the work is
-partitioned across workers.
+lies in LG = {Lg}. One cap table picks the representatives: it names, per
+element, the element whose copies cap its own, which the walk reads as it
+goes. No element takes more copies than the top element, and none of those
+that a stabiliser of the top carries the next element to takes more than
+that one. One short uncapped walk then finds the first failing vector of the
+one length that needs it, in colex order; when exp(G) does not divide t,
+every length fails, and that walk alone answers a witness check. Results do
+not depend on how the work is partitioned across workers.
 
 The unit of search is the chunk of vectors that share the last element's
 multiplicity, whose prefix is one fold of the pack (`add_copies`). The walk
@@ -170,27 +171,28 @@ def _orbit(moduli: tuple[int, ...], x: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _cap_levels(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The walk's cap table, sound when exp(G) divides the target: entry k
-    lists the elements that take at most as many copies as element
-    |G| - 1 - k, the one k levels below the top.
+def _caps(moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """The walk's cap table, sound when exp(G) divides the target: entry x
+    is the index of the element whose copies cap those of element x, or |G|
+    for no cap.
 
-    The first level names every other element, the identity included:
+    The top element caps every other element, the identity included:
     translations are transitive, so some translate of each multiset has its
-    most frequent element on top. The second names top + Orb(e2 - top) for
-    e2 = |G| - 2, less e2: the maps x -> top + a(x - top) fix the top
-    element, so a representative with the top at its maximum can also have
-    e2 at its maximum over those elements. Any part of a true orbit is sound
-    to cap, so the part `_orbit` finds suffices."""
+    most frequent element on top. For |G| >= 4, e2 = |G| - 2 caps the
+    elements of top + Orb(e2 - top) but itself: the maps x -> top + a(x - top)
+    fix the top element, so a representative with the top at its maximum can
+    also have e2 at its maximum over those elements. Any part of a true
+    orbit is sound to cap, so the part `_orbit` finds suffices."""
     pack = get_pack(moduli, 0)
     top = pack.order - 1
-    if top < 2:
-        return (tuple(range(top)),)
+    caps = [top] * top + [pack.order]
     e2 = top - 1
-    step = tuple((a - b) % n for a, b, n in zip(pack.coords(e2), pack.coords(top), moduli))
-    row = pack.plus(top)
-    second = {row[pack.index(y)] for y in _orbit(moduli, step)} - {e2}
-    return tuple(range(top)), tuple(sorted(second))
+    if e2 >= 2:
+        step = tuple((a - b) % n for a, b, n in zip(pack.coords(e2), pack.coords(top), moduli))
+        row = pack.plus(top)
+        for x in {row[pack.index(y)] for y in _orbit(moduli, step)} - {e2}:
+            caps[x] = e2
+    return tuple(caps)
 
 
 @lru_cache(maxsize=64)
@@ -200,19 +202,19 @@ def _zero_lengths(moduli: tuple[int, ...], length: int) -> tuple[int, ...]:
     s in LG = {Lg}, which holds when gcd(L, n_i) divides the i-th coordinate
     of s, or equally gcd(s_i, n_i), for every i. So a row repeats with period
     exp(G) and depends on s only through its gcd signature (gcd(s_i, n_i))_i:
-    each distinct signature's row is built for one period, tiled out to
-    `length`, and shared by its sums (Z/n has d(n) of them)."""
+    each distinct signature's row is built for one period, and each distinct
+    period is tiled out to `length` once and shared by its sums (Z/n has
+    d(n) of them, an elementary abelian group 2)."""
     pack = get_pack(moduli, 0)
     every = (1 << (length + 1)) - 1
     e = math.lcm(*moduli)
     signatures = [tuple(map(math.gcd, pack.coords(s), moduli)) for s in range(pack.order)]
-    rows = {
-        sig: tile(sum(
-            1 << L for L in range(e) if all(g % math.gcd(L, n) == 0 for g, n in zip(sig, moduli))
-        ), e, every)
+    period = {
+        sig: sum(1 << L for L in range(e) if all(g % math.gcd(L, n) == 0 for g, n in zip(sig, moduli)))
         for sig in set(signatures)
     }
-    return tuple(rows[sig] for sig in signatures)
+    rows = {bits: tile(bits, e, every) for bits in set(period.values())}
+    return tuple(rows[period[sig]] for sig in signatures)
 
 
 class _Stop(Exception):
@@ -230,7 +232,7 @@ def _walk(
     max_nodes: int,
     deadline: float,
     *,
-    levels: tuple[tuple[int, ...], ...] = (),
+    caps: tuple[int, ...] = (),
     zero_sum: bool = False,
     spent: int = 0,
     until: float = math.inf,
@@ -260,15 +262,16 @@ def _walk(
     the first chunk end where its nodes pass `until`, leaving the chunks not
     started in `outers`. It returns (nodes, leaves reached).
 
-    `levels` is a cap table (see `_cap_levels`); an empty one walks
-    uncapped. In each chunk the elements of levels[0] take at most as many
-    copies as the last element. Once element |G| - 1 - k (k >= 1) has its
-    copies, those of levels[k] take at most as many as it; such a cap is
-    only set where that element is element 2 or higher, so the leaf loop of
-    element 1 never sees a cap change. When `need` starts at `length` or
-    more and exp(G) divides the target, no element takes target copies, so
-    an element i with more than (target - 1)(i + 1) copies left for
-    elements 0..i is skipped.
+    `caps` is a cap table (see `_caps`); an empty one walks uncapped.
+    Element i takes at most mults[caps[i]] copies, read when it starts
+    taking them; `mults` has one slot past the elements, which holds
+    `length`, so entry |G| caps nothing. Each entry lies above its element,
+    so the element that caps it already has its copies, and is the top, |G|
+    or element 2 or higher, so the leaf loop of element 1 reads the caps of
+    elements 0 and 1 once. When `need` starts at `length` or more and exp(G)
+    divides the target, no element takes target copies, so an element i
+    with more than (target - 1)(i + 1) copies left for elements 0..i is
+    skipped.
 
     The prefix sum is one element index: outer times the top element's
     coordinates, then advanced through a row of `pack.plus` per copy. An
@@ -278,10 +281,9 @@ def _walk(
     the leaf's sum passes; for a leaf with room for r more copies,
     need[0] - a is need[0] + r - length. No table grows with `length` or
     the target. Element 1 runs its leaves in its own loop, `step[i]` walks
-    element i (setting its cap level first, if one hangs there), and the
-    node count travels through arguments and return values. The rotation
-    masks of `pack.parts` span the packed width, so a grown mask needs no
-    truncation.
+    element i, and the node count travels through arguments and return
+    values. The rotation masks of `pack.parts` span the packed width, so a
+    grown mask needs no truncation.
     """
     depth = math.prod(moduli) + 200  # the walk takes one frame per element
     if sys.getrecursionlimit() < depth:
@@ -293,12 +295,12 @@ def _walk(
     probe_top = 1 << (target * order)
     zeros = tile(1, order, (probe_top << 1) - 1)  # sum 0 at counts 0..target
     last_r = target - 1
-    cap = [length] * order  # copies allowed per element, set by the cap levels
+    caps = caps or (order,) * order
     room = [length] * order  # copies that elements 0..i can still take
     if need[0] >= length and target % math.lcm(*moduli) == 0:
         room = [(target - 1) * (i + 1) for i in range(order)]
     leaves = 0
-    mults = [0] * order
+    mults = [0] * order + [length]  # past the elements: the copies that cap |G| allows
 
     def last(i: int, b: int, s: int, mask: int, nodes: int) -> int:
         """Element i = 1 with its leaves: b - r copies of it, room for r more."""
@@ -309,8 +311,8 @@ def _walk(
             plus[i], parts[i] = pack.plus(i), pack.parts(i)
         plus_i = plus[i]
         ((lo, up, down, lod),) = parts[i]  # element 1 has one nonzero coordinate
-        r_min = max(b - cap[1], 0)
-        fill = cap[0]
+        r_min = max(b - mults[caps[1]], 0)
+        fill = mults[caps[0]]
         for r in range(b, r_min - 1, -1):
             if not (zero_sum and s):
                 a = length - r
@@ -343,7 +345,7 @@ def _walk(
         below = step[i - 1]
         mults[i] = 0
         nodes = below(i - 1, b, s, mask, nodes)
-        copies = min(b, cap[i])
+        copies = min(b, mults[caps[i]])
         if copies and plus[i] is None:
             plus[i], parts[i] = pack.plus(i), pack.parts(i)
         plus_i = plus[i]
@@ -365,30 +367,13 @@ def _walk(
             nodes = below(i - 1, b - j, s, mask, nodes)
         return nodes
 
-    def capped(inner: Callable[..., int], members: tuple[int, ...], above: int) -> Callable[..., int]:
-        """`inner`, called once `members` are capped at the copies of `above`."""
-
-        def walk(i: int, b: int, s: int, mask: int, nodes: int) -> int:
-            c = mults[above]
-            for x in members:
-                cap[x] = c
-            return inner(i, b, s, mask, nodes)
-
-        return walk
-
     top = order - 1
     step: list[Callable[..., int]] = [last, last] + [dfs] * (order - 2)
-    for k in range(1, len(levels)):
-        if top - k >= 2:
-            step[top - k - 1] = capped(step[top - k - 1], levels[k], top - k)
-    first = levels[0] if levels else ()
     nodes = spent
     try:
         for outer in outers:
             if time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted")
-            for i in first:
-                cap[i] = outer
             if need[0] < outer:
                 need[0] = outer
             if nodes + outer > max_nodes:  # nodes <= max_nodes here: the first node past is max_nodes + 1
@@ -404,7 +389,7 @@ def _walk(
                 leaves += 1
                 if not (zero_sum and s):
                     rmax = last_r - ((mask & zeros).bit_length() - 1) // order
-                    if rmax >= need[0] - outer and emit(mults, outer, outer + min(rmax, cap[0]), s):
+                    if rmax >= need[0] - outer and emit(mults, outer, outer + min(rmax, mults[caps[0]]), s):
                         break
             if nodes > until:
                 break
@@ -426,7 +411,7 @@ def _vectors(
 
     def emit(mults: list[int], a: int, hi: int, s: int) -> bool | None:
         mults[0] = length - a
-        return visit(mults)
+        return visit(mults[:-1])
 
     return _walk(moduli, target, length, _chunks(moduli, target, length), [length], emit,
                  max_nodes, deadline, zero_sum=zero_sum, spent=spent)
@@ -476,13 +461,13 @@ def enumerate_multisets(
 
 class _Profile(NamedTuple):
     """The lengths up to the walk's at which some zero-sum multiset has no
-    zero-sum subsequence of the target length (`zero`), the largest length
-    at which some multiset has none (`top`), then the nodes expanded and the
-    leaves reached. The walk visits one representative per orbit, so the
-    lengths are exact but it names no colex-first multiset;
-    `_first_failing` does."""
+    zero-sum subsequence of the target length (`zero`, bit L set for length
+    L), the largest length at which some multiset has none (`top`), then the
+    nodes expanded and the leaves reached. The walk visits one representative
+    per orbit, so the lengths are exact but it names no colex-first
+    multiset; `_first_failing` does."""
 
-    zero: frozenset[int]
+    zero: int
     top: int
     nodes: int
     leaves: int
@@ -507,7 +492,9 @@ def _profile(
     spent: int = 0,
 ) -> _Profile:
     """The profile of one walk up to `length` over the given chunks (by
-    default all of them) under the cap table; exp(G) must divide the target.
+    default all of them) under the cap table `_caps`; exp(G) must divide the
+    target. The pack's size check runs first, so a walk too wide to pack
+    fails before the LG rows of `_zero_lengths`, which grow with `length`.
     Then translations keep the family walked, so the walk visits one
     representative per orbit of the maps x -> a(x) + g, and a leaf of sum s
     counts toward `zero` at each length L it covers with s in LG. One `need`
@@ -528,6 +515,7 @@ def _profile(
     pass the cap, the chunks not yet started are cancelled and the run
     raises: the pooled part overspends by at most one chunk per worker.
     """
+    get_pack(moduli, target)
     lengths = _zero_lengths(moduli, length)
     chunks = iter(_chunks(moduli, target, length) if outers is None else outers)
     zero = 0  # bit L: length L is known to fail for some zero-sum multiset
@@ -548,7 +536,7 @@ def _profile(
 
     nodes, leaves = _walk(
         moduli, target, length, chunks, need, record, max_nodes, deadline,
-        levels=_cap_levels(moduli), spent=spent,
+        caps=_caps(moduli), spent=spent,
         until=math.inf if pool is None else _POOL_START_NODES,
     )
     futures = [  # without a pool the walk has taken every chunk
@@ -561,15 +549,13 @@ def _profile(
             nodes += part.nodes
             if nodes > max_nodes:
                 raise _budget_error(nodes, max_nodes)
-            zero |= sum(1 << L for L in part.zero)
+            zero |= part.zero
             top = max(top, part.top)
             leaves += part.leaves
     finally:
         for future in futures:
             future.cancel()
-    return _Profile(
-        frozenset(L for L in range(length + 1) if zero >> L & 1), top, nodes - spent, leaves
-    )
+    return _Profile(zero, top, nodes - spent, leaves)
 
 
 def _first_failing(
@@ -709,7 +695,7 @@ def brute_force_modified_constant(
     profile = _profile(group.moduli, t, (t - 1) * group.order, pool, budget.max_nodes, deadline)
     # Length 0 always fails for t >= 1: the empty sequence is zero-sum and has
     # no length-t subsequence.
-    last_fail = max(profile.zero)
+    last_fail = profile.zero.bit_length() - 1
     computed = last_fail + 1
     vector, nodes, leaves = _first_failing(
         group.moduli, t, last_fail, True, budget.max_nodes, deadline, profile.nodes

@@ -48,6 +48,10 @@ Z3_FILE = "<Z/3 file>"  # stands for a --seq-file holding "Z/3: 1 2"
      "ERROR:usage: the power2 family is only defined for n = 2"),
     (["constant", "--group", "Z/2^3", "--t", "4", "--claimed-from", "formula"],
      "ERROR:usage: no conjectured value for target 4 over Z/2^3"),
+    (["constant", "--group", "Z/1000xZ/1000", "--t", "1000", "--budget", "1000", "--time-limit", "0.5"],
+     "ERROR:usage: DP state space of 1001000000 bits (|G| = 1000000, k = 1000) exceeds the supported size"),
+    (["verify", "--suite", "egz", "--n", ","], "ERROR:usage: empty list ','"),
+    (["verify", "--suite", "cyclic", "--t", ","], "ERROR:usage: empty list ','"),
 ])
 def test_cli_refusal_is_one_line_and_exit_2(tmp_path, capsys, argv, line):
     seq_file = tmp_path / "seq.txt"

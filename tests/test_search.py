@@ -46,8 +46,7 @@ from zerosum import (
 
 from zerosum._bitdp import get_pack
 from zerosum.search import (
-    _POOL_START_NODES, _automorphisms, _cap_levels, _first_failing, _orbit, _profile,
-    _zero_lengths,
+    _POOL_START_NODES, _automorphisms, _caps, _first_failing, _orbit, _profile, _zero_lengths,
 )
 
 from conftest import oracle_exists
@@ -151,6 +150,11 @@ def _multiple_of_exponent(group, t):
     return -(-t // group.exponent) * group.exponent
 
 
+def _bits(lengths):
+    """A set of lengths as a profile's `zero` holds them: bit L for length L."""
+    return sum(1 << L for L in lengths)
+
+
 def test_profile_serial_pooled_and_enumerated_agree():
     # The serial chunk loop, the pooled path's chunk-by-chunk loop (these
     # walks stay below the pool's start constant) and enumeration walk the
@@ -174,7 +178,7 @@ def test_profile_serial_pooled_and_enumerated_agree():
             first = None
             if seen:
                 first = tuple(seen[0].counts.get(el, 0) for el in group.elements())
-            fails = length in profiles[0].zero if zero_sum_only else profiles[0].top >= length
+            fails = bool(profiles[0].zero >> length & 1) if zero_sum_only else profiles[0].top >= length
             assert fails == (first is not None)
             vector, _, _ = _first_failing(group.moduli, t, length, zero_sum_only, 10**8, deadline, 0)
             assert vector == first
@@ -237,7 +241,7 @@ def test_profile_matches_oracle(case):
                 every.setdefault(length, vec)
                 if seq.is_zero_sum():
                     zero.setdefault(length, vec)
-    assert profile.zero == set(zero) and profile.top == max(every)
+    assert profile.zero == _bits(zero) and profile.top == max(every)
     assert s_t not in every
     for length in range(s_t + 1):
         for zero_sum, first in ((False, every), (True, zero)):
@@ -310,37 +314,52 @@ def test_orbit_maps_are_automorphisms(moduli):
 
 @pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
 def test_cap_levels_lie_in_their_orbits(moduli):
-    # Every element a cap level names may be capped: the first level lies in
-    # the Aff(G)-orbit of the top element and the second in the orbit of e2
-    # (index |G| - 2) under the stabiliser of the top, x -> top + a(x - top)
-    # for every automorphism a. The orbits are found by brute force over
-    # every automorphism.
+    # Every element the cap table caps may be capped: each one but the top
+    # lies in the Aff(G)-orbit of the top element, which caps it or caps the
+    # element that does, and those that e2 (index |G| - 2) caps lie in the
+    # orbit of e2 under the stabiliser of the top, x -> top + a(x - top) for
+    # every automorphism a. The orbits are found by brute force over every
+    # automorphism.
     group = make_group(list(moduli))
+    order = group.order
     coords = get_pack(moduli, 0).coords
-    top = coords(group.order - 1)
+    top = coords(order - 1)
     aut = _brute_force_orbit(moduli)
     affine = {group.add(y, g) for y in aut for g in group.elements()}
-    levels = _cap_levels(moduli)
-    assert {coords(i) for i in levels[0]} <= affine - {top}
-    assert len(levels[0]) == group.order - 1  # translations are transitive
-    if group.order > 2:
-        e2 = coords(group.order - 2)
+    caps = _caps(moduli)
+    assert len(caps) == order and caps[-1] == order  # nothing caps the top
+    assert {coords(i) for i in range(order - 1)} <= affine - {top}  # translations are transitive
+    below_e2 = [i for i, c in enumerate(caps) if c == order - 2]
+    assert all(c == order - 1 for i, c in enumerate(caps[:-1]) if i not in below_e2)
+    if below_e2:
+        e2 = coords(order - 2)
         step = group.add(e2, group.neg(top))
         stab = {group.add(top, y) for y in _brute_force_orbit(moduli, step)}
-        assert {coords(i) for i in levels[1]} <= stab - {top, e2}
+        assert {coords(i) for i in below_e2} <= stab - {top, e2}
+
+
+@pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
+def test_caps_are_read_after_they_are_set(moduli):
+    # The walk reads mults[caps[x]] when element x starts taking copies, and
+    # the leaf loop of element 1 reads the caps of elements 0 and 1 once, so
+    # each entry names an element above x that is the top or element 2 or
+    # higher, or |G|, the slot that caps nothing.
+    order = make_group(list(moduli)).order
+    for x, c in enumerate(_caps(moduli)):
+        assert c > x and (c in (order, order - 1) or c >= 2), (x, c)
 
 
 def test_orbit_is_every_nonzero_element_of_elementary_groups():
     # GL(r, p) is transitive on the nonzero vectors of (Z/p)^r, so `_orbit`
     # reaches every one of them from the top element, and AGL(r, p) is
-    # 2-transitive on all of (Z/p)^r, so the second level caps every element
-    # but the top two.
+    # 2-transitive on all of (Z/p)^r, so e2 (index |G| - 2) caps every
+    # element but the top two, and the top caps e2.
     for moduli in ((2,), (5,), (2, 2, 2, 2), (3, 3), (3, 3, 3), (5, 5)):
         group = make_group(list(moduli))
+        order = group.order
         top = tuple(n - 1 for n in moduli)
         assert _orbit(moduli, top) == set(group.elements()) - {group.identity()}
-        if group.order > 2:
-            assert _cap_levels(moduli)[1] == tuple(range(group.order - 2))
+        assert _caps(moduli) == (order - 2,) * (order - 2) + (order - 1, order)
 
 
 @pytest.mark.parametrize("moduli", [(12,), (30,), (2, 6), (4, 4)])
@@ -359,6 +378,24 @@ def test_zero_lengths_rows_match_each_lg(moduli):
     shared = {}
     for s, row in enumerate(rows):
         assert row is shared.setdefault(tuple(map(math.gcd, pack.coords(s), moduli)), row)
+
+
+def test_zero_lengths_share_one_row_per_period():
+    # The rows depend on a sum only through one period of its pattern, and
+    # each distinct pattern is tiled out once: (Z/2)^12 has 4,096 gcd
+    # signatures but two patterns (the identity's, and every other sum's),
+    # so its rows to length (t - 1)|G| at t = 2 take two row objects and
+    # little memory.
+    moduli = (2,) * 12
+    _zero_lengths.cache_clear()
+    tracemalloc.start()
+    try:
+        rows = _zero_lengths(moduli, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({id(row) for row in rows}) == 2
+    assert peak < 2 * 2**20, peak
 
 
 @st.composite
@@ -397,7 +434,7 @@ def test_capped_profile_matches_uncapped_walk(case):
     t = _multiple_of_exponent(group, target)
     walks = {x: uncapped(x) for x in {t, target}}
     profile = _profile(group.moduli, t, size, None, 10**8, time.monotonic() + 900)
-    assert (profile.zero, profile.top) == walks[t][:2]
+    assert (profile.zero, profile.top) == (_bits(walks[t][0]), walks[t][1])
     _, top, first = walks[target]
     rep = check_all_have_witness(group, size, target, name="capped")
     assert rep.passed == (top < size)
@@ -458,7 +495,7 @@ def test_capped_profile_matches_uncapped_walk_per_length(moduli, t, size):
     # when the uncapped walk at that length reaches a leaf; the walk under
     # both cap levels and the LG test must list the same lengths.
     order = make_group(list(moduli)).order
-    assert 0 < len(_cap_levels(moduli)[1]) < order - 2
+    assert 0 < _caps(moduli).count(order - 2) < order - 2
     deadline = time.monotonic() + 900
     profile = _profile(moduli, t, size, None, 10**8, deadline)
     zero, every = set(), set()
@@ -466,7 +503,7 @@ def test_capped_profile_matches_uncapped_walk_per_length(moduli, t, size):
         for zero_sum, lengths in ((False, every), (True, zero)):
             if _first_failing(moduli, t, length, zero_sum, 10**8, deadline, 0)[0] is not None:
                 lengths.add(length)
-    assert profile.zero == zero
+    assert profile.zero == _bits(zero)
     assert profile.top == max(every)
 
 
@@ -481,8 +518,8 @@ def test_passing_lengths_below_the_constant(moduli, t, gaps, value):
     # lists exactly these gaps and finds the true value.
     group = make_group(list(moduli))
     profile = _profile(group.moduli, t, (t - 1) * group.order, None, 10**8, time.monotonic() + 900)
-    assert sorted(set(range(value)) - set(profile.zero)) == gaps
-    assert max(profile.zero) == value - 1
+    assert [L for L in range(value) if not profile.zero >> L & 1] == gaps
+    assert profile.zero.bit_length() == value  # value - 1 is the last failing length
     assert brute_force_modified_constant(group, t).computed_value == value
 
 

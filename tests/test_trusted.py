@@ -193,14 +193,19 @@ def test_every_internal_witness_holds_group_elements():
 def test_failed_check_of_a_found_witness_is_an_assertion(monkeypatch, bad, message):
     # A witness that the program found and that fails its check is a fault in
     # the program: AssertionError with the check's message, in the engine and
-    # in the extractors alike. The same counts from a caller stay a ValueError.
+    # in the extractors alike, each round of `extract_cyclic_nt_rounds`
+    # included (its rounds are patched, so its cyclic check never runs here,
+    # and n is the first modulus, 2). The same counts from a caller stay a
+    # ValueError.
     import zerosum.engine as engine
     import zerosum.extractors as extractors
 
     seq = Sequence(make_group([2, 2]), {(0, 0): 6})
     monkeypatch.setattr(engine, "_find", lambda *args: dict(bad))
     monkeypatch.setattr(extractors, "_square_3n", lambda *args: dict(bad))
-    for found in (lambda: find_zero_sum_subseq(seq, 2), lambda: extract_square_3n(seq)):
+    monkeypatch.setattr(extractors, "_cyclic_nt_rounds", lambda *args: [dict(bad)])
+    for found in (lambda: find_zero_sum_subseq(seq, 2), lambda: extract_square_3n(seq),
+                  lambda: extract_cyclic_nt_rounds(seq, 1)):
         with pytest.raises(AssertionError) as info:
             found()
         assert str(info.value) == message
