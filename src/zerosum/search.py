@@ -19,7 +19,9 @@ lies in LG = {Lg}. One cap table picks the representatives: it names, per
 element, the element whose copies cap its own, which the walk reads as it
 goes. No element takes more copies than the top element, and none of those
 that a stabiliser of the top carries the next element to takes more than
-that one. One short uncapped walk then finds the first failing vector of the
+that one. The cap table and the per-sum LG rows are built on element
+indices, and the cap table's orbit search stops at the walk's time limit.
+One short uncapped walk then finds the first failing vector of the
 one length that needs it, in colex order; when exp(G) does not divide t,
 every length fails, and that walk alone answers a witness check. Results do
 not depend on how the work is partitioned across workers.
@@ -132,46 +134,7 @@ def _budget_error(nodes: int, max_nodes: int) -> BudgetExceeded:
     return BudgetExceeded(f"node budget exhausted: {nodes} nodes, {max_nodes} allowed")
 
 
-def _automorphisms(moduli: tuple[int, ...]) -> list[Callable[[tuple[int, ...]], tuple[int, ...]]]:
-    """Automorphisms of Z/n_1 x ... x Z/n_r, on coordinate tuples, that need
-    no enumeration of the automorphism group: scaling one coordinate by a
-    unit mod n_i, swapping two coordinates with equal moduli, and the
-    transvection x_i += (n_i / gcd(n_i, n_j)) x_j, which is well defined
-    because n_j times that factor is a multiple of n_i, and is undone by
-    subtracting the same multiple."""
-    maps: list[Callable[[tuple[int, ...]], tuple[int, ...]]] = []
-    for i, n in enumerate(moduli):
-        for u in range(2, n):
-            if math.gcd(u, n) == 1:
-                maps.append(lambda x, i=i, u=u, n=n: (*x[:i], x[i] * u % n, *x[i + 1:]))
-        for j, m in enumerate(moduli):
-            if j > i and m == n:
-                maps.append(lambda x, i=i, j=j: (*x[:i], x[j], *x[i + 1:j], x[i], *x[j + 1:]))
-            g = math.gcd(n, m)
-            if j != i and g > 1:
-                c = n // g
-                maps.append(lambda x, i=i, j=j, c=c, n=n: (*x[:i], (x[i] + c * x[j]) % n, *x[i + 1:]))
-    return maps
-
-
-def _orbit(moduli: tuple[int, ...], x: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The elements that the maps of `_automorphisms` and their composites
-    carry x to: part of the orbit of x under Aut(G)."""
-    maps = _automorphisms(moduli)
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        y = frontier.pop()
-        for f in maps:
-            z = f(y)
-            if z not in seen:
-                seen.add(z)
-                frontier.append(z)
-    return seen
-
-
-@lru_cache(maxsize=64)
-def _caps(moduli: tuple[int, ...]) -> tuple[int, ...]:
+def _caps(moduli: tuple[int, ...], deadline: float) -> tuple[int, ...]:
     """The walk's cap table, sound when exp(G) divides the target: entry x
     is the index of the element whose copies cap those of element x, or |G|
     for no cap.
@@ -182,15 +145,40 @@ def _caps(moduli: tuple[int, ...]) -> tuple[int, ...]:
     elements of top + Orb(e2 - top) but itself: the maps x -> top + a(x - top)
     fix the top element, so a representative with the top at its maximum can
     also have e2 at its maximum over those elements. Any part of a true
-    orbit is sound to cap, so the part `_orbit` finds suffices."""
+    orbit is sound to cap.
+
+    The orbit is searched over element indices. Coordinate i (modulus n,
+    stride s) moves by scaling by a unit mod n, and by x_i += (n / gcd(n,
+    n_j)) x_j for each other coordinate j, an automorphism since n_j times
+    that factor is a multiple of n; a move from digit c = y // s % n to v
+    sends index y to y + (v - c) s. Swaps add nothing: x_i += x_j,
+    x_j -= x_i, x_i += x_j gives (b, -a), then scaling by -1 gives (b, a).
+    The clock is read once per element expanded, against `deadline`."""
     pack = get_pack(moduli, 0)
     top = pack.order - 1
     caps = [top] * top + [pack.order]
     e2 = top - 1
     if e2 >= 2:
-        step = tuple((a - b) % n for a, b, n in zip(pack.coords(e2), pack.coords(top), moduli))
+        axes = list(zip(pack.strides, moduli))
+        moves = [(s, n, [u for u in range(2, n) if math.gcd(u, n) == 1],
+                  [(r, m, n // math.gcd(n, m)) for j, (r, m) in enumerate(axes) if j != i and math.gcd(n, m) > 1])
+                 for i, (s, n) in enumerate(axes)]
+        start = pack.index(tuple((a - b) % n for a, b, n in zip(pack.coords(e2), pack.coords(top), moduli)))
+        seen, frontier = {start}, [start]
+        while frontier:
+            if time.monotonic() > deadline:
+                raise BudgetExceeded("wall-clock budget exhausted")
+            y = frontier.pop()
+            images = set()
+            for s, n, units, shears in moves:
+                c = y // s % n
+                images.update(y + (c * u % n - c) * s for u in units)
+                images.update(y + ((c + k * (y // r % m)) % n - c) * s for r, m, k in shears)
+            images -= seen
+            seen |= images
+            frontier += images
         row = pack.plus(top)
-        for x in {row[pack.index(y)] for y in _orbit(moduli, step)} - {e2}:
+        for x in {row[y] for y in seen} - {e2}:
             caps[x] = e2
     return tuple(caps)
 
@@ -200,21 +188,21 @@ def _zero_lengths(moduli: tuple[int, ...], length: int) -> tuple[int, ...]:
     """Per sum index s, the lengths L <= `length` (as bit L) at which a leaf
     of sum s stands for a zero-sum multiset when exp(G) divides the target:
     s in LG = {Lg}, which holds when gcd(L, n_i) divides the i-th coordinate
-    of s, or equally gcd(s_i, n_i), for every i. So a row repeats with period
-    exp(G) and depends on s only through its gcd signature (gcd(s_i, n_i))_i:
-    each distinct signature's row is built for one period, and each distinct
-    period is tiled out to `length` once and shared by its sums (Z/n has
-    d(n) of them, an elementary abelian group 2)."""
-    pack = get_pack(moduli, 0)
-    every = (1 << (length + 1)) - 1
+    c of s, or equally gcd(c, n_i), for every i. So a row repeats with period
+    exp(G), and one period is the AND of one pattern per coordinate, picked
+    by gcd(c, n_i): the periods are built coordinate by coordinate in the
+    index layout of `pack.plus`, and each distinct period is tiled out to
+    `length` once and shared by its sums (Z/n has d(n) of them, an
+    elementary abelian group 2)."""
     e = math.lcm(*moduli)
-    signatures = [tuple(map(math.gcd, pack.coords(s), moduli)) for s in range(pack.order)]
-    period = {
-        sig: sum(1 << L for L in range(e) if all(g % math.gcd(L, n) == 0 for g, n in zip(sig, moduli)))
-        for sig in set(signatures)
-    }
-    rows = {bits: tile(bits, e, every) for bits in set(period.values())}
-    return tuple(rows[period[sig]] for sig in signatures)
+    period = [(1 << e) - 1]
+    for n in moduli:
+        gcds = [math.gcd(c, n) for c in range(n)]
+        bits = {g: sum(1 << L for L in range(e) if g % math.gcd(L, n) == 0) for g in set(gcds)}
+        period = [p & bits[g] for p in period for g in gcds]
+    every = (1 << (length + 1)) - 1
+    rows = {p: tile(p, e, every) for p in set(period)}
+    return tuple(rows[p] for p in period)
 
 
 class _Stop(Exception):
@@ -285,9 +273,6 @@ def _walk(
     values. The rotation masks of `pack.parts` span the packed width, so a
     grown mask needs no truncation.
     """
-    depth = math.prod(moduli) + 200  # the walk takes one frame per element
-    if sys.getrecursionlimit() < depth:
-        sys.setrecursionlimit(depth)
     pack = get_pack(moduli, target)
     order = pack.order
     plus: list = [None] * order  # element rows and rotation parts, built on first use
@@ -370,6 +355,8 @@ def _walk(
     top = order - 1
     step: list[Callable[..., int]] = [last, last] + [dfs] * (order - 2)
     nodes = spent
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, order + 200))  # the walk takes one frame per element
     try:
         for outer in outers:
             if time.monotonic() > deadline:
@@ -395,6 +382,8 @@ def _walk(
                 break
     except _Stop as stop:
         nodes = stop.args[0]
+    finally:
+        sys.setrecursionlimit(limit)
     return nodes, leaves
 
 
@@ -536,7 +525,7 @@ def _profile(
 
     nodes, leaves = _walk(
         moduli, target, length, chunks, need, record, max_nodes, deadline,
-        caps=_caps(moduli), spent=spent,
+        caps=_caps(moduli, deadline), spent=spent,
         until=math.inf if pool is None else _POOL_START_NODES,
     )
     futures = [  # without a pool the walk has taken every chunk

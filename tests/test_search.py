@@ -46,7 +46,7 @@ from zerosum import (
 
 from zerosum._bitdp import get_pack
 from zerosum.search import (
-    _POOL_START_NODES, _automorphisms, _caps, _first_failing, _orbit, _profile, _zero_lengths,
+    _POOL_START_NODES, _caps, _first_failing, _profile, _zero_lengths,
 )
 
 from conftest import oracle_exists
@@ -290,43 +290,25 @@ def _brute_force_orbit(moduli, element=None):
 
 
 ORBIT_GROUPS = [(1,), (2,), (6,), (8,), (12,), (16,), (2, 2), (2, 3), (2, 4), (4, 2),
-                (3, 3), (2, 6), (4, 4), (2, 8), (2, 2, 2), (2, 2, 4), (2, 2, 2, 2)]
-
-
-@pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
-def test_orbit_maps_are_automorphisms(moduli):
-    # Each map the cap levels use is a bijective homomorphism, so the orbit
-    # `_orbit` finds for the top element lies inside its orbit under every
-    # automorphism, enumerated here by brute force. That is all soundness
-    # needs; on these groups the search also reaches the whole orbit.
-    group = make_group(list(moduli))
-    elements = list(group.elements())
-    for f in _automorphisms(moduli):
-        assert sorted(f(x) for x in elements) == elements
-        for x, y in itertools.product(elements, repeat=2):
-            assert f(group.add(x, y)) == group.add(f(x), f(y))
-    top = tuple(n - 1 for n in moduli)
-    orbit = _orbit(moduli, top)
-    full = _brute_force_orbit(moduli)
-    assert orbit <= full
-    assert orbit == full
+                (3, 3), (2, 6), (4, 4), (2, 8), (2, 2, 2), (2, 2, 4), (2, 2, 2, 2), (4, 1), (1, 4)]
 
 
 @pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
 def test_cap_levels_lie_in_their_orbits(moduli):
     # Every element the cap table caps may be capped: each one but the top
     # lies in the Aff(G)-orbit of the top element, which caps it or caps the
-    # element that does, and those that e2 (index |G| - 2) caps lie in the
-    # orbit of e2 under the stabiliser of the top, x -> top + a(x - top) for
-    # every automorphism a. The orbits are found by brute force over every
-    # automorphism.
+    # element that does, and those that e2 (index |G| - 2) caps are exactly
+    # the orbit of e2 under the stabiliser of the top, x -> top + a(x - top)
+    # for every automorphism a, but the top and e2: the scalings and
+    # transvections that `_caps` composes reach the whole orbit on these
+    # groups. The orbits are found by brute force over every automorphism.
     group = make_group(list(moduli))
     order = group.order
     coords = get_pack(moduli, 0).coords
     top = coords(order - 1)
     aut = _brute_force_orbit(moduli)
     affine = {group.add(y, g) for y in aut for g in group.elements()}
-    caps = _caps(moduli)
+    caps = _caps(moduli, math.inf)
     assert len(caps) == order and caps[-1] == order  # nothing caps the top
     assert {coords(i) for i in range(order - 1)} <= affine - {top}  # translations are transitive
     below_e2 = [i for i, c in enumerate(caps) if c == order - 2]
@@ -335,7 +317,7 @@ def test_cap_levels_lie_in_their_orbits(moduli):
         e2 = coords(order - 2)
         step = group.add(e2, group.neg(top))
         stab = {group.add(top, y) for y in _brute_force_orbit(moduli, step)}
-        assert {coords(i) for i in below_e2} <= stab - {top, e2}
+        assert {coords(i) for i in below_e2} == stab - {top, e2}
 
 
 @pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
@@ -345,24 +327,34 @@ def test_caps_are_read_after_they_are_set(moduli):
     # each entry names an element above x that is the top or element 2 or
     # higher, or |G|, the slot that caps nothing.
     order = make_group(list(moduli)).order
-    for x, c in enumerate(_caps(moduli)):
+    for x, c in enumerate(_caps(moduli, math.inf)):
         assert c > x and (c in (order, order - 1) or c >= 2), (x, c)
 
 
 def test_orbit_is_every_nonzero_element_of_elementary_groups():
-    # GL(r, p) is transitive on the nonzero vectors of (Z/p)^r, so `_orbit`
-    # reaches every one of them from the top element, and AGL(r, p) is
-    # 2-transitive on all of (Z/p)^r, so e2 (index |G| - 2) caps every
-    # element but the top two, and the top caps e2.
+    # AGL(r, p) is 2-transitive on (Z/p)^r, so e2 (index |G| - 2) caps every
+    # element but the top two, and the top caps e2: the search reaches every
+    # nonzero vector from e2 - top.
     for moduli in ((2,), (5,), (2, 2, 2, 2), (3, 3), (3, 3, 3), (5, 5)):
-        group = make_group(list(moduli))
-        order = group.order
-        top = tuple(n - 1 for n in moduli)
-        assert _orbit(moduli, top) == set(group.elements()) - {group.identity()}
-        assert _caps(moduli) == (order - 2,) * (order - 2) + (order - 1, order)
+        order = make_group(list(moduli)).order
+        assert _caps(moduli, math.inf) == (order - 2,) * (order - 2) + (order - 1, order)
 
 
-@pytest.mark.parametrize("moduli", [(12,), (30,), (2, 6), (4, 4)])
+def test_cap_search_stops_at_the_deadline(monkeypatch):
+    # The orbit search reads the clock once per element it expands. Under a
+    # fake clock that moves one second per read and a deadline at 3 s, reads
+    # 0 to 3 expand four elements of the orbit of Z/3001 and the fifth read
+    # raises, long before the search's 3,000 expansions.
+    import zerosum.search as search
+
+    reads = itertools.count()
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: next(reads)))
+    with pytest.raises(BudgetExceeded, match=r"^wall-clock budget exhausted$"):
+        _caps((3001,), 3)
+    assert next(reads) == 5
+
+
+@pytest.mark.parametrize("moduli", [(12,), (30,), (2, 6), (4, 4), (1, 4), (6, 6, 1)])
 def test_zero_lengths_rows_match_each_lg(moduli):
     # Bit L of the row of sum s is set exactly when s lies in LG = {Lg},
     # listed here element by element, for every L up to 3 exp(G); and the
@@ -481,6 +473,18 @@ def test_budget_stopped_walk_builds_few_element_tables():
     assert built < 50, built
 
 
+def test_walk_restores_the_recursion_limit():
+    # The walk takes one frame per element, so it raises the interpreter's
+    # recursion limit for Z/1200, and puts it back whether it finishes or the
+    # node budget stops it.
+    limit = sys.getrecursionlimit()
+    with pytest.raises(BudgetExceeded):
+        brute_force_modified_constant(make_group([1200]), 1200, SearchBudget(max_nodes=1000))
+    assert sys.getrecursionlimit() == limit
+    assert brute_force_modified_constant(make_group([2, 2, 2, 2]), 2).computed_value == 17
+    assert sys.getrecursionlimit() == limit
+
+
 # Groups where the second cap level names a proper subset of the elements,
 # at t = exp(G) and 2 exp(G), each up to the largest size at which the
 # uncapped walks below stay cheap.
@@ -495,7 +499,7 @@ def test_capped_profile_matches_uncapped_walk_per_length(moduli, t, size):
     # when the uncapped walk at that length reaches a leaf; the walk under
     # both cap levels and the LG test must list the same lengths.
     order = make_group(list(moduli)).order
-    assert 0 < _caps(moduli).count(order - 2) < order - 2
+    assert 0 < _caps(moduli, math.inf).count(order - 2) < order - 2
     deadline = time.monotonic() + 900
     profile = _profile(moduli, t, size, None, 10**8, deadline)
     zero, every = set(), set()
