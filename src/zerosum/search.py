@@ -54,6 +54,8 @@ from .sequences import Sequence, _check_witness, serialize_sequence
 if TYPE_CHECKING:
     from concurrent.futures import Executor
 
+    from ._bitdp import GroupPack
+
 
 # ---------------------------------------------------------------------------
 # Closed-form values
@@ -134,6 +136,24 @@ def _budget_error(nodes: int, max_nodes: int) -> BudgetExceeded:
     return BudgetExceeded(f"node budget exhausted: {nodes} nodes, {max_nodes} allowed")
 
 
+def _moves(pack: GroupPack) -> list:
+    """`_caps`' moves per coordinate: stride, modulus, units, transvections."""
+    axes = list(zip(pack.strides, pack.moduli))
+    return [(s, n, [u for u in range(2, n) if math.gcd(u, n) == 1],
+             [(r, m, n // math.gcd(n, m)) for j, (r, m) in enumerate(axes) if j != i and math.gcd(n, m) > 1])
+            for i, (s, n) in enumerate(axes)]
+
+
+def _images(y: int, moves: list) -> set[int]:
+    """The indices that `moves` send element index y to."""
+    images = set()
+    for s, n, units, shears in moves:
+        c = y // s % n
+        images.update(y + (c * u % n - c) * s for u in units)
+        images.update(y + ((c + k * (y // r % m)) % n - c) * s for r, m, k in shears)
+    return images
+
+
 def _caps(moduli: tuple[int, ...], deadline: float) -> tuple[int, ...]:
     """The walk's cap table, sound when exp(G) divides the target: entry x
     is the index of the element whose copies cap those of element x, or |G|
@@ -159,22 +179,13 @@ def _caps(moduli: tuple[int, ...], deadline: float) -> tuple[int, ...]:
     caps = [top] * top + [pack.order]
     e2 = top - 1
     if e2 >= 2:
-        axes = list(zip(pack.strides, moduli))
-        moves = [(s, n, [u for u in range(2, n) if math.gcd(u, n) == 1],
-                  [(r, m, n // math.gcd(n, m)) for j, (r, m) in enumerate(axes) if j != i and math.gcd(n, m) > 1])
-                 for i, (s, n) in enumerate(axes)]
+        moves = _moves(pack)
         start = pack.index(tuple((a - b) % n for a, b, n in zip(pack.coords(e2), pack.coords(top), moduli)))
         seen, frontier = {start}, [start]
         while frontier:
             if time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted")
-            y = frontier.pop()
-            images = set()
-            for s, n, units, shears in moves:
-                c = y // s % n
-                images.update(y + (c * u % n - c) * s for u in units)
-                images.update(y + ((c + k * (y // r % m)) % n - c) * s for r, m, k in shears)
-            images -= seen
+            images = _images(frontier.pop(), moves) - seen
             seen |= images
             frontier += images
         row = pack.plus(top)

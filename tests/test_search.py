@@ -46,7 +46,7 @@ from zerosum import (
 
 from zerosum._bitdp import get_pack
 from zerosum.search import (
-    _POOL_START_NODES, _caps, _first_failing, _profile, _zero_lengths,
+    _POOL_START_NODES, _caps, _first_failing, _images, _moves, _profile, _zero_lengths,
 )
 
 from conftest import oracle_exists
@@ -291,6 +291,35 @@ def _brute_force_orbit(moduli, element=None):
 
 ORBIT_GROUPS = [(1,), (2,), (6,), (8,), (12,), (16,), (2, 2), (2, 3), (2, 4), (4, 2),
                 (3, 3), (2, 6), (4, 4), (2, 8), (2, 2, 2), (2, 2, 4), (2, 2, 2, 2), (4, 1), (1, 4)]
+
+
+@pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
+def test_orbit_maps_are_automorphisms(moduli):
+    # Each move of the cap table's orbit search, one unit scaling or one
+    # transvection of one coordinate, sends element indices through a
+    # bijective homomorphism, so the search stays inside the orbit under
+    # every automorphism, enumerated here by brute force; on these groups
+    # its moves also reach the whole orbit of the top element.
+    group = make_group(list(moduli))
+    pack = get_pack(moduli, 0)
+    indices = range(pack.order)
+    for s, n, units, shears in _moves(pack):
+        singles = [[(s, n, [u], [])] for u in units] + [[(s, n, [], [shear])] for shear in shears]
+        for move in singles:
+            image = [_images(y, move) for y in indices]
+            assert all(len(i) == 1 for i in image)
+            f = [i.pop() for i in image]
+            assert sorted(f) == list(indices)
+            for x, y in itertools.product(indices, repeat=2):
+                xy = pack.index(group.add(pack.coords(x), pack.coords(y)))
+                assert f[xy] == pack.index(group.add(pack.coords(f[x]), pack.coords(f[y])))
+    moves = _moves(pack)
+    seen, frontier = {pack.order - 1}, [pack.order - 1]
+    while frontier:
+        images = _images(frontier.pop(), moves) - seen
+        seen |= images
+        frontier += images
+    assert {pack.coords(y) for y in seen} == _brute_force_orbit(moduli)
 
 
 @pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
