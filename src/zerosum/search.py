@@ -29,10 +29,12 @@ not depend on how the work is partitioned across workers.
 The unit of search is the chunk of vectors that share the last element's
 multiplicity, whose prefix is one fold of the pack (`add_copies`). The walk
 has two entry points: `_profile`, capped, over every length, and `_vectors`,
-over one length in colex order. Every walk takes the chunks in order against
-one running node budget in the calling process; a pooled profile walk stops
-once it outgrows the cost of starting a pool, hands each chunk left to the
-caller's executor as the profile of that one chunk, and merges them in
+over one length in colex order, which every fixed-length caller uses (the
+witness and counterexample walks, enumeration, and the lemma checks). Every
+walk takes the chunks in order against one running node budget in the
+calling process; a pooled profile walk stops once it outgrows the cost of
+starting a pool, hands each chunk left to the caller's executor as the
+profile of that one chunk under the caller's cap table, and merges them in
 order. Nothing here starts a worker process itself."""
 
 from __future__ import annotations
@@ -401,20 +403,25 @@ def _walk(
 def _vectors(
     moduli: tuple[int, ...], target: int, length: int, zero_sum: bool,
     visit: Callable[[list[int]], bool | None], max_nodes: int, deadline: float, spent: int = 0,
-) -> tuple[int, int]:
+) -> tuple[tuple[int, ...] | None, int, int]:
     """The uncapped walk over the multiplicity vectors of exactly `length`
     elements with no zero-sum subsequence of length `target` (with
     `zero_sum`, only the zero-sum ones), in colex order, which is `_walk`'s
-    order at one length: `visit(mults)` sees each vector whole and stops the
-    walk by returning true. The node count continues from `spent` against
-    the same cap. Returns (nodes, leaves reached)."""
+    order at one length: `visit` gets each vector whole, as a new list it
+    may keep, and stops the walk by returning true (always, to find the
+    first vector). The node count continues from `spent` against the same
+    cap. Returns (the vector it stopped at or None, nodes, leaves reached)."""
+    stopped = []
 
     def emit(mults: list[int], a: int, hi: int, s: int) -> bool | None:
         mults[0] = length - a
-        return visit(mults[:-1])
+        if visit(vector := mults[:-1]):
+            stopped.append(tuple(vector))
+            return True
 
-    return _walk(moduli, target, length, _chunks(moduli, target, length), [length], emit,
-                 max_nodes, deadline, zero_sum=zero_sum, spent=spent)
+    nodes, leaves = _walk(moduli, target, length, _chunks(moduli, target, length), [length], emit,
+                          max_nodes, deadline, zero_sum=zero_sum, spent=spent)
+    return (stopped[0] if stopped else None), nodes, leaves
 
 
 def _sequence_of(group: Group, mults: Seq[int]) -> Sequence:
@@ -465,7 +472,7 @@ class _Profile(NamedTuple):
     L), the largest length at which some multiset has none (`top`), then the
     nodes expanded and the leaves reached. The walk visits one representative
     per orbit, so the lengths are exact but it names no colex-first
-    multiset; `_first_failing` does."""
+    multiset; a `_vectors` walk stopped at its first vector does."""
 
     zero: int
     top: int
@@ -490,11 +497,14 @@ def _profile(
     deadline: float,
     outers: Iterable[int] | None = None,
     spent: int = 0,
+    caps: tuple[int, ...] = (),
 ) -> _Profile:
     """The profile of one walk up to `length` over the given chunks (by
-    default all of them) under the cap table `_caps`; exp(G) must divide the
-    target. The pack's size check runs first, so a walk too wide to pack
-    fails before the LG rows of `_zero_lengths`, which grow with `length`.
+    default all of them) under the cap table `caps`, by default the one
+    `_caps` builds; exp(G) must divide the target. The pack's size check
+    runs first, so a walk too wide to pack fails before the LG rows of
+    `_zero_lengths`, which grow with `length`, and the orbit search runs
+    after them, once per run.
     Then translations keep the family walked, so the walk visits one
     representative per orbit of the maps x -> a(x) + g, and a leaf of sum s
     counts toward `zero` at each length L it covers with s in LG. One `need`
@@ -509,7 +519,8 @@ def _profile(
     pass `_POOL_START_NODES`, so a small walk starts no worker process and a
     larger one starts them only once the walk's tables are built, which
     forked workers inherit. Each chunk left then goes to the pool as the
-    profile of that one chunk, with the budget the caller left. The chunks
+    profile of that one chunk, with the caller's cap table and the budget
+    the caller left, so no chunk searches the orbit again. The chunks
     are the same at any worker count and merge in walk order, so the lengths
     and the node counts do not depend on scheduling; once the finished nodes
     pass the cap, the chunks not yet started are cancelled and the run
@@ -518,6 +529,7 @@ def _profile(
     get_pack(moduli, target)
     lengths = _zero_lengths(moduli, length)
     chunks = iter(_chunks(moduli, target, length) if outers is None else outers)
+    caps = caps or _caps(moduli, deadline)
     zero = 0  # bit L: length L is known to fail for some zero-sum multiset
     top = -1
     need = [0]
@@ -536,11 +548,10 @@ def _profile(
 
     nodes, leaves = _walk(
         moduli, target, length, chunks, need, record, max_nodes, deadline,
-        caps=_caps(moduli, deadline), spent=spent,
-        until=math.inf if pool is None else _POOL_START_NODES,
+        caps=caps, spent=spent, until=math.inf if pool is None else _POOL_START_NODES,
     )
     futures = [  # without a pool the walk has taken every chunk
-        pool.submit(_profile, moduli, target, length, None, max_nodes, deadline, (v,), nodes)
+        pool.submit(_profile, moduli, target, length, None, max_nodes, deadline, (v,), nodes, caps)
         for v in chunks
     ]
     try:
@@ -556,24 +567,6 @@ def _profile(
         for future in futures:
             future.cancel()
     return _Profile(zero, top, nodes - spent, leaves)
-
-
-def _first_failing(
-    moduli: tuple[int, ...], target: int, length: int, zero_sum: bool, max_nodes: int, deadline: float, spent: int
-) -> tuple[tuple[int, ...] | None, int, int]:
-    """The first multiplicity vector of the given length in colex order with
-    no zero-sum subsequence of length `target` (with `zero_sum`, the first
-    zero-sum one), or None: the `_vectors` walk stopped at its first vector.
-    Returns the vector, the node count continued from `spent` against the
-    same cap, and the leaves reached."""
-    found: list[tuple[int, ...]] = []
-
-    def stop(mults: list[int]) -> bool:
-        found.append(tuple(mults))
-        return True
-
-    nodes, leaves = _vectors(moduli, target, length, zero_sum, stop, max_nodes, deadline, spent)
-    return (found[0] if found else None), nodes, leaves
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +690,8 @@ def brute_force_modified_constant(
     # no length-t subsequence.
     last_fail = profile.zero.bit_length() - 1
     computed = last_fail + 1
-    vector, nodes, leaves = _first_failing(
-        group.moduli, t, last_fail, True, budget.max_nodes, deadline, profile.nodes
+    vector, nodes, leaves = _vectors(
+        group.moduli, t, last_fail, True, lambda vector: True, budget.max_nodes, deadline, profile.nodes
     )
     stats = SearchStats(
         nodes_visited=nodes,
@@ -744,8 +737,8 @@ def check_all_have_witness(
         passed, checked, spent = profile.top < size, profile.leaves, profile.nodes
     counterexample = None
     if not passed:
-        vector, _, leaves = _first_failing(
-            group.moduli, target, size, False, budget.max_nodes, deadline, spent
+        vector, _, leaves = _vectors(
+            group.moduli, target, size, False, lambda vector: True, budget.max_nodes, deadline, spent
         )
         checked += leaves
         counterexample = serialize_sequence(_sequence_of(group, vector))
@@ -774,12 +767,13 @@ def check_lemma_por2p(
     """Over (Z/p)^2, p prime, at sizes 3p-2 and 3p-1: when no p-subset sums to zero,
     the number of 2p-subsets summing to zero is p - 1 mod p.
 
-    The hypothesis cases are exactly the multisets with no zero-sum
-    subsequence of length p, which the search kernel enumerates. At p = 2
-    every one of them is checked; otherwise `count` uniform draws from them
-    at each size are. `vacuous` counts the multisets of both sizes that lie
-    outside the hypothesis. Each size's walk gets the whole node budget; the
-    wall-clock budget covers both walks and the counting together.
+    The hypothesis cases are exactly the multiplicity vectors with no
+    zero-sum subsequence of length p, which one `_vectors` walk per size
+    lists in colex order. At p = 2 every one of them is checked; otherwise
+    `count` uniform draws from them at each size are. A case becomes a
+    `Sequence` only when it is counted. `vacuous` counts the multisets of
+    both sizes that lie outside the hypothesis. Each size's walk gets the
+    whole node budget; one deadline covers both walks and the counting.
     """
     if p < 2 or factor_smallest_prime(p)[0] != p:
         raise PreconditionError(f"p must be prime, got {p}")
@@ -793,21 +787,16 @@ def check_lemma_por2p(
     checked = vacuous = violations = 0
     counterexample = None
     for size in sizes:
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise BudgetExceeded("wall-clock budget exhausted")
-        cases: list[Sequence] = []
-        enumerate_multisets(
-            group, size, cases.append, target=p, zero_sum_only=False,
-            budget=SearchBudget(max_nodes=budget.max_nodes, max_seconds=left),
-        )
+        cases: list[list[int]] = []
+        _vectors(group.moduli, p, size, False, cases.append, budget.max_nodes, deadline)
         vacuous += math.comb(size + group.order - 1, size) - len(cases)
         if mode == "sample" and cases:
             cases = rng.choices(cases, k=count)
-        for seq in cases:
+        for mults in cases:
             if time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted")
             checked += 1
+            seq = _sequence_of(group, mults)
             if count_zero_sum_subseqs(seq, 2 * p, modulus=p) != p - 1:
                 violations += 1
                 if counterexample is None:

@@ -231,20 +231,21 @@ def _strip_wall(obj):
 
 
 def test_ac11_worker_determinism(capsys):
-    # n = 2..6 walk too few nodes to start the pool; Z/12 at t = 12 walks
-    # 215,157, so its pooled run hands chunks to worker processes.
+    # Cyclic n = 2..6 walk too few nodes to start the pool; Z/12 at t = 12
+    # walks 215,157, so its pooled run hands chunks to worker processes. The
+    # witness checks egz n = 12 and reiher n = 5 hand 8 and 3 chunks to them.
     same = {}
-    for n in ("2..6", "12"):
+    for suite, n in (("cyclic", "2..6"), ("cyclic", "12"), ("egz", "12"), ("reiher", "5")):
         outputs = []
         for workers in ("1", "8"):
             code = cli.main(
-                ["--format", "json", "verify", "--suite", "cyclic", "--n", n,
+                ["--format", "json", "verify", "--suite", suite, "--n", n,
                  "--workers", workers]
             )
             assert code == 0
             outputs.append(json.loads(capsys.readouterr().out))
         a, b = (json.dumps(_strip_wall(o), sort_keys=True) for o in outputs)
-        same[n] = a == b
+        same[f"{suite} {n}"] = a == b
     ok = all(same.values())
     with capsys.disabled():
         _report(11, "worker-count determinism", ok,

@@ -46,7 +46,7 @@ from zerosum import (
 
 from zerosum._bitdp import get_pack
 from zerosum.search import (
-    _POOL_START_NODES, _caps, _first_failing, _images, _moves, _profile, _zero_lengths,
+    _POOL_START_NODES, _caps, _images, _moves, _profile, _vectors, _zero_lengths,
 )
 
 from conftest import oracle_exists
@@ -180,7 +180,7 @@ def test_profile_serial_pooled_and_enumerated_agree():
                 first = tuple(seen[0].counts.get(el, 0) for el in group.elements())
             fails = bool(profiles[0].zero >> length & 1) if zero_sum_only else profiles[0].top >= length
             assert fails == (first is not None)
-            vector, _, _ = _first_failing(group.moduli, t, length, zero_sum_only, 10**8, deadline, 0)
+            vector, _, _ = _vectors(group.moduli, t, length, zero_sum_only, lambda v: True, 10**8, deadline)
             assert vector == first
 
         check()
@@ -245,7 +245,7 @@ def test_profile_matches_oracle(case):
     assert s_t not in every
     for length in range(s_t + 1):
         for zero_sum, first in ((False, every), (True, zero)):
-            vector, _, _ = _first_failing(group.moduli, t, length, zero_sum, 10**8, deadline, 0)
+            vector, _, _ = _vectors(group.moduli, t, length, zero_sum, lambda v: True, 10**8, deadline)
             assert vector == first.get(length)
     report = brute_force_modified_constant(group, t)
     assert report.window == (max(zero) + 1, s_t)
@@ -478,7 +478,7 @@ def test_witness_check_off_the_exponent_walks_only_for_the_counterexample(moduli
         enumerate_multisets(group, n, seen.append, target=t, zero_sum_only=False)
         assert not rep.passed and rep.violations == 1
         assert rep.counterexample == serialize_sequence(seen[0])
-        assert rep.checked == _first_failing(moduli, t, n, False, 10**8, deadline, 0)[2]
+        assert rep.checked == _vectors(moduli, t, n, False, lambda v: True, 10**8, deadline)[2]
     assert check_all_have_witness(group, size, t, name="off").checked == checked
 
 
@@ -534,7 +534,7 @@ def test_capped_profile_matches_uncapped_walk_per_length(moduli, t, size):
     zero, every = set(), set()
     for length in range(size + 1):
         for zero_sum, lengths in ((False, every), (True, zero)):
-            if _first_failing(moduli, t, length, zero_sum, 10**8, deadline, 0)[0] is not None:
+            if _vectors(moduli, t, length, zero_sum, lambda v: True, 10**8, deadline)[0] is not None:
                 lengths.add(length)
     assert profile.zero == _bits(zero)
     assert profile.top == max(every)
@@ -744,9 +744,11 @@ def test_pooled_walk_submits_the_chunks_left_after_the_callers(moduli, t, kept, 
         pool = _RecordingExecutor(real)
         assert _profile(moduli, t, length, pool, 10**8, deadline) == serial
     # Each chunk left goes to the pool once, in order, as the profile of that
-    # one chunk with no pool and the budget the caller's nodes left.
+    # one chunk with no pool, the budget the caller's nodes left and the
+    # caller's cap table.
+    caps = _caps(moduli, deadline)
     assert pool.submitted == [
-        (moduli, t, length, None, 10**8, deadline, (v,), handoff) for v in range(kept, t)
+        (moduli, t, length, None, 10**8, deadline, (v,), handoff, caps) for v in range(kept, t)
     ]
 
 
@@ -771,6 +773,33 @@ def test_pooled_walk_walks_the_callers_chunks_in_one_walk(monkeypatch):
     walks[0] = 0
     _profile(moduli, t, length, None, 10**8, time.monotonic() + 900)
     assert walks == [1]
+
+
+@pytest.mark.parametrize("moduli, t, kept", [case[:3] for case in HANDOFF_CASES], ids=str)
+def test_pooled_walk_searches_the_orbit_once(monkeypatch, moduli, t, kept):
+    # The caller's walk builds the cap table, and each chunk it hands to the
+    # pool walks under that table: with an in-process pool every chunk runs
+    # here, and the orbit search still runs once per run.
+    import zerosum.search as search
+
+    calls = []
+    inner = search._caps
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(search, "_caps", counted)
+    length = (t - 1) * math.prod(moduli)
+    deadline = time.monotonic() + 900
+    serial = _profile(moduli, t, length, None, 10**8, deadline)
+    calls.clear()
+    pool = _RecordingExecutor()
+    assert _profile(moduli, t, length, pool, 10**8, deadline) == serial
+    assert calls == [(moduli, deadline)]
+    caps = inner(moduli, deadline)
+    assert len(pool.submitted) == t - kept
+    assert all(args[-1] == caps for args in pool.submitted)
 
 
 @pytest.mark.parametrize("reader", ["last", "dfs"])
@@ -813,7 +842,7 @@ def test_pooled_budget_is_exact_in_the_caller_and_one_chunk_past_it():
             spent = int(re.search(rf"(\d+) nodes, {cap} allowed", str(exc.value)).group(1))
             assert cap < spent <= cap + largest
             assert [args[3:] for args in pool.submitted] == [
-                (None, cap, deadline, (v,), 83454) for v in range(4, 12)
+                (None, cap, deadline, (v,), 83454, _caps(moduli, deadline)) for v in range(4, 12)
             ]
 
 
@@ -901,34 +930,43 @@ def test_por2p_one_deadline_covers_both_sizes_and_the_counting(monkeypatch):
         now[0] += 1
         return count(*args, **kwargs)
 
+    # Each walk of one size records [node budget, deadline, vectors visited].
     walks = []
-    enumerate_all = search.enumerate_multisets
+    walk = search._vectors
 
-    def record(*args, budget, **kwargs):
-        walks.append((budget.max_nodes, budget.max_seconds))
-        return enumerate_all(*args, budget=budget, **kwargs)
+    def record(moduli, target, length, zero_sum, visit, max_nodes, deadline, *rest):
+        walks.append([max_nodes, deadline, 0])
+
+        def counted(vector):
+            walks[-1][2] += 1
+            return visit(vector)
+
+        return walk(moduli, target, length, zero_sum, counted, max_nodes, deadline, *rest)
 
     monkeypatch.setattr(search, "count_zero_sum_subseqs", slow_count)
-    monkeypatch.setattr(search, "enumerate_multisets", record)
+    monkeypatch.setattr(search, "_vectors", record)
 
     def run(max_seconds):
         walks.clear()
         now[0] = 0.0
         return check_lemma_por2p(3, count=5, budget=SearchBudget(max_nodes=10**6, max_seconds=max_seconds))
 
-    # Five cases per size. Each walk gets the whole node budget, and the
-    # second walk only the seconds the first size's counting left.
+    # Five cases per size. Each walk gets the whole node budget, and both
+    # walks read the one deadline that the counting also reads.
     assert run(12).checked == 10
-    assert walks == [(10**6, 12), (10**6, 7)]
+    assert [walk[:2] for walk in walks] == [[10**6, 12], [10**6, 12]]
+    first = walks[0][2]
     # The counting reads the clock: the cases starting at 0, 1, 2 and 3 s are
     # counted, the fifth is not.
     with pytest.raises(BudgetExceeded, match="wall-clock budget exhausted"):
         run(3.5)
     assert now[0] == 4
-    # The first size spends all 5 s: the second size is not walked.
-    with pytest.raises(BudgetExceeded, match="wall-clock budget exhausted"):
-        run(5)
-    assert len(walks) == 1
+    # The first size's counting spends the 4.5 s: the second size's walk
+    # stops at its first chunk start, before it visits a vector or counts.
+    with pytest.raises(BudgetExceeded, match="wall-clock budget exhausted") as info:
+        run(4.5)
+    assert walks == [[10**6, 4.5, first], [10**6, 4.5, 0]] and now[0] == 5
+    assert info.traceback[-1].name == "_walk"
 
 
 def test_lemma3n_exhaustive_small():
