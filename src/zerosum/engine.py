@@ -1,9 +1,12 @@
 """Zero-sum subsequence engine: existence, witnesses, and exact counts.
 
 Detection runs a bounded-knapsack reachability DP over packed bitmasks. The
-counter runs the same fold on one integer of (k+1)*|G| cells of w bits: each
-copy of an element shifts the table up one count, rotates it by the element
-and adds it back, so cell (c, g) ends as the number of c-subsets summing to g.
+counter runs the same fold on one integer of (s+1)*|G| cells of w bits, where
+s = min(k, L - k) for a sequence of length L: each copy of an element shifts
+the table up one count, rotates it by the element and adds it back, so cell
+(c, g) ends as the number of c-subsets summing to g. Past half the length the
+zero-sum k-subsets are counted as their complements, the (L-k)-subsets that
+sum to the total.
 """
 
 from __future__ import annotations
@@ -43,29 +46,33 @@ def _find(
     if k == 0:
         return {}
     pack = get_pack(moduli, k)
+    add_copies, index, order = pack.add_copies, pack.index, pack.order
     # Suffix reachability: suffix[i] covers items[i:].
-    suffix = [pack.initial] * (len(items) + 1)
-    for i in range(len(items) - 1, -1, -1):
-        el, mult = items[i]
-        suffix[i] = pack.add_copies(suffix[i + 1], pack.index(el), mult)
-    if not pack.has(suffix[0], k):
+    mask = pack.initial
+    suffix = [mask]
+    for el, mult in reversed(items):
+        mask = add_copies(mask, index(el), mult)
+        suffix.append(mask)
+    suffix.reverse()
+    if not mask >> k * order & 1:
         return None
     counts: dict[Element, int] = {}
     # The count and the sum (with its index) still required from the rest.
     need_count, need_sum, need_index = k, (0,) * len(moduli), 0
     for i, (el, mult) in enumerate(items):
-        rest_sum, rest_index = need_sum, need_index
-        for j in range(min(mult, need_count) + 1):
-            if j:
-                rest_sum = tuple([(r - c) % m for r, c, m in zip(rest_sum, el, moduli)])
-                rest_index = pack.index(rest_sum)
-            if pack.has(suffix[i + 1], need_count - j, rest_index):
+        rest = suffix[i + 1]
+        if rest >> (need_count * order + need_index) & 1:
+            continue  # the items after this one reach (need_count, need_sum)
+        rest_sum = need_sum
+        for j in range(1, min(mult, need_count) + 1):
+            rest_sum = tuple([(r - c) % m for r, c, m in zip(rest_sum, el, moduli)])
+            rest_index = index(rest_sum)
+            if rest >> ((need_count - j) * order + rest_index) & 1:
                 break
-        if j:
-            counts[el] = j
-            need_count, need_sum, need_index = need_count - j, rest_sum, rest_index
-            if need_count == 0:
-                break
+        counts[el] = j
+        need_count, need_sum, need_index = need_count - j, rest_sum, rest_index
+        if need_count == 0:
+            break
     assert need_count == 0 and need_index == 0
     return counts
 
@@ -105,28 +112,32 @@ def count_zero_sum_subseqs(seq: Sequence, k: int, modulus: int | None = None) ->
 
     Multiplicities contribute binomial factors, so this counts subsets of
     positions, not distinct sub-multisets. The count is exact; with `modulus`
-    it is reduced once at the end, for congruence checks.
+    it is reduced once at the end, for congruence checks. When 2k > L the
+    table counts the (L-k)-subsets summing to the total instead, which
+    complementation maps one to one onto the zero-sum k-subsets: the answer
+    is cell (L-k, total) rather than (k, 0).
     """
     _check_k(seq, k)
     if modulus is not None and modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    order = seq.group.order
-    # Cell (c, g) counts the c-subsets with sum g; it never exceeds C(L, c),
-    # so cells of w bits never carry into their neighbours. The bound
-    # (L/j)^j <= C(L, j) refuses a table too wide to build before C(L, j),
-    # which takes seconds at L = 10^6, is computed.
-    cells, j = (k + 1) * order, min(k, seq.length // 2)
-    w = j * ((seq.length // j).bit_length() - 1) + 1 if j else 1
+    length, order = seq.length, seq.group.order
+    side = length - k if 2 * k > length else k
+    # Cell (c, g) never exceeds C(L, c) <= C(L, side), so cells of w bits
+    # never carry into their neighbours. The bound (L/s)^s <= C(L, s) refuses
+    # a table too wide to build before C(L, s), which takes seconds at
+    # L = 10^6, is computed.
+    cells = (side + 1) * order
+    w = side * ((length // side).bit_length() - 1) + 1 if side else 1
     if cells * w <= MAX_BITS:
-        w = math.comb(seq.length, j).bit_length()
+        w = math.comb(length, side).bit_length()
     if cells > 5 * 10**7 or cells * w > MAX_BITS:
         raise ValueError(
             f"counting table of {cells} cells of at least {w} bits (|G| = {order}, k = {k}) "
             "exceeds the supported size"
         )
-    pack = get_pack(seq.group.moduli, k)
+    pack = get_pack(seq.group.moduli, side)
     block = order * w
-    full = (1 << (k + 1) * block) - 1
+    full = (1 << (side + 1) * block) - 1
     table = 1
     for el, mult in seq.items():
         rotations = [pack.rotation(axis, c, w, full) for axis, c in enumerate(el) if c]
@@ -135,5 +146,6 @@ def count_zero_sum_subseqs(seq: Sequence, k: int, modulus: int | None = None) ->
             for lo, up, down, lod in rotations:
                 moved = ((moved & lo) << up) | ((moved >> down) & lod)
             table += moved
-    count = (table >> k * block) & ((1 << w) - 1)
+    target = pack.index(seq.total_sum) if side < k else 0
+    count = (table >> side * block + target * w) & ((1 << w) - 1)
     return count if modulus is None else count % modulus

@@ -5,10 +5,10 @@ to blind search: elements are grouped into size-d blocks whose sums are
 divisible by d, the block sums are lifted to a quotient group, and a smaller
 zero-sum instance over the lifted values selects which blocks to combine.
 Running an extractor therefore exercises the reduction it implements. Every
-extractor is its hypothesis checks plus three routines: `_next_block` takes
-one block, `_peel_blocks` takes blocks until a given number of elements
-remain and then a last block, and `_combine_blocks` unites the blocks that
-the quotient instance selects.
+extractor is its hypothesis checks plus two routines: `_peel_blocks` reduces
+the multiset mod d once and takes blocks until a given number of elements
+remain, then a last block, and `_combine_blocks` unites the blocks that the
+quotient instance selects.
 
 The input sequence was validated when it was built, and below it the
 extractors work on plain count dicts. The picks and the quotient searches
@@ -61,21 +61,6 @@ class BlockDecomposition:
     block_sums: list[Element] = field(default_factory=list)
 
 
-def _pull_back(counts: Counts, residues: Counts, d: int) -> Counts:
-    """Choose concrete elements realizing the residue counts mod d, smallest first."""
-    need = dict(residues)
-    taken: Counts = {}
-    for el in sorted(counts):
-        key = tuple([c % d for c in el])
-        short = need.get(key)
-        if short:
-            taken[el] = use = min(counts[el], short)
-            need[key] = short - use
-    if any(need.values()):
-        raise AssertionError("quotient witness not realizable in parent")
-    return taken
-
-
 def _subtract(counts: Counts, taken: Counts) -> None:
     for el, m in taken.items():
         counts[el] -= m
@@ -89,47 +74,62 @@ def _found(result, what: str, *args):
     return result
 
 
-def _next_block(
-    moduli: tuple[int, ...], counts: Counts, d: int, pick: Pick, deco: BlockDecomposition
-) -> None:
-    """Move one size-d block with sum divisible by d from `counts` to `deco`.
-
-    The pick runs on the multiset reduced mod d, which lies in (Z/d)^r. A
-    size-1 block is taken directly as the smallest element: that is what any
-    pick over (Z/1)^r pulls back to, and its own sum.
-    """
-    if d == 1:
-        total = min(counts)
-        block = {total: 1}
-    else:
-        reduced: Counts = {}
-        for el, m in counts.items():
-            key = tuple([c % d for c in el])
-            reduced[key] = reduced.get(key, 0) + m
-        residues = _found(pick((d,) * len(moduli), sorted(reduced.items()), d), "size-{} block", d)
-        block = _pull_back(counts, residues, d)
-        total = counts_sum(moduli, block)
-    _subtract(counts, block)
-    deco.blocks.append(block)
-    deco.block_sums.append(total)
-
-
 def _peel_blocks(
     moduli: tuple[int, ...], counts, d: int, keep: int, last: Pick | None = None
 ) -> BlockDecomposition:
     """Size-d blocks found by search until `keep` elements remain, then one
     more: `last` picks it from those, or, with no `last`, they are the block
     (keep = d, and their sum is divisible by d because the whole multiset
-    sums to zero). `counts` (a mapping or ascending pairs) is not changed."""
+    sums to zero). `counts` (a mapping or pairs, ascending) is not changed.
+
+    The multiset is reduced mod d once, into (Z/d)^r, and each residue keeps
+    a queue of its elements, smallest first. Each pick runs on the ascending
+    reduced pairs; its residues are subtracted from them, and the block takes
+    each residue's count from the front of its queue. At d = 1 every pick
+    pulls back to the smallest element left, so the blocks are the
+    L - keep + 1 smallest elements, taken in one pass.
+    """
     deco = BlockDecomposition(block_size=d)
-    counts = dict(counts)
-    for _ in range((sum(counts.values()) - keep) // d):
-        _next_block(moduli, counts, d, _find, deco)
-    if last is not None:
-        _next_block(moduli, counts, d, last, deco)
-    else:
-        deco.blocks.append(counts)
-        deco.block_sums.append(counts_sum(moduli, counts))
+    items = dict(counts).items()
+    length = sum([m for _, m in items])
+    if d == 1:
+        deco.block_sums = [el for el, m in items for _ in range(m)][: length - keep + 1]
+        deco.blocks = [{el: 1} for el in deco.block_sums]
+        return deco
+    reduced: Counts = {}
+    queues: dict[Element, list[list]] = {}  # residue -> [element, count left]; front last
+    for el, m in reversed(items):
+        key = tuple([c % d for c in el])
+        reduced[key] = reduced.get(key, 0) + m
+        queues.setdefault(key, []).append([el, m])
+    reduced = dict(sorted(reduced.items()))
+    picks = [_find] * ((length - keep) // d) + ([] if last is None else [last])
+    for pick in picks:
+        residues = _found(pick((d,) * len(moduli), list(reduced.items()), d), "size-{} block", d)
+        block: Counts = {}
+        for key, need in residues.items():
+            left = reduced.get(key, 0) - need
+            if left < 0:
+                raise AssertionError("quotient witness not realizable in parent")
+            if left:
+                reduced[key] = left
+            else:
+                del reduced[key]
+            queue = queues[key]
+            while need:
+                entry = queue[-1]
+                block[entry[0]] = use = min(entry[1], need)
+                need -= use
+                entry[1] -= use
+                if not entry[1]:
+                    queue.pop()
+        block = dict(sorted(block.items()))
+        deco.blocks.append(block)
+        deco.block_sums.append(counts_sum(moduli, block))
+    if last is None:
+        rest = dict(sorted([(el, m) for queue in queues.values() for el, m in queue]))
+        deco.blocks.append(rest)
+        deco.block_sums.append(counts_sum(moduli, rest))
     return deco
 
 

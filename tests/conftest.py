@@ -1,8 +1,9 @@
 """Shared brute-force oracles and random-sequence helpers.
 
 The oracles never touch the DP code paths they are used to check: two
-enumerate index subsets explicitly, and `oracle_count_table` steps through a
-(count, sum) table cell by cell with the group's own arithmetic.
+enumerate index subsets explicitly, `oracle_least_witness` enumerates
+multiplicity vectors, and `oracle_count_table` steps through a (count, sum)
+table cell by cell with the group's own arithmetic.
 """
 
 from __future__ import annotations
@@ -68,6 +69,23 @@ def oracle_exists(seq: Sequence, k: int) -> bool:
         if total == g.identity():
             return True
     return False
+
+
+def oracle_least_witness(seq: Sequence, k: int) -> dict | None:
+    """The lexicographically least multiplicity vector over the ascending
+    elements that has size k and sums to the identity, as counts (zero
+    multiplicities left out), or None when no vector does."""
+    g = seq.group
+    items = seq.items()
+    for vector in itertools.product(*[range(m + 1) for _, m in items]):
+        if sum(vector) != k:
+            continue
+        total = g.identity()
+        for (el, _), j in zip(items, vector):
+            total = g.add(total, g.scale(el, j))
+        if total == g.identity():
+            return {el: j for (el, _), j in zip(items, vector) if j}
+    return None
 
 
 def random_multiset(rng: random.Random, group: Group, length: int) -> Sequence:

@@ -21,7 +21,13 @@ from zerosum import (
 from zerosum._bitdp import get_pack
 from zerosum.engine import _find
 
-from conftest import oracle_count, oracle_count_table, oracle_exists, random_multiset
+from conftest import (
+    oracle_count,
+    oracle_count_table,
+    oracle_exists,
+    oracle_least_witness,
+    random_multiset,
+)
 
 
 def test_find_examples():
@@ -112,6 +118,20 @@ def test_oracle_equivalence_random():
             assert count_zero_sum_subseqs(seq, k) == oracle_count(seq, k)
 
 
+def test_witness_is_the_lexicographically_least_vector():
+    rng = random.Random(17)
+    for _ in range(200):
+        g = make_group(rng.choice(GROUPS))
+        seq = random_multiset(rng, g, rng.randint(0, 9))
+        for k in range(seq.length + 1):
+            least = oracle_least_witness(seq, k)
+            expected = None if least is None else list(least.items())
+            w = find_zero_sum_subseq(seq, k)
+            assert (None if w is None else list(w.counts.items())) == expected
+            counts = _find(g.moduli, seq.items(), k)
+            assert (None if counts is None else list(counts.items())) == expected
+
+
 def test_detection_matches_counting():
     rng = random.Random(12)
     for _ in range(150):
@@ -124,6 +144,8 @@ def test_detection_matches_counting():
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_complementation(data):
+    # Every count matches enumeration, zero-sum or not: of k and L - k, the
+    # one with 2k > L is read from the complement side's table.
     moduli = data.draw(st.sampled_from(GROUPS))
     g = make_group(moduli)
     els = list(g.elements())
@@ -131,11 +153,11 @@ def test_complementation(data):
     for el in data.draw(st.permutations(els))[: data.draw(st.integers(0, 3))]:
         counts[el] = data.draw(st.integers(1, 4))
     seq = Sequence(g, counts)
-    if not seq.is_zero_sum():
-        return
     L = seq.length
-    for k in range(L + 1):
-        assert count_zero_sum_subseqs(seq, k) == count_zero_sum_subseqs(seq, L - k)
+    exact = [oracle_count(seq, k) for k in range(L + 1)]
+    assert [count_zero_sum_subseqs(seq, k) for k in range(L + 1)] == exact
+    if seq.is_zero_sum():
+        assert exact == exact[::-1]
 
 
 @given(st.data())
@@ -230,6 +252,30 @@ def test_count_refuses_wide_cells_before_building_the_table(n, length, k):
     finally:
         tracemalloc.stop()
     assert peak < 10**6  # the tables would take 0.6 GB, 36 MB and 2.5 GB
+
+
+def test_count_near_the_full_length_counts_the_complement_side():
+    # 59,998 of 60,000 zeros: the table counts the 2-subsets summing to the
+    # total, on 3 cells of 31 bits, where the k side would need 59,999 cells.
+    s = Sequence(make_group([1]), {(0,): 60000})
+    get_pack.cache_clear()
+    tracemalloc.start()
+    try:
+        assert count_zero_sum_subseqs(s, 59998) == math.comb(60000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_count_refusal_past_half_the_length_names_the_callers_k():
+    s = Sequence(make_group([1]), {(0,): 100000})
+    with pytest.raises(ValueError) as info:
+        count_zero_sum_subseqs(s, 50001)
+    assert str(info.value) == (
+        "counting table of 50000 cells of at least 50000 bits (|G| = 1, k = 50001) "
+        "exceeds the supported size"
+    )
 
 
 @pytest.mark.parametrize("moduli", [(1,), (5,), (6,), (8,), (2, 6), (3, 6), (3, 3), (4, 4)])

@@ -1,6 +1,6 @@
 """Trusted construction: `Sequence._of` agrees with the public constructor,
-size-1 blocks are the ones the general block route picks, and every witness
-built inside the package holds only elements of its group."""
+the extractors' blocks are the ones the general block route picks, and every
+witness built inside the package holds only elements of its group."""
 
 import random
 
@@ -21,15 +21,7 @@ from zerosum import (
     make_group,
     min_nondivisor,
 )
-from zerosum.engine import _find
-from zerosum.extractors import (
-    BlockDecomposition,
-    _next_block,
-    _peel_blocks,
-    _pull_back,
-    _square_3n,
-    _subtract,
-)
+from zerosum.extractors import _peel_blocks, _square_3n, _subtract
 
 from conftest import random_zero_sum
 
@@ -82,23 +74,52 @@ def test_trusted_constructor_copies_its_input():
         seq.length = 0
 
 
-# -- size-1 blocks ---------------------------------------------------------
+# -- blocks ----------------------------------------------------------------
 
 
-def _general_size1_block(group, counts):
-    """The general route at d = 1: reduce into (Z/1)^r, find one zero-sum
-    element there, and pull it back to the parent."""
-    trivial = make_group([1] * group.rank)
-    reduced = Sequence(trivial, {trivial.identity(): sum(counts.values())})
-    return _pull_back(counts, find_zero_sum_subseq(reduced, 1).counts, 1)
+def _pull_back(counts, residues, d):
+    """Concrete elements realizing the residue counts mod d, smallest first."""
+    need, taken = dict(residues), {}
+    for el in sorted(counts):
+        key = tuple(c % d for c in el)
+        if need.get(key):
+            taken[el] = use = min(counts[el], need[key])
+            need[key] -= use
+    assert not any(need.values())
+    return taken
 
 
-def _general_size1_tail(counts):
-    """The general tail of the square extractors' blocks at d = 1: the
-    recursion on the last three elements reduced into (Z/1)^2, pulled back."""
-    trivial = make_group([1, 1])
-    reduced = Sequence(trivial, {(0, 0): sum(counts.values())})
-    return _pull_back(counts, extract_square_3n(reduced).counts, 1)
+def _general_block(group, counts, d, pick=find_zero_sum_subseq):
+    """The general route to one size-d block: reduce what is left into
+    (Z/d)^r, pick d zero-sum elements there with the public search (or
+    `pick`), and pull them back to the parent."""
+    quotient = make_group([d] * group.rank)
+    reduced = {}
+    for el, m in counts.items():
+        key = tuple(c % d for c in el)
+        reduced[key] = reduced.get(key, 0) + m
+    return _pull_back(counts, pick(Sequence(quotient, reduced), d).counts, d)
+
+
+def _general_blocks(group, counts, d, keep, last=None):
+    """`_peel_blocks`' blocks taken one at a time by the general route, the
+    remainder re-reduced for each: the last block is what is left, or what
+    `last` picks from it."""
+    counts, blocks = dict(counts), []
+    for _ in range((sum(counts.values()) - keep) // d):
+        blocks.append(_general_block(group, counts, d))
+        _subtract(counts, blocks[-1])
+    blocks.append(counts if last is None else _general_block(group, counts, d, last))
+    return blocks
+
+
+def _square_last(reduced, d):
+    return extract_square_3n(reduced)
+
+
+def _assert_same_blocks(g, deco, expected):
+    assert [list(b.items()) for b in deco.blocks] == [list(b.items()) for b in expected]
+    assert deco.block_sums == [Sequence(g, b).total_sum for b in expected]
 
 
 @pytest.mark.parametrize("moduli", [(5,), (6,), (3, 3), (4, 4), (2, 2, 2)])
@@ -107,15 +128,8 @@ def test_take_block_size_one_matches_general_route(moduli):
     g = make_group(moduli)
     for _ in range(30):
         seq = random_zero_sum(rng, g, rng.randint(1, 12))
-        fast, slow = dict(seq.counts), dict(seq.counts)
-        deco = BlockDecomposition(block_size=1)
-        while fast:
-            _next_block(g.moduli, fast, 1, _find, deco)
-            block = _general_size1_block(g, slow)
-            _subtract(slow, block)
-            assert deco.blocks[-1] == block
-            assert deco.block_sums[-1] == Sequence(g, block).total_sum
-            assert fast == slow
+        deco = _peel_blocks(g.moduli, seq.counts, 1, 1)
+        _assert_same_blocks(g, deco, _general_blocks(g, seq.counts, 1, 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
@@ -124,15 +138,31 @@ def test_square_blocks_size_one_matches_general_route(n):
     g = make_group([n, n])
     for _ in range(30):
         seq = random_zero_sum(rng, g, 3 * n)
-        counts = dict(seq.counts)
-        expected = []
-        for _ in range(3 * n - 3):
-            expected.append(_general_size1_block(g, counts))
-            _subtract(counts, expected[-1])
-        expected.append(_general_size1_tail(counts))
         deco = _peel_blocks(g.moduli, seq.counts, 1, 3, _square_3n)
-        assert deco.blocks == expected
-        assert deco.block_sums == [Sequence(g, b).total_sum for b in expected]
+        _assert_same_blocks(g, deco, _general_blocks(g, seq.counts, 1, 3, _square_last))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 10, 12])
+def test_blocks_match_general_route_at_every_divisor(n):
+    # The shapes of `cyclic_block_decomposition` (2n - d elements of Z/n,
+    # blocks until d remain) and `extract_square_block` (4n - d elements of
+    # (Z/n)^2, blocks until 3d remain, then `_square_3n`'s block).
+    rng = random.Random(100 + n)
+    cyclic, square = make_group([n]), make_group([n, n])
+    for d in [x for x in range(1, n + 1) if n % x == 0]:
+        for _ in range(8):
+            seq = random_zero_sum(rng, cyclic, 2 * n - d)
+            deco = _peel_blocks(cyclic.moduli, seq.counts, d, d)
+            _assert_same_blocks(cyclic, deco, _general_blocks(cyclic, seq.counts, d, d))
+            seq = random_zero_sum(rng, square, 4 * n - d)
+            deco = _peel_blocks(square.moduli, seq.counts, d, 3 * d, _square_3n)
+            expected = _general_blocks(square, seq.counts, d, 3 * d, _square_last)
+            _assert_same_blocks(square, deco, expected)
+
+
+def test_unrealizable_quotient_witness_is_an_assertion():
+    with pytest.raises(AssertionError, match="quotient witness not realizable in parent"):
+        _peel_blocks((4,), {(0,): 2, (2,): 2}, 2, 4, lambda *args: {(1,): 2})
 
 
 # -- witnesses built inside the package -----------------------------------
