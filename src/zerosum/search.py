@@ -6,7 +6,9 @@ reachability mask of the prefix: as soon as the prefix itself contains a
 zero-sum subsequence of the target length, every completion does too, so the
 whole subtree is resolved without being enumerated. Only witness-free
 prefixes are ever expanded, which keeps the search tree tiny compared to the
-raw multiset count.
+raw multiset count. A walk of zero-sum multisets also drops a prefix whose
+sum the elements left cannot bring back to zero: in the index layout the
+elements 0..i are zero on every axis whose stride is above i.
 
 The brute-force determination walks once: the multisets with no zero-sum
 subsequence of length t (when exp(G) divides t) form a sub-multiset-closed,
@@ -274,6 +276,12 @@ def _walk(
     with more than (target - 1)(i + 1) copies left for elements 0..i is
     skipped.
 
+    With `zero_sum`, a prefix that has fixed the elements above i returns
+    at once, at no node, when its sum s >= floor[i], the least stride above
+    i (|G| if none): s is then nonzero on an axis of stride above i, where
+    each of the elements 0..i left is zero. Without `zero_sum` every floor
+    is |G|, which no sum reaches.
+
     The prefix sum is one element index: outer times the top element's
     coordinates, then advanced through a row of `pack.plus` per copy. An
     element's row and rotation parts are built when it first takes a copy,
@@ -294,6 +302,10 @@ def _walk(
     zeros = tile(1, order, (probe_top << 1) - 1)  # sum 0 at counts 0..target
     last_r = target - 1
     caps = caps or (order,) * order
+    floor = [order] * order  # a prefix sum at or past floor[i] misses zero whatever 0..i add
+    if zero_sum:
+        for r in sorted(pack.strides, reverse=True):  # floor[i]: the least stride above i
+            floor[:r] = [r] * r
     room = [length] * order  # copies that elements 0..i can still take
     if need[0] >= length and target % math.lcm(*moduli) == 0:
         room = [(target - 1) * (i + 1) for i in range(order)]
@@ -303,7 +315,7 @@ def _walk(
     def last(i: int, b: int, s: int, mask: int, nodes: int) -> int:
         """Element i = 1 with its leaves: b - r copies of it, room for r more."""
         nonlocal leaves
-        if b > room[1]:
+        if b > room[1] or s >= floor[1]:
             return nodes
         if plus[i] is None:
             plus[i], parts[i] = pack.plus(i), pack.parts(i)
@@ -338,7 +350,7 @@ def _walk(
 
     def dfs(i: int, b: int, s: int, mask: int, nodes: int) -> int:
         """Element i >= 2: 0..b copies of it, each followed by the levels below."""
-        if b > room[i]:
+        if b > room[i] or s >= floor[i]:
             return nodes
         below = step[i - 1]
         mults[i] = 0

@@ -106,7 +106,7 @@ def test_enumerate_colex_order():
     assert len(vectors) == 6  # C(2 + 2, 2)
 
 
-SMALL_GROUPS = [(1,), (2,), (3,), (4,), (5,), (8,), (2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2)]
+SMALL_GROUPS = [(1,), (2,), (3,), (4,), (5,), (8,), (2, 2), (2, 3), (2, 4), (1, 4), (4, 2), (3, 3), (2, 2, 2)]
 
 
 @st.composite
@@ -565,7 +565,7 @@ def test_passing_lengths_below_the_constant(moduli, t, gaps, value):
             " (1,0,0,0) (1,0,0,1) (1,0,1,0) (1,0,1,1) (1,1,0,0) (1,1,0,1) (1,1,1,0) (1,1,1,1)",
             8208, 8196,
         ),
-        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 19165, 7444),
+        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 10948, 3429),
         ((8,), 16, 22, "Z/8: 2^15 3^6", 29007, 20653),
     ],
     ids=["Z2^4-t2", "Z4^2-t4", "Z8-t16"],
@@ -584,6 +584,52 @@ def test_benchmark_scan_counters(moduli, t, value, witness, nodes, leaves):
     assert r.computed_value == value
     assert r.extremal_witness == witness
     assert (r.stats.nodes_visited, r.stats.sequences_checked) == (nodes, leaves)
+
+
+# Groups with more than one axis, where a zero-sum walk cuts prefixes: (1, 4)
+# and (4, 1) have a modulus-1 axis, (4, 2) unsorted moduli. Each with the
+# lengths its full walks cover cheaply.
+CUT_CASES = [((2, 4), 6), ((4, 2), 6), ((1, 4), 6), ((4, 1), 6), ((2, 2, 2), 6), ((3, 3), 6),
+             ((2, 6), 5), ((2, 2, 4), 5), ((3, 3, 3), 4)]
+
+
+@pytest.mark.parametrize("moduli, lengths", CUT_CASES, ids=lambda c: str(c).replace(" ", ""))
+def test_zero_sum_walk_is_the_full_walk_filtered_by_sum(moduli, lengths):
+    # A zero-sum walk drops a prefix whose sum is nonzero on an axis that the
+    # elements left cannot move. It must list the zero-sum vectors of the
+    # walk without `zero_sum`, summed here from coordinates, in the same
+    # order, and stop at the first of them. The node cap stays exact: a cut
+    # subtree costs no node, so a cap one below the walk's count stops it at
+    # the node past the cap.
+    pack = get_pack(moduli, 0)
+    coords = [pack.coords(i) for i in range(pack.order)]
+
+    def zero_sum(vector):
+        return all(sum(m * c[axis] for m, c in zip(vector, coords)) % n == 0 for axis, n in enumerate(moduli))
+
+    e = math.lcm(*moduli)
+    for length in range(lengths + 1):
+        for target in sorted({e, e + 1, length + 1}):
+            every, zero = [], []
+            _vectors(moduli, target, length, False, every.append, 10**8, math.inf)
+            _, nodes, _ = _vectors(moduli, target, length, True, zero.append, 10**8, math.inf)
+            assert zero == [vector for vector in every if zero_sum(vector)]
+            first = _vectors(moduli, target, length, True, lambda v: True, 10**8, math.inf)[0]
+            assert first == (tuple(zero[0]) if zero else None)
+            if nodes:
+                with pytest.raises(BudgetExceeded) as exc:
+                    _vectors(moduli, target, length, True, lambda v: None, nodes - 1, math.inf)
+                assert str(exc.value) == f"node budget exhausted: {nodes} nodes, {nodes - 1} allowed"
+            assert _vectors(moduli, target, length, True, lambda v: None, nodes, math.inf)[1] == nodes
+
+
+def test_lemma3n_exhaustive_walk_counters():
+    # The exhaustive lemma-3n walk at n = 3 (length 9, target 10, zero-sum
+    # only) lists the golden 2,710 multisets; the prefix cut keeps its node
+    # count at 11,475.
+    vectors = []
+    _, nodes, leaves = _vectors((3, 3), 10, 9, True, vectors.append, 10**8, math.inf)
+    assert (nodes, leaves, len(vectors)) == (11475, 8110, 2710)
 
 
 def test_enumerate_budget_abort():
