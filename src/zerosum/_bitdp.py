@@ -3,9 +3,12 @@
 A state mask is one big integer holding k+1 segments of `order` bits each:
 bit c*order + g is set when some sub-multiset of the items folded in so far
 has exactly c elements and sum equal to the group element with index g.
-Masks are immutable ints, so DP branches share state for free. The same
-layout with cells of w bits instead of one holds counts rather than
-reachability (see `engine.count_zero_sum_subseqs`).
+Masks are immutable ints, so DP branches share state for free. The engine's
+counter (`engine.count_zero_sum_subseqs`) holds counts rather than
+reachability in the transposed, element-major layout: the element with index
+g owns the block of s+1 cells of w bits from bit g*(s+1)*w, one cell per
+count, and `rotation` moves those blocks when called with cells of (s+1)*w
+bits.
 
 Elements are keyed by index. The layout is mixed-radix over the moduli with
 the first coordinate most significant, so index 0 is the identity and index

@@ -1,12 +1,14 @@
 """Zero-sum subsequence engine: existence, witnesses, and exact counts.
 
 Detection runs a bounded-knapsack reachability DP over packed bitmasks. The
-counter runs the same fold on one integer of (s+1)*|G| cells of w bits, where
-s = min(k, L - k) for a sequence of length L: each copy of an element shifts
-the table up one count, rotates it by the element and adds it back, so cell
-(c, g) ends as the number of c-subsets summing to g. Past half the length the
-zero-sum k-subsets are counted as their complements, the (L-k)-subsets that
-sum to the total.
+counter keeps one integer of |G| blocks, one per group element, each of s+1
+cells of w bits, where s = min(k, L - k) for a sequence of length L: cell
+(g, c), at bit (g*(s+1) + c)*w, ends as the number of c-subsets summing to the
+element of index g. Each copy of an element moves every cell below count s up
+one within its block, rotates the blocks by the element and adds the result
+back. Past half the length the zero-sum k-subsets are counted as their
+complements, the (L-k)-subsets that sum to the total, and existence is read
+from the same side.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from ._bitdp import MAX_BITS, get_pack
+from ._bitdp import MAX_BITS, get_pack, tile
 from .groups import Element
 from .sequences import Sequence, Witness, _found_witness
 
@@ -88,23 +90,29 @@ def has_zero_sum_in_lengths(seq: Sequence, lengths: Iterable[int] | int) -> bool
 
     Accepts a single target or any iterable of them. Lengths beyond the
     sequence length cannot occur and are skipped. One DP pass covers every
-    target at once.
+    target at once, on counts up to the largest min(k, L - k): a target with
+    2k > L holds when some (L-k)-subset sums to the total, its complement.
     """
     if isinstance(lengths, int):
         lengths = (lengths,)
     targets = sorted(set(lengths))
     if any(k < 0 for k in targets):
         raise ValueError(f"target lengths must be >= 0: {targets}")
-    targets = [k for k in targets if k <= seq.length]
+    length = seq.length
+    targets = [k for k in targets if k <= length]
     if not targets:
         return False
     if targets[0] == 0:
         return True
-    pack = get_pack(seq.group.moduli, targets[-1])
+    pack = get_pack(seq.group.moduli, max(min(k, length - k) for k in targets))
     mask = pack.initial
     for el, mult in seq.items():
         mask = pack.add_copies(mask, pack.index(el), mult)
-    return any(pack.has(mask, k) for k in targets)
+    total = pack.index(seq.total_sum)
+    return any(
+        pack.has(mask, length - k, total) if 2 * k > length else pack.has(mask, k)
+        for k in targets
+    )
 
 
 def count_zero_sum_subseqs(seq: Sequence, k: int, modulus: int | None = None) -> int:
@@ -115,14 +123,22 @@ def count_zero_sum_subseqs(seq: Sequence, k: int, modulus: int | None = None) ->
     it is reduced once at the end, for congruence checks. When 2k > L the
     table counts the (L-k)-subsets summing to the total instead, which
     complementation maps one to one onto the zero-sum k-subsets: the answer
-    is cell (L-k, total) rather than (k, 0).
+    is cell (total, L-k) rather than (0, k).
+
+    The table is element-major: element g owns the block of s+1 cells of w
+    bits from bit g*(s+1)*w, s = min(k, L-k). Each copy moves the cells whose
+    count is below s (`keep`) up one count with `(table & keep) << w`, rotates
+    them by the element with the pack's masks on cells of (s+1)*w bits, and
+    adds them to the table. The leading axis's rotation wraps the whole
+    integer, so its mask is one run of ones. The answer is the cell at bit
+    (target*(s+1) + s)*w.
     """
     _check_k(seq, k)
     if modulus is not None and modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     length, order = seq.length, seq.group.order
     side = length - k if 2 * k > length else k
-    # Cell (c, g) never exceeds C(L, c) <= C(L, side), so cells of w bits
+    # Cell (g, c) never exceeds C(L, c) <= C(L, side), so cells of w bits
     # never carry into their neighbours. The bound (L/s)^s <= C(L, s) refuses
     # a table too wide to build before C(L, s), which takes seconds at
     # L = 10^6, is computed.
@@ -136,16 +152,17 @@ def count_zero_sum_subseqs(seq: Sequence, k: int, modulus: int | None = None) ->
             "exceeds the supported size"
         )
     pack = get_pack(seq.group.moduli, side)
-    block = order * w
-    full = (1 << (side + 1) * block) - 1
+    block = (side + 1) * w
+    full = (1 << order * block) - 1
+    keep = tile((1 << side * w) - 1, block, full)
     table = 1
     for el, mult in seq.items():
-        rotations = [pack.rotation(axis, c, w, full) for axis, c in enumerate(el) if c]
+        rotations = [pack.rotation(axis, c, block, full) for axis, c in enumerate(el) if c]
         for _ in range(mult):
-            moved = (table << block) & full
+            moved = (table & keep) << w
             for lo, up, down, lod in rotations:
                 moved = ((moved & lo) << up) | ((moved >> down) & lod)
             table += moved
     target = pack.index(seq.total_sum) if side < k else 0
-    count = (table >> side * block + target * w) & ((1 << w) - 1)
+    count = (table >> (target * block + side * w)) & ((1 << w) - 1)
     return count if modulus is None else count % modulus

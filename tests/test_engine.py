@@ -206,6 +206,62 @@ def test_count_matches_table_oracle_beyond_enumeration():
             assert count_zero_sum_subseqs(seq, k, modulus=modulus) == reduced[k]
 
 
+@pytest.mark.parametrize("moduli", [(1, 6), (6, 1), (3, 1, 3), (2, 2, 4), (4, 2), (1,), (1, 1)])
+def test_element_major_table_matches_the_table_oracle(moduli):
+    # Each element owns a block of s+1 count cells, and the leading axis's
+    # rotation wraps the whole table: a trivial leading or trailing axis,
+    # three axes and unsorted moduli each change which axes wrap where.
+    # Existence, folded on the same smaller side, must agree with the count.
+    rng = random.Random(sum(moduli) * 31 + len(moduli))
+    for _ in range(2):
+        seq = random_multiset(rng, make_group(moduli), rng.randint(15, 40))
+        modulus = rng.randint(2, 9)
+        exact = oracle_count_table(seq)
+        reduced = oracle_count_table(seq, modulus)
+        for k in range(seq.length + 1):
+            assert count_zero_sum_subseqs(seq, k) == exact[k]
+            assert count_zero_sum_subseqs(seq, k, modulus=modulus) == reduced[k]
+            assert has_zero_sum_of_length(seq, k) == (exact[k] > 0)
+
+
+def test_existence_near_the_full_length_folds_the_complement_side():
+    # L = 1002 over Z/300000 with total 5. At k = 1001 the complement is one
+    # element equal to 5 (all the 1s and 299,000 sum to zero); at k = 1000 no
+    # two elements sum to 5. The fold keeps counts up to L - k, 9 x 10^5 bits,
+    # where the k side would need 1001 x 300,000, past the 2*10^8-bit limit.
+    s = Sequence(make_group([300_000]), {(1,): 1000, (5,): 1, (299_000,): 1})
+    get_pack.cache_clear()
+    tracemalloc.start()
+    try:
+        assert has_zero_sum_of_length(s, 1001)
+        assert not has_zero_sum_of_length(s, 1000)
+        assert has_zero_sum_in_lengths(s, {1000, 1001, 1002}) and not has_zero_sum_in_lengths(s, {1000, 1002})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        get_pack.cache_clear()
+    assert peak < 5 * 10**6
+
+
+@pytest.mark.parametrize("moduli, expected", [((2000,), 665_667), ((45, 45), 682_428)])
+def test_counting_a_whole_group_keeps_no_rotation_masks(moduli, expected):
+    # All N elements at k = 3: (N^2 - 3N + 2 #{x : 3x = 0}) / 6. The rotation
+    # masks are built per element and dropped, so the peak stays near a few
+    # tables; keeping them for every element would pass 100 MB.
+    g = make_group(moduli)
+    s = Sequence(g, {el: 1 for el in g.elements()})
+    n, triple = g.order, sum(1 for el in g.elements() if g.scale(el, 3) == g.identity())
+    assert (n * n - 3 * n + 2 * triple) // 6 == expected
+    get_pack.cache_clear()
+    tracemalloc.start()
+    try:
+        assert count_zero_sum_subseqs(s, 3) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10**6
+
+
 def test_table_oracle_matches_enumeration():
     rng = random.Random(16)
     for moduli in [(6,), (2, 4), (3, 3)]:
