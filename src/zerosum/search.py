@@ -31,13 +31,13 @@ not depend on how the work is partitioned across workers.
 The unit of search is the chunk of vectors that share the last element's
 multiplicity, whose prefix is one fold of the pack (`add_copies`). The walk
 has two entry points: `_profile`, capped, over every length, and `_vectors`,
-over one length in colex order, which every fixed-length caller uses (the
-witness and counterexample walks, enumeration, and the lemma checks). Every
-walk takes the chunks in order against one running node budget in the
-calling process; a pooled profile walk stops once it outgrows the cost of
-starting a pool, hands each chunk left to the caller's executor as the
-profile of that one chunk under the caller's cap table, and merges them in
-order. Nothing here starts a worker process itself."""
+over one length or a range, each length in colex order, which the witness and
+counterexample walks, enumeration and the lemma checks use (por2p's spans its
+two sizes). Every walk takes the chunks in order against one running node
+budget in the calling process; a pooled profile walk stops once it outgrows
+the cost of starting a pool, hands each chunk left to the caller's executor
+as the profile of that one chunk under the caller's cap table, and merges
+them in order. Nothing here starts a worker process itself."""
 
 from __future__ import annotations
 
@@ -45,6 +45,7 @@ import math
 import random
 import sys
 import time
+from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence as Seq
@@ -271,10 +272,10 @@ def _walk(
     `length`, so entry |G| caps nothing. Each entry lies above its element,
     so the element that caps it already has its copies, and is the top, |G|
     or element 2 or higher, so the leaf loop of element 1 reads the caps of
-    elements 0 and 1 once. When `need` starts at `length` or more and exp(G)
-    divides the target, no element takes target copies, so an element i
-    with more than (target - 1)(i + 1) copies left for elements 0..i is
-    skipped.
+    elements 0 and 1 once. When exp(G) divides the target, no element takes
+    target copies, so an element i with more than (target - 1)(i + 1) +
+    length - need[0] copies left for elements 0..i (need[0] as the walk
+    starts) reaches no leaf that `emit` sees, and is skipped.
 
     With `zero_sum`, a prefix that has fixed the elements above i returns
     at once, at no node, when its sum s >= floor[i], the least stride above
@@ -306,9 +307,9 @@ def _walk(
     if zero_sum:
         for r in sorted(pack.strides, reverse=True):  # floor[i]: the least stride above i
             floor[:r] = [r] * r
-    room = [length] * order  # copies that elements 0..i can still take
-    if need[0] >= length and target % math.lcm(*moduli) == 0:
-        room = [(target - 1) * (i + 1) for i in range(order)]
+    room = [length] * order  # copies left for elements 0..i that a leaf reaching need[0] allows
+    if target % math.lcm(*moduli) == 0:
+        room = [(target - 1) * (i + 1) + length - need[0] for i in range(order)]
     leaves = 0
     mults = [0] * order + [length]  # past the elements: the copies that cap |G| allows
 
@@ -415,23 +416,27 @@ def _walk(
 def _vectors(
     moduli: tuple[int, ...], target: int, length: int, zero_sum: bool,
     visit: Callable[[list[int]], bool | None], max_nodes: int, deadline: float, spent: int = 0,
+    shortest: int | None = None,
 ) -> tuple[tuple[int, ...] | None, int, int]:
-    """The uncapped walk over the multiplicity vectors of exactly `length`
-    elements with no zero-sum subsequence of length `target` (with
-    `zero_sum`, only the zero-sum ones), in colex order, which is `_walk`'s
-    order at one length: `visit` gets each vector whole, as a new list it
-    may keep, and stops the walk by returning true (always, to find the
-    first vector). The node count continues from `spent` against the same
-    cap. Returns (the vector it stopped at or None, nodes, leaves reached)."""
+    """The uncapped walk over the multiplicity vectors of `shortest` (by
+    default `length`) to `length` elements with no zero-sum subsequence of
+    length `target` (with `zero_sum`, only the zero-sum ones). A leaf hands
+    them over in order of length, so those of one length come in colex
+    order, `_walk`'s order at one length: `visit` gets each vector whole, as
+    a new list it may keep, and stops the walk by returning true (always, to
+    find the first vector). The node count continues from `spent` against
+    the same cap. Returns (the vector it stopped at or None, nodes, leaves)."""
+    shortest = length if shortest is None else shortest
     stopped = []
 
     def emit(mults: list[int], a: int, hi: int, s: int) -> bool | None:
-        mults[0] = length - a
-        if visit(vector := mults[:-1]):
-            stopped.append(tuple(vector))
-            return True
+        for size in range(max(a, shortest), min(hi, length) + 1):
+            mults[0] = size - a
+            if visit(vector := mults[:-1]):
+                stopped.append(tuple(vector))
+                return True
 
-    nodes, leaves = _walk(moduli, target, length, _chunks(moduli, target, length), [length], emit,
+    nodes, leaves = _walk(moduli, target, length, _chunks(moduli, target, length), [shortest], emit,
                           max_nodes, deadline, zero_sum=zero_sum, spent=spent)
     return (stopped[0] if stopped else None), nodes, leaves
 
@@ -780,15 +785,17 @@ def check_lemma_por2p(
     the number of 2p-subsets summing to zero is p - 1 mod p.
 
     The hypothesis cases are exactly the multiplicity vectors with no
-    zero-sum subsequence of length p, which one `_vectors` walk per size
-    lists in colex order. At p = 2 every one of them is checked; otherwise
+    zero-sum subsequence of length p, which one `_vectors` walk lists for
+    both sizes, each in colex order. At p = 2 every one is checked; otherwise
     `count` uniform draws from them at each size are. A case becomes a
     `Sequence` only when it is counted. `vacuous` counts the multisets of
-    both sizes that lie outside the hypothesis. Each size's walk gets the
-    whole node budget; one deadline covers both walks and the counting.
+    both sizes that lie outside the hypothesis. The walk draws on the node
+    budget once; one deadline covers the walk and the counting.
     """
     if p < 2 or factor_smallest_prime(p)[0] != p:
         raise PreconditionError(f"p must be prime, got {p}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     mode = "exhaustive" if p == 2 else "sample"
     budget = budget or SearchBudget()
     start = time.monotonic()
@@ -798,9 +805,10 @@ def check_lemma_por2p(
     rng = random.Random(seed)
     checked = vacuous = violations = 0
     counterexample = None
-    for size in sizes:
-        cases: list[list[int]] = []
-        _vectors(group.moduli, p, size, False, cases.append, budget.max_nodes, deadline)
+    by_size: tuple[list[array], list[array]] = ([], [])  # each case as an array of counts below p
+    _vectors(group.moduli, p, sizes[1], False, lambda v: by_size[sum(v) - sizes[0]].append(array("H", v)),
+             budget.max_nodes, deadline, shortest=sizes[0])
+    for size, cases in zip(sizes, by_size):
         vacuous += math.comb(size + group.order - 1, size) - len(cases)
         if mode == "sample" and cases:
             cases = rng.choices(cases, k=count)
@@ -926,6 +934,8 @@ def check_lemma_3n(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     budget = budget or SearchBudget()
     start = time.monotonic()
     group = make_group([n, n])
@@ -996,6 +1006,8 @@ def verify_theorem(
     por2p       the mod-p congruence between p- and 2p-subset counts
     conjecture  brute-force s' over (Z/2)^r at target 2 versus the conjecture value
     """
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     budget = budget or SearchBudget()
 
     def constant(moduli: list[int], t: int, claimed: int) -> ConstantReport:

@@ -10,6 +10,7 @@ from zerosum import (
     brute_force_modified_constant,
     build_power2_extremal,
     check_lemma_3n,
+    check_lemma_por2p,
     conjecture_value,
     enumerate_multisets,
     formula_modified_square,
@@ -18,6 +19,7 @@ from zerosum import (
     min_nondivisor,
     parse_elements,
     parse_group,
+    verify_theorem,
 )
 from zerosum.groups import GroupParseError
 from zerosum.sequences import SequenceParseError
@@ -77,12 +79,20 @@ Z6 = make_group([6])
     (lambda: enumerate_multisets(Z6, -1, print), ValueError, "length must be >= 0, got -1"),
     (lambda: brute_force_modified_constant(Z6, 0), ValueError, "target length must be >= 1, got 0"),
     (lambda: check_lemma_3n(0), ValueError, "n must be >= 1, got 0"),
+    (lambda: check_lemma_3n(4, samples=0), ValueError, "samples must be >= 1, got 0"),
+    (lambda: check_lemma_3n(2, samples=-1), ValueError, "samples must be >= 1, got -1"),
+    (lambda: check_lemma_por2p(3, count=0), ValueError, "count must be >= 1, got 0"),
+    (lambda: check_lemma_por2p(2, count=-5), ValueError, "count must be >= 1, got -5"),
+    (lambda: verify_theorem("lemma3n", samples=0), ValueError, "samples must be >= 1, got 0"),
+    (lambda: verify_theorem("por2p", samples=-2), ValueError, "samples must be >= 1, got -2"),
     (lambda: Sequence(Z6, {(1,): 0}), ValueError, "multiplicity for (1,) must be >= 1, got 0"),
     (lambda: Witness(Z6, {(3,): 2}).validate_against(Sequence(make_group([2]), {(1,): 2})), ValueError,
      "witness group does not match parent group"),
     (lambda: parse_elements(Z6, "1 x 2"), SequenceParseError, "unexpected text ' x '"),
 ], ids=["power2-r0", "negative-length", "nondivisor-n0", "nondivisor-bound0", "order-cap",
         "square-n0", "conjecture-r0", "enumerate-negative", "constant-t0", "lemma3n-n0",
+        "lemma3n-samples0", "lemma3n-exhaustive-samples-negative", "por2p-count0",
+        "por2p-exhaustive-count-negative", "verify-lemma3n-samples0", "verify-por2p-samples-negative",
         "multiplicity0", "other-group", "stray-text"])
 def test_library_refusal(call, error, message):
     with pytest.raises(ValueError) as info:

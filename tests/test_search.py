@@ -632,6 +632,50 @@ def test_lemma3n_exhaustive_walk_counters():
     assert (nodes, leaves, len(vectors)) == (11475, 8110, 2710)
 
 
+@pytest.mark.parametrize("p, nodes, cases", [(2, 5, (1, 0)), (3, 2030, (216, 54))])
+def test_por2p_walk_lists_both_sizes_in_the_per_size_order(p, nodes, cases):
+    # One walk from 3p - 2 to 3p - 1 hands over each size's vectors in the
+    # order of that size's own walk, on one node count: 5 and 2,030 nodes,
+    # where the two per-size walks take 5 + 1 and 1,802 + 1,838.
+    sizes = (3 * p - 2, 3 * p - 1)
+    both = []
+    _, walked, _ = _vectors((p, p), p, sizes[1], False, both.append, 10**8, math.inf, shortest=sizes[0])
+    assert walked == nodes
+    for size, number in zip(sizes, cases):
+        alone = []
+        _vectors((p, p), p, size, False, alone.append, 10**8, math.inf)
+        assert [vector for vector in both if sum(vector) == size] == alone and len(alone) == number
+
+
+@pytest.mark.parametrize("moduli", [(2, 2), (4,), (2, 4), (3, 3), (6,)], ids=str)
+def test_a_walk_over_a_range_of_lengths_merges_the_fixed_length_walks(moduli):
+    # A walk over lengths a..b lists, at each length, that length's own
+    # walk, and stops at the first vector it hands over. A target that
+    # exp(G) divides prunes by room, one it does not divide never does.
+    e = math.lcm(*moduli)
+    for target in (e, e + 1):
+        for zero_sum in (False, True):
+            for a, b in [(0, 4), (2, 5), (3, 3), (e, 2 * e + 1)]:
+                merged = []
+                _vectors(moduli, target, b, zero_sum, merged.append, 10**8, math.inf, shortest=a)
+                fixed = {}
+                for length in range(a, b + 1):
+                    fixed[length] = []
+                    _vectors(moduli, target, length, zero_sum, fixed[length].append, 10**8, math.inf)
+                    assert [vector for vector in merged if sum(vector) == length] == fixed[length]
+                assert len(merged) == sum(map(len, fixed.values()))
+                first = _vectors(moduli, target, b, zero_sum, lambda v: True, 10**8, math.inf, shortest=a)[0]
+                assert first == (tuple(merged[0]) if merged else None)
+
+
+def test_por2p_node_budget_is_one_cap_over_both_sizes():
+    # The one walk takes 2,030 nodes at p = 3, so a cap of 2,000 stops it,
+    # where each per-size walk alone (1,802 and 1,838 nodes) would fit.
+    with pytest.raises(BudgetExceeded) as info:
+        check_lemma_por2p(3, count=5, budget=SearchBudget(max_nodes=2000))
+    assert str(info.value) == "node budget exhausted: 2001 nodes, 2000 allowed"
+
+
 def test_enumerate_budget_abort():
     g = make_group([5])
     with pytest.raises(BudgetExceeded):
@@ -965,7 +1009,8 @@ def test_por2p_sampled_small():
 
 
 def test_por2p_one_deadline_covers_both_sizes_and_the_counting(monkeypatch):
-    # A fake clock that only the counting moves, one second per case.
+    # A fake clock that the walk moves by one second before its first chunk
+    # and the counting by one second per case.
     import zerosum.search as search
 
     now = [0.0]
@@ -976,18 +1021,19 @@ def test_por2p_one_deadline_covers_both_sizes_and_the_counting(monkeypatch):
         now[0] += 1
         return count(*args, **kwargs)
 
-    # Each walk of one size records [node budget, deadline, vectors visited].
+    # Each walk records [node budget, deadline, vectors visited].
     walks = []
     walk = search._vectors
 
-    def record(moduli, target, length, zero_sum, visit, max_nodes, deadline, *rest):
+    def record(moduli, target, length, zero_sum, visit, max_nodes, deadline, *rest, **options):
         walks.append([max_nodes, deadline, 0])
+        now[0] += 1
 
         def counted(vector):
             walks[-1][2] += 1
             return visit(vector)
 
-        return walk(moduli, target, length, zero_sum, counted, max_nodes, deadline, *rest)
+        return walk(moduli, target, length, zero_sum, counted, max_nodes, deadline, *rest, **options)
 
     monkeypatch.setattr(search, "count_zero_sum_subseqs", slow_count)
     monkeypatch.setattr(search, "_vectors", record)
@@ -997,22 +1043,22 @@ def test_por2p_one_deadline_covers_both_sizes_and_the_counting(monkeypatch):
         now[0] = 0.0
         return check_lemma_por2p(3, count=5, budget=SearchBudget(max_nodes=10**6, max_seconds=max_seconds))
 
-    # Five cases per size. Each walk gets the whole node budget, and both
-    # walks read the one deadline that the counting also reads.
+    # Five cases per size from one walk, which lists the 216 + 54 cases of
+    # both sizes on the whole node budget and the one deadline.
     assert run(12).checked == 10
-    assert [walk[:2] for walk in walks] == [[10**6, 12], [10**6, 12]]
-    first = walks[0][2]
-    # The counting reads the clock: the cases starting at 0, 1, 2 and 3 s are
-    # counted, the fifth is not.
-    with pytest.raises(BudgetExceeded, match="wall-clock budget exhausted"):
-        run(3.5)
-    assert now[0] == 4
-    # The first size's counting spends the 4.5 s: the second size's walk
-    # stops at its first chunk start, before it visits a vector or counts.
+    assert walks == [[10**6, 12, 216 + 54]] and now[0] == 11
+    # The walk reads the deadline: past it at its first chunk start, it stops
+    # before it visits a vector, and nothing is counted.
     with pytest.raises(BudgetExceeded, match="wall-clock budget exhausted") as info:
-        run(4.5)
-    assert walks == [[10**6, 4.5, first], [10**6, 4.5, 0]] and now[0] == 5
+        run(0.5)
+    assert walks == [[10**6, 0.5, 0]] and now[0] == 1
     assert info.traceback[-1].name == "_walk"
+    # Then the counting reads the same deadline: the cases starting at 1, 2
+    # and 3 s are counted, the fourth is not.
+    with pytest.raises(BudgetExceeded, match="wall-clock budget exhausted") as info:
+        run(3.5)
+    assert walks == [[10**6, 3.5, 216 + 54]] and now[0] == 4
+    assert info.traceback[-1].name == "check_lemma_por2p"
 
 
 def test_lemma3n_exhaustive_small():
@@ -1190,8 +1236,10 @@ def test_lemma3n_validates_each_witness(monkeypatch, search_name, bad, n, sample
 
 
 def test_verify_explicit_samples_are_not_the_default():
-    (rep,) = verify_theorem("lemma3n", n_values=[4], samples=0)
-    assert rep.params["samples"] == 0 and rep.checked == 0
+    # One sample is one draw, not the default 1,000; zero samples are refused
+    # (see tests/test_refusals.py).
+    (rep,) = verify_theorem("lemma3n", n_values=[4], samples=1)
+    assert rep.params["samples"] == 1 and rep.checked == 1
 
 
 def test_verify_cyclic_suite():
