@@ -7,8 +7,8 @@ cells of w bits, where s = min(k, L - k) for a sequence of length L: cell
 element of index g. Each copy of an element moves every cell below count s up
 one within its block, rotates the blocks by the element and adds the result
 back. Past half the length the zero-sum k-subsets are counted as their
-complements, the (L-k)-subsets that sum to the total, and existence is read
-from the same side.
+complements, the (L-k)-subsets that sum to the total, and existence and
+witnesses are read from the same side.
 """
 
 from __future__ import annotations
@@ -36,18 +36,26 @@ def find_zero_sum_subseq(seq: Sequence, k: int) -> Witness | None:
     the lexicographically least viable multiplicity vector.
     """
     _check_k(seq, k)
-    counts = _find(seq.group.moduli, seq.items(), k)
+    counts = _find(seq.group.moduli, seq.items(), k, seq.length)
     return None if counts is None else _found_witness(seq, counts, k)
 
 
 def _find(
-    moduli: tuple[int, ...], items: list[tuple[Element, int]], k: int
+    moduli: tuple[int, ...], items: list[tuple[Element, int]], k: int, length: int | None = None
 ) -> dict[Element, int] | None:
     """`find_zero_sum_subseq`'s witness counts, or None, on ascending (element,
-    multiplicity) pairs with 0 <= k <= their total; checks nothing."""
+    multiplicity) pairs with 0 <= k <= their total; checks nothing.
+
+    Given their total L with 2k > L, it folds the other side: the
+    (L-k)-subsets that sum to the total, whose complements are the zero-sum
+    k-subsets. The least k-vector is the multiplicities less the
+    lexicographically greatest such (L-k)-vector, so there each item takes
+    its largest viable multiplicity. The internal callers, whose searches are
+    small, pass no total and fold on the k side."""
     if k == 0:
         return {}
-    pack = get_pack(moduli, k)
+    side = k if length is None else min(k, length - k)
+    pack = get_pack(moduli, side)
     add_copies, index, order = pack.add_copies, pack.index, pack.order
     # Suffix reachability: suffix[i] covers items[i:].
     mask = pack.initial
@@ -56,9 +64,31 @@ def _find(
         mask = add_copies(mask, index(el), mult)
         suffix.append(mask)
     suffix.reverse()
+    counts: dict[Element, int] = {}
+    if side < k:
+        # The complement's count and sum (with its index) still required.
+        need_count = side
+        need_sum = tuple([sum(el[a] * mult for el, mult in items) % m for a, m in enumerate(moduli)])
+        need_index = index(need_sum)
+        if not mask >> (side * order + need_index) & 1:
+            return None
+        for i, (el, mult) in enumerate(items):
+            if not need_count:  # the complement is complete: the rest is all in
+                counts[el] = mult
+                continue
+            rest = suffix[i + 1]
+            for j in range(min(mult, need_count), -1, -1):
+                rest_sum = tuple([(r - j * c) % m for r, c, m in zip(need_sum, el, moduli)])
+                rest_index = index(rest_sum)
+                if rest >> ((need_count - j) * order + rest_index) & 1:
+                    break
+            if j < mult:
+                counts[el] = mult - j
+            need_count, need_sum, need_index = need_count - j, rest_sum, rest_index
+        assert need_index == 0
+        return counts
     if not mask >> k * order & 1:
         return None
-    counts: dict[Element, int] = {}
     # The count and the sum (with its index) still required from the rest.
     need_count, need_sum, need_index = k, (0,) * len(moduli), 0
     for i, (el, mult) in enumerate(items):

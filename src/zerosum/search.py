@@ -25,8 +25,11 @@ that one. The cap table and the per-sum LG rows are built on element
 indices, and the cap table's orbit search stops at the walk's time limit.
 One short uncapped walk then finds the first failing vector of the
 one length that needs it, in colex order; when exp(G) does not divide t,
-every length fails, and that walk alone answers a witness check. Results do
-not depend on how the work is partitioned across workers.
+every length fails, and that walk alone answers a witness check. A claimed
+value v turns the order round: the uncapped walk runs first at v - 1, and
+when it finds a vector, the capped walk starts from v - 1 and skips what
+cannot reach it; a witness check starts from its size. Results do not
+depend on the claim, nor on how the work is partitioned across workers.
 
 The unit of search is the chunk of vectors that share the last element's
 multiplicity, whose prefix is one fold of the pack (`add_copies`). The walk
@@ -273,9 +276,17 @@ def _walk(
     so the element that caps it already has its copies, and is the top, |G|
     or element 2 or higher, so the leaf loop of element 1 reads the caps of
     elements 0 and 1 once. When exp(G) divides the target, no element takes
-    target copies, so an element i with more than (target - 1)(i + 1) +
-    length - need[0] copies left for elements 0..i (need[0] as the walk
-    starts) reaches no leaf that `emit` sees, and is skipped.
+    target copies, and under caps none takes more than the chunk's `outer`
+    copies of the top, where every cap chain ends. So at each chunk start
+    the walk sets room[i] = most(i + 1) + length - max(seed, outer), with
+    most = min(target - 1, outer) when capped and min(target - 1, length)
+    otherwise, and seed the need[0] it was called with. An element i with
+    more than room[i] copies left for elements 0..i reaches no leaf that
+    covers a length of max(seed, outer) or more, and is skipped. The seed,
+    not the need[0] that rises during the walk, sets `room`, so the nodes
+    do not depend on how the chunks are split among walks. A capped walk
+    seeded at 0 skips nothing, as no leaf of a chunk is shorter than
+    `outer`.
 
     With `zero_sum`, a prefix that has fixed the elements above i returns
     at once, at no node, when its sum s >= floor[i], the least stride above
@@ -302,14 +313,15 @@ def _walk(
     probe_top = 1 << (target * order)
     zeros = tile(1, order, (probe_top << 1) - 1)  # sum 0 at counts 0..target
     last_r = target - 1
+    capped = bool(caps)
     caps = caps or (order,) * order
     floor = [order] * order  # a prefix sum at or past floor[i] misses zero whatever 0..i add
     if zero_sum:
         for r in sorted(pack.strides, reverse=True):  # floor[i]: the least stride above i
             floor[:r] = [r] * r
-    room = [length] * order  # copies left for elements 0..i that a leaf reaching need[0] allows
-    if target % math.lcm(*moduli) == 0:
-        room = [(target - 1) * (i + 1) + length - need[0] for i in range(order)]
+    divides = target % math.lcm(*moduli) == 0
+    seed = need[0]
+    room = [length] * order  # copies left for elements 0..i that a leaf reaching the seed allows
     leaves = 0
     mults = [0] * order + [length]  # past the elements: the copies that cap |G| allows
 
@@ -395,6 +407,9 @@ def _walk(
             mask = pack.add_copies(pack.initial, top, outer)
             s = pack.index(tuple(outer * c % m for c, m in zip(pack.coords(top), moduli)))
             mults[top] = outer
+            if divides:  # every cap chain of a capped walk ends at the top, which has outer copies
+                most, least = min(last_r, outer if capped else length), length - max(seed, outer)
+                room = [most * i + least for i in range(1, order + 1)]
             b = length - outer
             if top >= 2:
                 nodes = step[top - 1](top - 1, b, s, mask, nodes)
@@ -515,6 +530,7 @@ def _profile(
     outers: Iterable[int] | None = None,
     spent: int = 0,
     caps: tuple[int, ...] = (),
+    seed: int = 0,
 ) -> _Profile:
     """The profile of one walk up to `length` over the given chunks (by
     default all of them) under the cap table `caps`, by default the one
@@ -525,19 +541,23 @@ def _profile(
     Then translations keep the family walked, so the walk visits one
     representative per orbit of the maps x -> a(x) + g, and a leaf of sum s
     counts toward `zero` at each length L it covers with s in LG. One `need`
-    serves every leaf: the smallest length not yet in `zero`. Chunk v holds
-    v copies of the top element, a translate of v copies of the identity, so
-    a walk from chunk 0 has every length below v in `zero` by chunk v, and
-    the walk's floor of v there changes no leaf. The walk draws on the node
-    budget that `spent` nodes left; the profile counts its own nodes only.
+    serves every leaf: the smallest length from `seed` not yet in `zero`.
+    Chunk v holds v copies of the top element, a translate of v copies of
+    the identity, so a walk from chunk 0 has every length from the seed
+    below v in `zero` by chunk v, and the walk's floor of v there changes no
+    leaf. A walk seeded at L skips what cannot reach L (see `_walk`), and
+    its profile holds no length below L: it is exact from L up (`top`
+    included) when L itself fails for some multiset, zero-sum for `zero`.
+    The walk draws on the node budget that `spent` nodes left; the profile
+    counts its own nodes only.
 
     One walk in the calling process takes the chunks in order against the
     running budget: all of them without a pool, and with one until its nodes
     pass `_POOL_START_NODES`, so a small walk starts no worker process and a
     larger one starts them only once the walk's tables are built, which
     forked workers inherit. Each chunk left then goes to the pool as the
-    profile of that one chunk, with the caller's cap table and the budget
-    the caller left, so no chunk searches the orbit again. The chunks
+    profile of that one chunk, with the caller's cap table, seed and the
+    budget the caller left, so no chunk searches the orbit again. The chunks
     are the same at any worker count and merge in walk order, so the lengths
     and the node counts do not depend on scheduling; once the finished nodes
     pass the cap, the chunks not yet started are cancelled and the run
@@ -549,7 +569,7 @@ def _profile(
     caps = caps or _caps(moduli, deadline)
     zero = 0  # bit L: length L is known to fail for some zero-sum multiset
     top = -1
-    need = [0]
+    need = [seed]
 
     def record(mults: list[int], a: int, hi: int, s: int) -> None:
         nonlocal top, zero
@@ -568,7 +588,7 @@ def _profile(
         caps=caps, spent=spent, until=math.inf if pool is None else _POOL_START_NODES,
     )
     futures = [  # without a pool the walk has taken every chunk
-        pool.submit(_profile, moduli, target, length, None, max_nodes, deadline, (v,), nodes, caps)
+        pool.submit(_profile, moduli, target, length, None, max_nodes, deadline, (v,), nodes, caps, seed)
         for v in chunks
     ]
     try:
@@ -583,7 +603,7 @@ def _profile(
     finally:
         for future in futures:
             future.cancel()
-    return _Profile(zero, top, nodes - spent, leaves)
+    return _Profile(zero >> seed << seed, top, nodes - spent, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +708,15 @@ def brute_force_modified_constant(
     (t - 1)|G| finds every length that fails. The same walk gives
     s_t(G), the smallest length from which every multiset has one; the
     report's window is (s'(G, t), s_t(G)). The witness walk at length v - 1
-    then draws on the same node budget, and both walks count in the stats.
+    then draws on the same node budget, and every walk counts in the stats.
     With a `pool`, the capped walk's chunks run on that executor; the
     witness walk is serial either way.
+
+    A claim c with 2 <= c <= (t - 1)|G| + 1 runs the witness walk at c - 1
+    first. If it finds a vector, c - 1 fails, and the capped walk seeded
+    there gives s' and s_t(G) from c - 1 up; that vector is the witness when
+    s' = c, and the witness walk runs again at s' - 1 otherwise. If it finds
+    none, the run walks as with no claim. So the claim moves only the stats.
     """
     if t < 1:
         raise ValueError(f"target length must be >= 1, got {t}")
@@ -702,17 +728,27 @@ def brute_force_modified_constant(
     budget = budget or SearchBudget()
     start = time.monotonic()
     deadline = start + budget.max_seconds
-    profile = _profile(group.moduli, t, (t - 1) * group.order, pool, budget.max_nodes, deadline)
+    moduli, length = group.moduli, (t - 1) * group.order
+
+    def first(at: int, spent: int) -> tuple[tuple[int, ...] | None, int, int]:
+        return _vectors(moduli, t, at, True, lambda vector: True, budget.max_nodes, deadline, spent)
+
+    vector, nodes, leaves, seed = None, 0, 0, 0
+    if claimed_value is not None and 2 <= claimed_value <= length + 1:
+        vector, nodes, leaves = first(claimed_value - 1, 0)
+        seed = 0 if vector is None else claimed_value - 1
+    profile = _profile(moduli, t, length, pool, budget.max_nodes, deadline, spent=nodes, seed=seed)
+    nodes, leaves = nodes + profile.nodes, leaves + profile.leaves
     # Length 0 always fails for t >= 1: the empty sequence is zero-sum and has
     # no length-t subsequence.
     last_fail = profile.zero.bit_length() - 1
     computed = last_fail + 1
-    vector, nodes, leaves = _vectors(
-        group.moduli, t, last_fail, True, lambda vector: True, budget.max_nodes, deadline, profile.nodes
-    )
+    if vector is None or last_fail > seed:  # no vector yet at s' - 1
+        vector, nodes, more = first(last_fail, nodes)
+        leaves += more
     stats = SearchStats(
         nodes_visited=nodes,
-        sequences_checked=profile.leaves + leaves,
+        sequences_checked=leaves,
         wall_ms=int((time.monotonic() - start) * 1000),
     )
     return ConstantReport(
@@ -742,7 +778,8 @@ def check_all_have_witness(
     """Every multiset of the given size over the group must contain a
     zero-sum subsequence of the target length. Unless exp(G) divides the
     target, g of order exp(G) repeated `size` times has none, and only the
-    counterexample walk runs."""
+    counterexample walk runs. Otherwise the capped walk is seeded at `size`,
+    and the check passes when no leaf reaches it."""
     if target < 1 or size < 0:
         raise ValueError(f"need target >= 1 and size >= 0, got target={target}, size={size}")
     budget = budget or SearchBudget()
@@ -750,7 +787,7 @@ def check_all_have_witness(
     deadline = start + budget.max_seconds
     passed, checked, spent = False, 0, 0
     if target % group.exponent == 0:
-        profile = _profile(group.moduli, target, size, pool, budget.max_nodes, deadline)
+        profile = _profile(group.moduli, target, size, pool, budget.max_nodes, deadline, seed=size)
         passed, checked, spent = profile.top < size, profile.leaves, profile.nodes
     counterexample = None
     if not passed:

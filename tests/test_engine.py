@@ -132,6 +132,44 @@ def test_witness_is_the_lexicographically_least_vector():
             assert (None if counts is None else list(counts.items())) == expected
 
 
+def test_witness_past_half_the_length_folds_the_complement_side():
+    # With 2k > L the search folds the (L - k)-subsets summing to the total
+    # and gives each element its largest complement multiplicity; the
+    # witness is still the least k-vector. Few distinct elements with many
+    # copies each make the complement take several copies of one element.
+    rng = random.Random(31)
+    cases = 0
+    for _ in range(300):
+        g = make_group(rng.choice(GROUPS))
+        elements = list(g.elements())
+        picked = rng.sample(elements, min(len(elements), rng.randint(1, 4)))
+        seq = Sequence(g, {el: rng.randint(1, 4) for el in picked})
+        for k in range(seq.length // 2 + 1, seq.length + 1):
+            least = oracle_least_witness(seq, k)
+            counts = _find(g.moduli, seq.items(), k, seq.length)
+            assert (None if counts is None else list(counts.items())) == (None if least is None else list(least.items()))
+            cases += least is not None
+    assert cases > 300
+
+
+def test_witness_near_the_full_length_folds_the_complement_side():
+    # The sequence of the existence test above: at k = 1001 the complement
+    # is the one element 5, so the witness is every other element; at
+    # k = 1000 there is none. The k side would need 1001 x 300,000 bits.
+    s = Sequence(make_group([300_000]), {(1,): 1000, (5,): 1, (299_000,): 1})
+    get_pack.cache_clear()
+    tracemalloc.start()
+    try:
+        w = find_zero_sum_subseq(s, 1001)
+        assert w is not None and w.counts == {(1,): 1000, (299_000,): 1}
+        assert find_zero_sum_subseq(s, 1000) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        get_pack.cache_clear()
+    assert peak < 5 * 10**6
+
+
 def test_detection_matches_counting():
     rng = random.Random(12)
     for _ in range(150):
@@ -284,10 +322,12 @@ def test_count_three_distinct_residues_closed_form(n):
 
 
 def test_state_space_guards():
+    # A witness search folds min(k, L - k) + 1 count layers of |G| bits: at
+    # L = 500, k = 300 that is 201 * 10^6 bits, past the 2 * 10^8 limit.
     g = make_group([10**6])
     s = Sequence(g, {(1,): 500})
     with pytest.raises(ValueError):
-        find_zero_sum_subseq(s, 400)
+        find_zero_sum_subseq(s, 300)
     with pytest.raises(ValueError):
         count_zero_sum_subseqs(s, 100)
 

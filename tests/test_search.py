@@ -46,7 +46,7 @@ from zerosum import (
 
 from zerosum._bitdp import get_pack
 from zerosum.search import (
-    _POOL_START_NODES, _caps, _images, _moves, _profile, _vectors, _zero_lengths,
+    _POOL_START_NODES, _caps, _images, _moves, _profile, _sequence_of, _vectors, _zero_lengths,
 )
 
 from conftest import oracle_exists
@@ -586,6 +586,28 @@ def test_benchmark_scan_counters(moduli, t, value, witness, nodes, leaves):
     assert (r.stats.nodes_visited, r.stats.sequences_checked) == (nodes, leaves)
 
 
+@pytest.mark.parametrize(
+    "moduli, t, value, nodes, leaves",
+    [((2, 2, 2, 2), 2, 17, 30, 4), ((4, 4), 4, 12, 9714, 2647), ((8,), 16, 22, 24510, 15605)],
+    ids=["Z2^4-t2", "Z4^2-t4", "Z8-t16"],
+)
+def test_benchmark_scan_counters_with_the_claim(moduli, t, value, nodes, leaves):
+    # The benchmark's scan passes the closed form as the claim, so its walks
+    # start at the claimed length: a witness walk at s' - 1, whose vector is
+    # the extremal witness, then the capped walk from s' - 1 up. The value,
+    # window and witness are those of the run with no claim; only the
+    # counters differ. In (Z/2)^4 the witness walk takes 15 nodes, and so
+    # does the capped walk: chunk 0 reaches no leaf of length 16, and in
+    # chunk 1, where each element takes at most one copy, only the path on
+    # which every element takes its copy does.
+    group = make_group(list(moduli))
+    plain = brute_force_modified_constant(group, t)
+    r = brute_force_modified_constant(group, t, claimed_value=value)
+    assert (r.computed_value, r.window, r.extremal_witness) == (plain.computed_value, plain.window, plain.extremal_witness)
+    assert not r.discrepancy
+    assert (r.stats.nodes_visited, r.stats.sequences_checked) == (nodes, leaves)
+
+
 # Groups with more than one axis, where a zero-sum walk cuts prefixes: (1, 4)
 # and (4, 1) have a modulus-1 axis, (4, 2) unsorted moduli. Each with the
 # lengths its full walks cover cheaply.
@@ -775,6 +797,57 @@ def test_budget_caps_the_whole_length(workers):
         assert rep.stats.nodes_visited == total
 
 
+def test_a_claimed_constant_draws_on_one_budget():
+    # s'(Z/8, 16) = 22 claimed: the witness walk at 21 and the capped walk
+    # seeded there take 24,510 nodes in all, so a cap one below trips at the
+    # node past it, and a cap of exactly that many gives the value.
+    def constant(max_nodes):
+        return brute_force_modified_constant(
+            make_group([8]), 16, budget=SearchBudget(max_nodes=max_nodes), claimed_value=22
+        )
+
+    total = 24510
+    with pytest.raises(BudgetExceeded) as exc:
+        constant(total - 1)
+    assert str(exc.value) == f"node budget exhausted: {total} nodes, {total - 1} allowed"
+    rep = constant(total)
+    assert rep.computed_value == 22 and rep.stats.nodes_visited == total
+
+
+# Groups and targets that exp(G) divides, each walked quickly at every claim.
+CLAIM_CASES = [((1,), 1), ((1,), 3), ((2,), 2), ((3,), 3), ((4,), 4), ((4,), 8), ((6,), 6),
+               ((2, 2), 2), ((2, 2), 4), ((2, 4), 4), ((3, 3), 3), ((2, 2, 2), 2)]
+
+
+@pytest.mark.parametrize("moduli, t", CLAIM_CASES, ids=str)
+def test_a_claim_changes_only_the_counters(moduli, t):
+    # A claim v with 2 <= v <= (t - 1)|G| + 1 seeds the walk at v - 1 when
+    # v - 1 is a failing zero-sum length, so that the value is at least v. A
+    # claim at a passing length (a gap, or above s' - 1) costs one witness
+    # walk at v - 1 that finds nothing, then the walk with no claim; one
+    # outside that range costs nothing. Every claim gives the value, window
+    # and witness of the run with no claim, and a discrepancy exactly when it
+    # is not the value.
+    group = make_group(list(moduli))
+    length = (t - 1) * group.order
+    plain = brute_force_modified_constant(group, t)
+    profile = _profile(group.moduli, t, length, None, 10**8, math.inf)
+    seeded = 0
+    for claim in [*range(1, plain.computed_value + 3), length + 2]:
+        r = brute_force_modified_constant(group, t, claimed_value=claim)
+        assert (r.computed_value, r.window, r.extremal_witness) == (plain.computed_value, plain.window, plain.extremal_witness)
+        assert r.claimed_value == claim and r.discrepancy == (claim != plain.computed_value)
+        if not 2 <= claim <= length + 1:
+            assert (r.stats.nodes_visited, r.stats.sequences_checked) == (plain.stats.nodes_visited, plain.stats.sequences_checked)
+        elif not profile.zero >> (claim - 1) & 1:
+            _, nodes, leaves = _vectors(group.moduli, t, claim - 1, True, lambda v: True, 10**8, math.inf)
+            assert r.stats.nodes_visited == plain.stats.nodes_visited + nodes
+            assert r.stats.sequences_checked == plain.stats.sequences_checked + leaves
+        else:
+            seeded += 1
+    assert seeded == bin(profile.zero >> 1).count("1")  # each failing length from 1 seeds once
+
+
 class _RecordingExecutor(Executor):
     """Records the arguments of each call submitted, and runs it on `inner`,
     or at once in this process when there is none. With a `walks` counter,
@@ -834,11 +907,11 @@ def test_pooled_walk_submits_the_chunks_left_after_the_callers(moduli, t, kept, 
         pool = _RecordingExecutor(real)
         assert _profile(moduli, t, length, pool, 10**8, deadline) == serial
     # Each chunk left goes to the pool once, in order, as the profile of that
-    # one chunk with no pool, the budget the caller's nodes left and the
-    # caller's cap table.
+    # one chunk with no pool, the budget the caller's nodes left, the
+    # caller's cap table and the caller's seed, here none.
     caps = _caps(moduli, deadline)
     assert pool.submitted == [
-        (moduli, t, length, None, 10**8, deadline, (v,), handoff, caps) for v in range(kept, t)
+        (moduli, t, length, None, 10**8, deadline, (v,), handoff, caps, 0) for v in range(kept, t)
     ]
 
 
@@ -889,7 +962,25 @@ def test_pooled_walk_searches_the_orbit_once(monkeypatch, moduli, t, kept):
     assert calls == [(moduli, deadline)]
     caps = inner(moduli, deadline)
     assert len(pool.submitted) == t - kept
-    assert all(args[-1] == caps for args in pool.submitted)
+    assert all(args[8] == caps for args in pool.submitted)
+
+
+def test_pooled_seeded_walk_hands_each_chunk_the_seed():
+    # Z/12 at t = 12 seeded at s' - 1 = 19: the caller walks chunks 0-4
+    # (73,872 nodes) and hands chunks 5-11 to the pool, each with the seed,
+    # so every chunk prunes by the same room at any worker count. A seeded
+    # profile lists no failing length below its seed.
+    moduli, t, length, seed = (12,), 12, 11 * 12, 19
+    deadline = time.monotonic() + 900
+    serial = _profile(moduli, t, length, None, 10**8, deadline, seed=seed)
+    assert (serial.zero, serial.top, serial.nodes) == (1 << 19, 22, 149201)
+    with ProcessPoolExecutor(2) as real:
+        pool = _RecordingExecutor(real)
+        assert _profile(moduli, t, length, pool, 10**8, deadline, seed=seed) == serial
+    caps = _caps(moduli, deadline)
+    assert pool.submitted == [
+        (moduli, t, length, None, 10**8, deadline, (v,), 73872, caps, seed) for v in range(5, 12)
+    ]
 
 
 @pytest.mark.parametrize("reader", ["last", "dfs"])
@@ -932,7 +1023,7 @@ def test_pooled_budget_is_exact_in_the_caller_and_one_chunk_past_it():
             spent = int(re.search(rf"(\d+) nodes, {cap} allowed", str(exc.value)).group(1))
             assert cap < spent <= cap + largest
             assert [args[3:] for args in pool.submitted] == [
-                (None, cap, deadline, (v,), 83454, _caps(moduli, deadline)) for v in range(4, 12)
+                (None, cap, deadline, (v,), 83454, _caps(moduli, deadline), 0) for v in range(4, 12)
             ]
 
 
@@ -956,6 +1047,29 @@ def test_check_all_have_witness():
     counter = parse_sequence(rep.counterexample)
     assert counter.length == 4
     assert not has_zero_sum_of_length(counter, 3)
+
+
+@pytest.mark.parametrize("moduli, t", CLAIM_CASES, ids=str)
+def test_witness_check_walks_from_the_size(moduli, t):
+    # The capped walk starts at the size asked about: the check passes
+    # exactly when the profile from length 0 has no failing multiset of that
+    # size, and a failing size still gets the first counterexample in colex
+    # order.
+    group = make_group(list(moduli))
+    top = _profile(group.moduli, t, (t - 1) * group.order, None, 10**8, math.inf).top
+    for size in range(top + 3):
+        rep = check_all_have_witness(group, size, t, name="seeded")
+        assert rep.passed == (size > top)
+        if not rep.passed:
+            first = _vectors(group.moduli, t, size, False, lambda v: True, 10**8, math.inf)[0]
+            assert rep.counterexample == serialize_sequence(_sequence_of(group, first))
+
+
+def test_egz_at_12_counts_the_leaves_from_its_size():
+    # EGZ at n = 12: the walk seeded at size 23 reaches 19,048 leaves, where
+    # the walk from length 0 reaches 118,980.
+    rep = check_all_have_witness(make_group([12]), 23, 12, name="egz")
+    assert rep.passed and rep.checked == 19048
 
 
 @pytest.mark.parametrize("size, target", [(5, 0), (-1, 3)])
