@@ -19,10 +19,12 @@ representative per orbit of the maps x -> a(x) + g (a an automorphism) only,
 and a representative of length L stands for a zero-sum multiset when its sum
 lies in LG = {Lg}. One cap table picks the representatives: it names, per
 element, the element whose copies cap its own, which the walk reads as it
-goes. No element takes more copies than the top element, and none of those
-that a stabiliser of the top carries the next element to takes more than
-that one. The cap table and the per-sum LG rows are built on element
-indices, and the cap table's orbit search stops at the walk's time limit.
+goes. No element takes more copies than the top element, and down a
+stabiliser chain, none that the maps fixing every element above e carry e
+to takes more than e. The cap table and the per-sum LG rows are built on
+element indices, and the cap table's orbit searches stop at the walk's time
+limit. A seeded walk bounds what the elements left can add by the live
+caps.
 One short uncapped walk then finds the first failing vector of the
 one length that needs it, in colex order; when exp(G) does not divide t,
 every length fails, and that walk alone answers a witness check. A claimed
@@ -51,6 +53,7 @@ import time
 from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence as Seq
 
 from ._bitdp import get_pack, tile
@@ -144,12 +147,42 @@ def _budget_error(nodes: int, max_nodes: int) -> BudgetExceeded:
     return BudgetExceeded(f"node budget exhausted: {nodes} nodes, {max_nodes} allowed")
 
 
+def _unit_generators(n: int) -> list[int]:
+    """The units mod n from 2 up that each lie outside the group the units
+    before them generate: a generating set of (Z/n)^*, found in O(n)."""
+    kept, spanned = [], {1}
+    for u in range(2, n):
+        if u in spanned or math.gcd(u, n) != 1:
+            continue
+        kept.append(u)
+        grown, power = set(spanned), u
+        while power not in spanned:  # <spanned, u>: the cosets spanned * u^k up to the first u^k in spanned
+            grown |= {h * power % n for h in spanned}
+            power = power * u % n
+        spanned = grown
+    return kept
+
+
 def _moves(pack: GroupPack) -> list:
-    """`_caps`' moves per coordinate: stride, modulus, units, transvections."""
+    """`_caps`' moves per coordinate: stride, modulus, unit generators,
+    transvections."""
     axes = list(zip(pack.strides, pack.moduli))
-    return [(s, n, [u for u in range(2, n) if math.gcd(u, n) == 1],
+    return [(s, n, _unit_generators(n),
              [(r, m, n // math.gcd(n, m)) for j, (r, m) in enumerate(axes) if j != i and math.gcd(n, m) > 1])
             for i, (s, n) in enumerate(axes)]
+
+
+def _fixing(moves: list, y: int) -> list:
+    """The moves of `moves` that fix element index y, without the
+    coordinates that have none left."""
+    kept = []
+    for s, n, units, shears in moves:
+        c = y // s % n
+        units = [u for u in units if c * (u - 1) % n == 0]
+        shears = [(r, m, k) for r, m, k in shears if k * (y // r % m) % n == 0]
+        if units or shears:
+            kept.append((s, n, units, shears))
+    return kept
 
 
 def _images(y: int, moves: list) -> set[int]:
@@ -157,8 +190,10 @@ def _images(y: int, moves: list) -> set[int]:
     images = set()
     for s, n, units, shears in moves:
         c = y // s % n
-        images.update(y + (c * u % n - c) * s for u in units)
-        images.update(y + ((c + k * (y // r % m)) % n - c) * s for r, m, k in shears)
+        for u in units:
+            images.add(y + (c * u % n - c) * s)
+        for r, m, k in shears:
+            images.add(y + ((c + k * (y // r % m)) % n - c) * s)
     return images
 
 
@@ -169,26 +204,38 @@ def _caps(moduli: tuple[int, ...], deadline: float) -> tuple[int, ...]:
 
     The top element caps every other element, the identity included:
     translations are transitive, so some translate of each multiset has its
-    most frequent element on top. For |G| >= 4, e2 = |G| - 2 caps the
-    elements of top + Orb(e2 - top) but itself: the maps x -> top + a(x - top)
-    fix the top element, so a representative with the top at its maximum can
-    also have e2 at its maximum over those elements. Any part of a true
-    orbit is sound to cap.
+    most frequent element on top. Below it the table follows a stabiliser
+    chain of the maps x -> top + a(x - top), which fix the top. For each e
+    from |G| - 2 down to 2, let H_e be the group those maps generate that
+    also fix every element above e: e is the highest index of its H_e-orbit,
+    so a representative that takes the most copies of the top, then of
+    |G| - 2, and so on down to e, has no element of that orbit above e's
+    multiplicity, and e caps the rest of its orbit. A deeper level overrides
+    an earlier cap of the same element; both caps hold for that
+    representative. The chain stops when no move is left. Any subgroup of
+    H_e is sound to cap with, so the moves need only be a fixed set.
 
-    The orbit is searched over element indices. Coordinate i (modulus n,
-    stride s) moves by scaling by a unit mod n, and by x_i += (n / gcd(n,
-    n_j)) x_j for each other coordinate j, an automorphism since n_j times
-    that factor is a multiple of n; a move from digit c = y // s % n to v
-    sends index y to y + (v - c) s. Swaps add nothing: x_i += x_j,
-    x_j -= x_i, x_i += x_j gives (b, -a), then scaling by -1 gives (b, a).
-    The clock is read once per element expanded, against `deadline`."""
+    The moves act on x - top, over element indices. Coordinate i (modulus
+    n, stride s) moves by scaling by a unit mod n, from a generating set of
+    the units (`_unit_generators`), and by x_i += (n / gcd(n, n_j)) x_j for
+    each other coordinate j, an automorphism since n_j times that factor is
+    a multiple of n; a move from digit c = y // s % n to v sends index y to
+    y + (v - c) s. Swaps add nothing: x_i += x_j, x_j -= x_i, x_i += x_j
+    gives (b, -a), then scaling by -1 gives (b, a). Level e keeps the moves
+    of the level above that fix e + 1 - top (`_fixing`), and searches the
+    orbit of e - top under them. The clock is read once per element
+    expanded, at every level, against `deadline`."""
     pack = get_pack(moduli, 0)
     top = pack.order - 1
     caps = [top] * top + [pack.order]
-    e2 = top - 1
-    if e2 >= 2:
-        moves = _moves(pack)
-        start = pack.index(tuple((a - b) % n for a, b, n in zip(pack.coords(e2), pack.coords(top), moduli)))
+    moves = _moves(pack)
+    minus_top = pack.plus(pack.index(tuple(1 % n for n in moduli)))  # x -> x - top
+    plus_top = pack.plus(top)
+    for e in range(top - 1, 1, -1):
+        moves = _fixing(moves, minus_top[e + 1])
+        if not moves:
+            break
+        start = minus_top[e]
         seen, frontier = {start}, [start]
         while frontier:
             if time.monotonic() > deadline:
@@ -196,9 +243,8 @@ def _caps(moduli: tuple[int, ...], deadline: float) -> tuple[int, ...]:
             images = _images(frontier.pop(), moves) - seen
             seen |= images
             frontier += images
-        row = pack.plus(top)
-        for x in {row[y] for y in seen} - {e2}:
-            caps[x] = e2
+        for y in seen - {start}:
+            caps[plus_top[y]] = e
     return tuple(caps)
 
 
@@ -265,9 +311,11 @@ def _walk(
     walk raises once it passes `max_nodes` (a prefix that passes it reports
     the first node past the cap), or once the clock passes `deadline`, which
     it reads at each chunk start (so a walk whose setup outlasts its time
-    limit stops before its first node) and every 1,024 nodes. It stops at
-    the first chunk end where its nodes pass `until`, leaving the chunks not
-    started in `outers`. It returns (nodes, leaves reached).
+    limit stops before its first node) and every 1,024 nodes; when the mask
+    is wider than 2^20 bits, a node costs tens of microseconds or more, and
+    it reads the clock at every node. It stops at the first chunk end where
+    its nodes pass `until`, leaving the chunks not started in `outers`. It
+    returns (nodes, leaves reached).
 
     `caps` is a cap table (see `_caps`); an empty one walks uncapped.
     Element i takes at most mults[caps[i]] copies, read when it starts
@@ -282,11 +330,18 @@ def _walk(
     most = min(target - 1, outer) when capped and min(target - 1, length)
     otherwise, and seed the need[0] it was called with. An element i with
     more than room[i] copies left for elements 0..i reaches no leaf that
-    covers a length of max(seed, outer) or more, and is skipped. The seed,
-    not the need[0] that rises during the walk, sets `room`, so the nodes
-    do not depend on how the chunks are split among walks. A capped walk
-    seeded at 0 skips nothing, as no leaf of a chunk is shorter than
-    `outer`.
+    covers a length of max(seed, outer) or more, and is skipped. Under
+    caps, each time a cap level (an element that some entry names, below
+    the top) has taken its copies, the step of the element below it first
+    sets room below the level: room[x] is the sum over j <= x of
+    min(target - 1, mults[a_j]) plus length - max(seed, outer), where a_j,
+    the anchor of j, is the first element of j's cap chain at or above the
+    level. An element of the chain below the level has no copies yet, so it
+    stands for its own bound, which is its cap's. The seed, not the need[0]
+    that rises during the walk, sets `room`, so the nodes do not depend on
+    how the chunks are split among walks. A capped walk seeded at 0 skips
+    nothing, as no leaf of a chunk is shorter than `outer`, and an uncapped
+    walk has no cap level.
 
     With `zero_sum`, a prefix that has fixed the elements above i returns
     at once, at no node, when its sum s >= floor[i], the least stride above
@@ -302,7 +357,8 @@ def _walk(
     the leaf's sum passes; for a leaf with room for r more copies,
     need[0] - a is need[0] + r - length. No table grows with `length` or
     the target. Element 1 runs its leaves in its own loop, `step[i]` walks
-    element i, and the node count travels through arguments and return
+    element i (through the room update when element i + 1 is a cap level),
+    and the node count travels through arguments and return
     values. The rotation masks of `pack.parts` span the packed width, so a
     grown mask needs no truncation.
     """
@@ -313,6 +369,7 @@ def _walk(
     probe_top = 1 << (target * order)
     zeros = tile(1, order, (probe_top << 1) - 1)  # sum 0 at counts 0..target
     last_r = target - 1
+    tick = 0x3FF if pack.width <= 1 << 20 else 0  # clock reads: every 1,024 nodes, or every wide node
     capped = bool(caps)
     caps = caps or (order,) * order
     floor = [order] * order  # a prefix sum at or past floor[i] misses zero whatever 0..i add
@@ -350,7 +407,7 @@ def _walk(
             nodes += 1
             if nodes > max_nodes:
                 raise _budget_error(nodes, max_nodes)
-            if not nodes & 0x3FF and time.monotonic() > deadline:
+            if not nodes & tick and time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted")
             moved = mask << order
             mask |= ((moved & lo) << up) | ((moved >> down) & lod)
@@ -377,7 +434,7 @@ def _walk(
             nodes += 1
             if nodes > max_nodes:
                 raise _budget_error(nodes, max_nodes)
-            if not nodes & 0x3FF and time.monotonic() > deadline:
+            if not nodes & tick and time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted")
             moved = mask << order
             for lo, up, down, lod in parts_i:
@@ -392,6 +449,28 @@ def _walk(
 
     top = order - 1
     step: list[Callable[..., int]] = [last, last] + [dfs] * (order - 2)
+    least = 0  # length - max(seed, outer) in the chunk walked
+
+    def placed(level: int) -> Callable[..., int]:
+        """Element level - 1's step, which first sets room below `level` from
+        the live caps: the anchor of x is the first element of its cap chain
+        at or above the level, which has its copies."""
+        inner, anchor = step[level - 1], list(caps[:level])
+        for x in range(level - 1, -1, -1):
+            if anchor[x] < level:
+                anchor[x] = anchor[anchor[x]]
+
+        def below_level(i: int, b: int, s: int, mask: int, nodes: int) -> int:
+            bounds = [min(last_r, mults[a]) for a in anchor]
+            bounds[0] += least
+            room[:level] = accumulate(bounds)
+            return inner(i, b, s, mask, nodes)
+
+        return below_level
+
+    if capped:
+        for level in set(caps[:top]) - {top}:
+            step[level - 1] = placed(level)
     nodes = spent
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, order + 200))  # the walk takes one frame per element
@@ -409,7 +488,7 @@ def _walk(
             mults[top] = outer
             if divides:  # every cap chain of a capped walk ends at the top, which has outer copies
                 most, least = min(last_r, outer if capped else length), length - max(seed, outer)
-                room = [most * i + least for i in range(1, order + 1)]
+                room[:] = [most * i + least for i in range(1, order + 1)]
             b = length - outer
             if top >= 2:
                 nodes = step[top - 1](top - 1, b, s, mask, nodes)
@@ -536,8 +615,8 @@ def _profile(
     default all of them) under the cap table `caps`, by default the one
     `_caps` builds; exp(G) must divide the target. The pack's size check
     runs first, so a walk too wide to pack fails before the LG rows of
-    `_zero_lengths`, which grow with `length`, and the orbit search runs
-    after them, once per run.
+    `_zero_lengths`, which grow with `length`, and the cap table's orbit
+    searches run after them, once per run.
     Then translations keep the family walked, so the walk visits one
     representative per orbit of the maps x -> a(x) + g, and a leaf of sum s
     counts toward `zero` at each length L it covers with s in LG. One `need`
@@ -557,7 +636,7 @@ def _profile(
     larger one starts them only once the walk's tables are built, which
     forked workers inherit. Each chunk left then goes to the pool as the
     profile of that one chunk, with the caller's cap table, seed and the
-    budget the caller left, so no chunk searches the orbit again. The chunks
+    budget the caller left, so no chunk builds the cap table again. The chunks
     are the same at any worker count and merge in walk order, so the lengths
     and the node counts do not depend on scheduling; once the finished nodes
     pass the cap, the chunks not yet started are cancelled and the run

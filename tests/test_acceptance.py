@@ -233,7 +233,8 @@ def _strip_wall(obj):
 def test_ac11_worker_determinism(capsys):
     # Cyclic n = 2..6 walk too few nodes to start the pool; Z/12 at t = 12
     # walks 215,157, so its pooled run hands chunks to worker processes. The
-    # witness checks egz n = 12 and reiher n = 5 hand 8 and 3 chunks to them.
+    # witness check egz n = 12 hands 6 chunks to them; reiher n = 5 walks
+    # 21,250 nodes under the cap chain, fewer than start the pool.
     same = {}
     for suite, n in (("cyclic", "2..6"), ("cyclic", "12"), ("egz", "12"), ("reiher", "5")):
         outputs = []

@@ -46,7 +46,8 @@ from zerosum import (
 
 from zerosum._bitdp import get_pack
 from zerosum.search import (
-    _POOL_START_NODES, _caps, _images, _moves, _profile, _sequence_of, _vectors, _zero_lengths,
+    _POOL_START_NODES, _caps, _images, _moves, _profile, _sequence_of, _unit_generators, _vectors,
+    _zero_lengths,
 )
 
 from conftest import oracle_exists
@@ -322,15 +323,36 @@ def test_orbit_maps_are_automorphisms(moduli):
     assert {pack.coords(y) for y in seen} == _brute_force_orbit(moduli)
 
 
-@pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
+def _brute_force_chain(moduli):
+    """The cap table of the stabiliser chain, over every automorphism: the
+    top caps every other element, then for e from |G| - 2 down to 2, e caps
+    the rest of its orbit under H_e, the maps x -> top + a(x - top) that fix
+    every element above e, a deeper level overriding an earlier cap."""
+    elements, rows = _brute_force_automorphisms(moduli)
+    group = make_group(list(moduli))
+    order = len(elements)
+    top = order - 1
+    minus = [elements.index(group.add(x, group.neg(elements[top]))) for x in elements]  # x -> x - top
+    plus = {d: x for x, d in enumerate(minus)}
+    caps = [top] * top + [order]
+    stab = rows
+    for e in range(top - 1, 1, -1):
+        stab = [row for row in stab if row[minus[e + 1]] == minus[e + 1]]
+        for x in {plus[row[minus[e]]] for row in stab} - {e}:
+            caps[x] = e
+    return tuple(caps)
+
+
+@pytest.mark.parametrize("moduli", ORBIT_GROUPS + [(3, 3, 3), (5, 5)], ids=str)
 def test_cap_levels_lie_in_their_orbits(moduli):
     # Every element the cap table caps may be capped: each one but the top
     # lies in the Aff(G)-orbit of the top element, which caps it or caps the
-    # element that does, and those that e2 (index |G| - 2) caps are exactly
-    # the orbit of e2 under the stabiliser of the top, x -> top + a(x - top)
-    # for every automorphism a, but the top and e2: the scalings and
-    # transvections that `_caps` composes reach the whole orbit on these
-    # groups. The orbits are found by brute force over every automorphism.
+    # element that does, and caps[x] is the lowest e > x (e >= 2) whose
+    # orbit under H_e, the maps x -> top + a(x - top) that fix every element
+    # above e, holds x, or the top when there is none: the scalings and
+    # transvections that `_caps` keeps at each level reach the whole H_e-orbit
+    # on these groups. The orbits are found by brute force over every
+    # automorphism.
     group = make_group(list(moduli))
     order = group.order
     coords = get_pack(moduli, 0).coords
@@ -338,15 +360,26 @@ def test_cap_levels_lie_in_their_orbits(moduli):
     aut = _brute_force_orbit(moduli)
     affine = {group.add(y, g) for y in aut for g in group.elements()}
     caps = _caps(moduli, math.inf)
-    assert len(caps) == order and caps[-1] == order  # nothing caps the top
     assert {coords(i) for i in range(order - 1)} <= affine - {top}  # translations are transitive
-    below_e2 = [i for i, c in enumerate(caps) if c == order - 2]
-    assert all(c == order - 1 for i, c in enumerate(caps[:-1]) if i not in below_e2)
-    if below_e2:
-        e2 = coords(order - 2)
-        step = group.add(e2, group.neg(top))
-        stab = {group.add(top, y) for y in _brute_force_orbit(moduli, step)}
-        assert {coords(i) for i in below_e2} == stab - {top, e2}
+    assert caps == _brute_force_chain(moduli)
+
+
+def test_orbit_is_every_nonzero_element_of_elementary_groups():
+    # AGL(r, p) is 2-transitive on (Z/p)^r, so the orbit of e2 - top is every
+    # nonzero vector and every element below e2 (index |G| - 2) is capped at
+    # a level no higher than e2; the top caps e2. Each cap is still the
+    # lowest level whose brute-force H_e-orbit holds the element.
+    elementary = [m for m in ORBIT_GROUPS + [(3, 3, 3), (5, 5)] if len(set(m)) == 1 and m[0] in (2, 3, 5)]
+    for moduli in elementary + [(5,)]:
+        group = make_group(list(moduli))
+        order = group.order
+        coords = get_pack(moduli, 0).coords
+        step = group.add(coords(order - 2), group.neg(coords(order - 1)))
+        assert _brute_force_orbit(moduli, step) == set(group.elements()) - {group.identity()}
+        caps = _caps(moduli, math.inf)
+        assert caps == _brute_force_chain(moduli)
+        assert caps[order - 2:] == (order - 1, order)
+        assert all(c <= order - 2 for c in caps[:order - 2])
 
 
 @pytest.mark.parametrize("moduli", ORBIT_GROUPS, ids=str)
@@ -360,13 +393,25 @@ def test_caps_are_read_after_they_are_set(moduli):
         assert c > x and (c in (order, order - 1) or c >= 2), (x, c)
 
 
-def test_orbit_is_every_nonzero_element_of_elementary_groups():
-    # AGL(r, p) is 2-transitive on (Z/p)^r, so e2 (index |G| - 2) caps every
-    # element but the top two, and the top caps e2: the search reaches every
-    # nonzero vector from e2 - top.
-    for moduli in ((2,), (5,), (2, 2, 2, 2), (3, 3), (3, 3, 3), (5, 5)):
-        order = make_group(list(moduli)).order
-        assert _caps(moduli, math.inf) == (order - 2,) * (order - 2) + (order - 1, order)
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 15, 16, 24, 60, 97, 3001])
+def test_moves_keep_a_generating_set_of_the_units(n):
+    # Each unit `_moves` keeps lies outside the group the units kept before
+    # it generate, so it at least doubles that group: at most log2 phi(n)
+    # of them, which together generate every unit mod n.
+    units = {u for u in range(1, n) if math.gcd(u, n) == 1}
+    kept = _unit_generators(n)
+    assert _moves(get_pack((n,), 0))[0][2] == kept
+    spanned = {1 % n}
+    for u in kept:
+        assert u in units and u not in spanned
+        while True:
+            grown = spanned | {h * u % n for h in spanned}
+            if grown == spanned:
+                break
+            spanned = grown
+    assert spanned == (units or {0})
+    assert 2 ** len(kept) <= max(len(units), 1)
+    assert kept == sorted(kept)
 
 
 def test_cap_search_stops_at_the_deadline(monkeypatch):
@@ -381,6 +426,21 @@ def test_cap_search_stops_at_the_deadline(monkeypatch):
     with pytest.raises(BudgetExceeded, match=r"^wall-clock budget exhausted$"):
         _caps((3001,), 3)
     assert next(reads) == 5
+
+
+def test_cap_search_reads_the_clock_at_every_level(monkeypatch):
+    # Each level of the chain reads the clock once per element it expands.
+    # In (Z/2)^4 the first level (e = 14) expands all 15 nonzero vectors at
+    # reads 0 to 14, so under a fake clock that moves one second per read
+    # and a deadline at 17 s, the second level expands three elements and
+    # its fourth read raises.
+    import zerosum.search as search
+
+    reads = itertools.count()
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: next(reads)))
+    with pytest.raises(BudgetExceeded, match=r"^wall-clock budget exhausted$"):
+        _caps((2, 2, 2, 2), 17)
+    assert next(reads) == 19
 
 
 @pytest.mark.parametrize("moduli", [(12,), (30,), (2, 6), (4, 4), (1, 4), (6, 6, 1)])
@@ -514,7 +574,7 @@ def test_walk_restores_the_recursion_limit():
     assert sys.getrecursionlimit() == limit
 
 
-# Groups where the second cap level names a proper subset of the elements,
+# Groups where a cap level below the top caps some of the elements,
 # at t = exp(G) and 2 exp(G), each up to the largest size at which the
 # uncapped walks below stay cheap.
 WIDE_CASES = [((8,), 8, 15), ((8,), 16, 19), ((12,), 12, 11), ((12,), 24, 11),
@@ -526,9 +586,10 @@ WIDE_CASES = [((8,), 8, 15), ((8,), 16, 19), ((12,), 12, 11), ((12,), 24, 11),
 def test_capped_profile_matches_uncapped_walk_per_length(moduli, t, size):
     # A length fails (for some multiset, or for some zero-sum one) exactly
     # when the uncapped walk at that length reaches a leaf; the walk under
-    # both cap levels and the LG test must list the same lengths.
+    # the cap chain, with at least one level below the top, and the LG test
+    # must list the same lengths.
     order = make_group(list(moduli)).order
-    assert 0 < _caps(moduli, math.inf).count(order - 2) < order - 2
+    assert min(_caps(moduli, math.inf)) < order - 1
     deadline = time.monotonic() + 900
     profile = _profile(moduli, t, size, None, 10**8, deadline)
     zero, every = set(), set()
@@ -563,9 +624,9 @@ def test_passing_lengths_below_the_constant(moduli, t, gaps, value):
             (2, 2, 2, 2), 2, 17,
             "Z/2^4: (0,0,0,0) (0,0,0,1) (0,0,1,0) (0,0,1,1) (0,1,0,0) (0,1,0,1) (0,1,1,0) (0,1,1,1)"
             " (1,0,0,0) (1,0,0,1) (1,0,1,0) (1,0,1,1) (1,1,0,0) (1,1,0,1) (1,1,1,0) (1,1,1,1)",
-            8208, 8196,
+            1059, 1047,
         ),
-        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 10948, 3429),
+        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 7079, 2270),
         ((8,), 16, 22, "Z/8: 2^15 3^6", 29007, 20653),
     ],
     ids=["Z2^4-t2", "Z4^2-t4", "Z8-t16"],
@@ -573,13 +634,12 @@ def test_passing_lengths_below_the_constant(moduli, t, gaps, value):
 def test_benchmark_scan_counters(moduli, t, value, witness, nodes, leaves):
     # The three constants of the benchmark's scan: the kernel must walk
     # exactly the same tree, so the counters are pinned with the value. Each
-    # is the capped walk plus the witness walk. In (Z/2)^4 the first cap
-    # level takes every element to at most one copy, with the top, and the
-    # second, every element but the top two, to the copies of e2 (index 14).
-    # So the capped walk has two chunks: the empty multiset, then the top
-    # without e2 (so alone), or with e2 and any subset of elements 1..13,
-    # each padded with element 0: 2^13 + 1 nodes. The witness walk adds 15
-    # nodes and 2 leaves.
+    # is the capped walk plus the witness walk. In (Z/2)^4 the top takes every
+    # element to at most one copy, and the chain below it caps elements 0-6
+    # at element 7, 7-10 at 11, 11 and 12 at 13, and 13 at e2 (index 14).
+    # So the capped walk takes 1,044 nodes, where the top and e2 alone, which
+    # let e2 with any subset of elements 1..13 through, took 2^13 + 1. The
+    # witness walk adds 15 nodes and 2 leaves.
     r = brute_force_modified_constant(make_group(list(moduli)), t)
     assert r.computed_value == value
     assert r.extremal_witness == witness
@@ -588,7 +648,7 @@ def test_benchmark_scan_counters(moduli, t, value, witness, nodes, leaves):
 
 @pytest.mark.parametrize(
     "moduli, t, value, nodes, leaves",
-    [((2, 2, 2, 2), 2, 17, 30, 4), ((4, 4), 4, 12, 9714, 2647), ((8,), 16, 22, 24510, 15605)],
+    [((2, 2, 2, 2), 2, 17, 30, 4), ((4, 4), 4, 12, 6310, 1836), ((8,), 16, 22, 20490, 11983)],
     ids=["Z2^4-t2", "Z4^2-t4", "Z8-t16"],
 )
 def test_benchmark_scan_counters_with_the_claim(moduli, t, value, nodes, leaves):
@@ -799,14 +859,14 @@ def test_budget_caps_the_whole_length(workers):
 
 def test_a_claimed_constant_draws_on_one_budget():
     # s'(Z/8, 16) = 22 claimed: the witness walk at 21 and the capped walk
-    # seeded there take 24,510 nodes in all, so a cap one below trips at the
+    # seeded there take 20,490 nodes in all, so a cap one below trips at the
     # node past it, and a cap of exactly that many gives the value.
     def constant(max_nodes):
         return brute_force_modified_constant(
             make_group([8]), 16, budget=SearchBudget(max_nodes=max_nodes), claimed_value=22
         )
 
-    total = 24510
+    total = 20490
     with pytest.raises(BudgetExceeded) as exc:
         constant(total - 1)
     assert str(exc.value) == f"node budget exhausted: {total} nodes, {total - 1} allowed"
@@ -893,9 +953,9 @@ def test_pooled_walk_below_the_start_constant_starts_no_worker():
 
 # (G, t), the chunks the caller's walk takes before its nodes pass
 # _POOL_START_NODES, and those nodes: Z/12 at t=12 walks chunks 0-3 of 12
-# (0 + 640 + 21,867 + 60,947) of its 215,157 nodes, (Z/4)^2 at t=8 chunks 0-2
-# of 8 (0 + 6,238 + 26,642) of 71,685.
-HANDOFF_CASES = [((12,), 12, 4, 83454), ((4, 4), 8, 3, 32880)]
+# (0 + 640 + 21,867 + 60,947) of its 215,157 nodes, Z/2 x Z/6 at t=12 chunks
+# 0-3 of 12 (0 + 408 + 10,623 + 25,457) of 88,377.
+HANDOFF_CASES = [((12,), 12, 4, 83454), ((2, 6), 12, 4, 36488)]
 
 
 @pytest.mark.parametrize("moduli, t, kept, handoff", HANDOFF_CASES, ids=str)
@@ -967,20 +1027,36 @@ def test_pooled_walk_searches_the_orbit_once(monkeypatch, moduli, t, kept):
 
 def test_pooled_seeded_walk_hands_each_chunk_the_seed():
     # Z/12 at t = 12 seeded at s' - 1 = 19: the caller walks chunks 0-4
-    # (73,872 nodes) and hands chunks 5-11 to the pool, each with the seed,
+    # (48,594 nodes) and hands chunks 5-11 to the pool, each with the seed,
     # so every chunk prunes by the same room at any worker count. A seeded
     # profile lists no failing length below its seed.
     moduli, t, length, seed = (12,), 12, 11 * 12, 19
     deadline = time.monotonic() + 900
     serial = _profile(moduli, t, length, None, 10**8, deadline, seed=seed)
-    assert (serial.zero, serial.top, serial.nodes) == (1 << 19, 22, 149201)
+    assert (serial.zero, serial.top, serial.nodes) == (1 << 19, 22, 108570)
     with ProcessPoolExecutor(2) as real:
         pool = _RecordingExecutor(real)
         assert _profile(moduli, t, length, pool, 10**8, deadline, seed=seed) == serial
     caps = _caps(moduli, deadline)
     assert pool.submitted == [
-        (moduli, t, length, None, 10**8, deadline, (v,), 73872, caps, seed) for v in range(5, 12)
+        (moduli, t, length, None, 10**8, deadline, (v,), 48594, caps, seed) for v in range(5, 12)
     ]
+
+
+def test_walk_reads_the_clock_at_each_node_of_a_wide_mask(monkeypatch):
+    # A node of a mask wider than 2^20 bits costs tens of microseconds or
+    # more (about 4 ms on Z/9973 at t = 9973), so such a walk reads the clock
+    # at every node, not every 1,024: a clock that passes the deadline only
+    # when the copy loop reads it stops Z/1200 at t = 1200 (1.44 M bits)
+    # before its budget of 1,000 nodes.
+    import zerosum.search as search
+
+    def monotonic():
+        return math.inf if sys._getframe(1).f_code.co_name == "dfs" else 0.0
+
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=monotonic))
+    with pytest.raises(BudgetExceeded, match=r"^wall-clock budget exhausted$"):
+        brute_force_modified_constant(make_group([1200]), 1200, SearchBudget(max_nodes=1000))
 
 
 @pytest.mark.parametrize("reader", ["last", "dfs"])
@@ -1065,11 +1141,36 @@ def test_witness_check_walks_from_the_size(moduli, t):
             assert rep.counterexample == serialize_sequence(_sequence_of(group, first))
 
 
+# Groups whose cap chain nests: an element below a level is capped by a
+# deeper level, which has no copies yet when the level above takes its own.
+NESTED_CASES = [((2, 2, 2), 4), ((5, 5), 5)]
+
+
+@pytest.mark.parametrize("moduli, t", NESTED_CASES, ids=str)
+def test_room_bounds_an_unplaced_cap_by_its_own_bound(moduli, t):
+    # Once a cap level has its copies, room below it adds min(t - 1, live
+    # cap) per element, and a cap whose element has no copies yet stands for
+    # that element's own bound, never for the copies it held in an earlier
+    # branch. So the walk seeded at any length L lists exactly the failing
+    # lengths from L up, and s_t(G) when it is past L, of the walk from 0,
+    # which room prunes nothing from.
+    order = math.prod(moduli)
+    caps = _caps(moduli, math.inf)
+    assert any(caps[c] < order - 1 for c in caps[:-1] if c < order - 1)
+    length = (t - 1) * order
+    full = _profile(moduli, t, length, None, 10**8, math.inf)
+    for seed in range(1, full.top + 2):
+        seeded = _profile(moduli, t, length, None, 10**8, math.inf, seed=seed)
+        assert seeded.zero == full.zero >> seed << seed, seed
+        assert seeded.top == full.top if full.top >= seed else seeded.top < seed
+
+
 def test_egz_at_12_counts_the_leaves_from_its_size():
-    # EGZ at n = 12: the walk seeded at size 23 reaches 19,048 leaves, where
-    # the walk from length 0 reaches 118,980.
+    # EGZ at n = 12: the walk seeded at size 23 reaches 3,047 leaves, where
+    # the walk from length 0 reaches 118,980, and the seeded walk whose room
+    # read only the top's copies reached 19,048.
     rep = check_all_have_witness(make_group([12]), 23, 12, name="egz")
-    assert rep.passed and rep.checked == 19048
+    assert rep.passed and rep.checked == 3047
 
 
 @pytest.mark.parametrize("size, target", [(5, 0), (-1, 3)])
