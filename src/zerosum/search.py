@@ -24,7 +24,7 @@ stabiliser chain, none that the maps fixing every element above e carry e
 to takes more than e. The cap table and the per-sum LG rows are built on
 element indices, and the cap table's orbit searches stop at the walk's time
 limit. A seeded walk bounds what the elements left can add by the live
-caps.
+caps and by the copies that each coset of a cyclic stride subgroup holds.
 One short uncapped walk then finds the first failing vector of the
 one length that needs it, in colex order; when exp(G) does not divide t,
 every length fails, and that walk alone answers a witness check. A claimed
@@ -270,6 +270,40 @@ def _zero_lengths(moduli: tuple[int, ...], length: int) -> tuple[int, ...]:
     return tuple(rows[p] for p in period)
 
 
+def _coset_caps(moduli: tuple[int, ...], target: int) -> list[tuple[int, int]]:
+    """Per stride s (ascending, 1 < s < |G|) whose subgroup H of the indices
+    below s is cyclic, (s, the most copies that a multiset with no zero-sum
+    subsequence of length `target` holds in one coset of H), when exp(G)
+    divides the target. The cosets are the blocks [c s, (c + 1) s): a
+    translation moves one onto H and keeps the sum of every target-subset,
+    so the bound is s_t(H) - 1 = t + s - 2 (Erdos-Ginzburg-Ziv, extended to
+    t = ks by induction on k). H is cyclic when its moduli are pairwise
+    coprime: their lcm is s."""
+    strides = get_pack(moduli, 0).strides
+    return [(s, target + s - 2) for s in sorted(set(strides)) if 1 < s < math.prod(moduli)
+            and math.lcm(*(n for r, n in zip(strides, moduli) if r < s)) == s]
+
+
+def _nested_room(bounds: list[int], levels: list[tuple[int, int]]) -> list[int]:
+    """room[x]: the largest sum over j <= x of m_j, with 0 <= m_j <= bounds[j]
+    and at most cap in each block [c s, (c + 1) s) of each (s, cap) in
+    `levels`, strides ascending, each dividing the next. The blocks nest, so
+    the largest sum from the start of a block to x is the least of its cap
+    and the whole smaller blocks before x's plus the largest sum from the
+    start of x's smaller block to x, taken from the smallest stride up."""
+    part, size = list(bounds), 1  # part[x]: the largest sum from the start of x's block to x
+    for s, cap in levels + [(len(part), math.inf)]:
+        full = 0  # the largest sums of the whole smaller blocks before x's, in x's block
+        for x, value in enumerate(part):
+            if x % s == 0:
+                full = 0
+            part[x] = min(cap, full + value)
+            if (x + 1) % size == 0:
+                full += value
+        size = s
+    return part
+
+
 class _Stop(Exception):
     """Raised through the walk when `emit` asks it to stop; args[0] is the
     node count at that leaf."""
@@ -324,24 +358,27 @@ def _walk(
     so the element that caps it already has its copies, and is the top, |G|
     or element 2 or higher, so the leaf loop of element 1 reads the caps of
     elements 0 and 1 once. When exp(G) divides the target, no element takes
-    target copies, and under caps none takes more than the chunk's `outer`
-    copies of the top, where every cap chain ends. So at each chunk start
-    the walk sets room[i] = most(i + 1) + length - max(seed, outer), with
+    target copies, under caps none takes more than the chunk's `outer`
+    copies of the top, where every cap chain ends, and no coset of a cyclic
+    stride subgroup holds more than its `_coset_caps` bound. So at each
+    chunk start the walk sets room[i] to the most copies that elements 0..i
+    can hold, `most` each at most and within the coset bounds
+    (`_nested_room`), plus length - max(seed, outer), with
     most = min(target - 1, outer) when capped and min(target - 1, length)
     otherwise, and seed the need[0] it was called with. An element i with
     more than room[i] copies left for elements 0..i reaches no leaf that
     covers a length of max(seed, outer) or more, and is skipped. Under
     caps, each time a cap level (an element that some entry names, below
     the top) has taken its copies, the step of the element below it first
-    sets room below the level: room[x] is the sum over j <= x of
-    min(target - 1, mults[a_j]) plus length - max(seed, outer), where a_j,
-    the anchor of j, is the first element of j's cap chain at or above the
-    level. An element of the chain below the level has no copies yet, so it
-    stands for its own bound, which is its cap's. The seed, not the need[0]
-    that rises during the walk, sets `room`, so the nodes do not depend on
-    how the chunks are split among walks. A capped walk seeded at 0 skips
-    nothing, as no leaf of a chunk is shorter than `outer`, and an uncapped
-    walk has no cap level.
+    lowers room below the level to the sum over j <= x of
+    min(target - 1, mults[a_j]) plus length - max(seed, outer) where that
+    is less, a_j, the anchor of j, being the first element of j's cap chain
+    at or above the level. An element of the chain below the level has no
+    copies yet, so it stands for its own bound, which is its cap's. The
+    seed, not the need[0] that rises during the walk, sets `room`, so the
+    nodes do not depend on how the chunks are split among walks. A walk
+    seeded at 0 skips nothing, as no leaf of a chunk is shorter than
+    `outer`, and an uncapped walk has no cap level.
 
     With `zero_sum`, a prefix that has fixed the elements above i returns
     at once, at no node, when its sum s >= floor[i], the least stride above
@@ -377,8 +414,10 @@ def _walk(
         for r in sorted(pack.strides, reverse=True):  # floor[i]: the least stride above i
             floor[:r] = [r] * r
     divides = target % math.lcm(*moduli) == 0
+    levels = _coset_caps(moduli, target)
     seed = need[0]
     room = [length] * order  # copies left for elements 0..i that a leaf reaching the seed allows
+    table = room  # room at the chunk start
     leaves = 0
     mults = [0] * order + [length]  # past the elements: the copies that cap |G| allows
 
@@ -452,7 +491,7 @@ def _walk(
     least = 0  # length - max(seed, outer) in the chunk walked
 
     def placed(level: int) -> Callable[..., int]:
-        """Element level - 1's step, which first sets room below `level` from
+        """Element level - 1's step, which first lowers room below `level` by
         the live caps: the anchor of x is the first element of its cap chain
         at or above the level, which has its copies."""
         inner, anchor = step[level - 1], list(caps[:level])
@@ -463,7 +502,7 @@ def _walk(
         def below_level(i: int, b: int, s: int, mask: int, nodes: int) -> int:
             bounds = [min(last_r, mults[a]) for a in anchor]
             bounds[0] += least
-            room[:level] = accumulate(bounds)
+            room[:level] = map(min, accumulate(bounds), table)
             return inner(i, b, s, mask, nodes)
 
         return below_level
@@ -488,7 +527,8 @@ def _walk(
             mults[top] = outer
             if divides:  # every cap chain of a capped walk ends at the top, which has outer copies
                 most, least = min(last_r, outer if capped else length), length - max(seed, outer)
-                room[:] = [most * i + least for i in range(1, order + 1)]
+                table = [r + least for r in _nested_room([most] * order, levels)]
+                room[:] = table
             b = length - outer
             if top >= 2:
                 nodes = step[top - 1](top - 1, b, s, mask, nodes)

@@ -46,8 +46,8 @@ from zerosum import (
 
 from zerosum._bitdp import get_pack
 from zerosum.search import (
-    _POOL_START_NODES, _caps, _images, _moves, _profile, _sequence_of, _unit_generators, _vectors,
-    _zero_lengths,
+    _POOL_START_NODES, _caps, _coset_caps, _images, _moves, _nested_room, _profile, _sequence_of,
+    _unit_generators, _vectors, _zero_lengths,
 )
 
 from conftest import oracle_exists
@@ -626,7 +626,7 @@ def test_passing_lengths_below_the_constant(moduli, t, gaps, value):
             " (1,0,0,0) (1,0,0,1) (1,0,1,0) (1,0,1,1) (1,1,0,0) (1,1,0,1) (1,1,1,0) (1,1,1,1)",
             1059, 1047,
         ),
-        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 7079, 2270),
+        ((4, 4), 4, 12, "Z/4^2: (0,2)^2 (1,1)^3 (1,2)^3 (2,1)^3", 5082, 1134),
         ((8,), 16, 22, "Z/8: 2^15 3^6", 29007, 20653),
     ],
     ids=["Z2^4-t2", "Z4^2-t4", "Z8-t16"],
@@ -648,7 +648,7 @@ def test_benchmark_scan_counters(moduli, t, value, witness, nodes, leaves):
 
 @pytest.mark.parametrize(
     "moduli, t, value, nodes, leaves",
-    [((2, 2, 2, 2), 2, 17, 30, 4), ((4, 4), 4, 12, 6310, 1836), ((8,), 16, 22, 20490, 11983)],
+    [((2, 2, 2, 2), 2, 17, 30, 4), ((4, 4), 4, 12, 4313, 700), ((8,), 16, 22, 20490, 11983)],
     ids=["Z2^4-t2", "Z4^2-t4", "Z8-t16"],
 )
 def test_benchmark_scan_counters_with_the_claim(moduli, t, value, nodes, leaves):
@@ -714,11 +714,11 @@ def test_lemma3n_exhaustive_walk_counters():
     assert (nodes, leaves, len(vectors)) == (11475, 8110, 2710)
 
 
-@pytest.mark.parametrize("p, nodes, cases", [(2, 5, (1, 0)), (3, 2030, (216, 54))])
+@pytest.mark.parametrize("p, nodes, cases", [(2, 5, (1, 0)), (3, 1838, (216, 54))])
 def test_por2p_walk_lists_both_sizes_in_the_per_size_order(p, nodes, cases):
     # One walk from 3p - 2 to 3p - 1 hands over each size's vectors in the
-    # order of that size's own walk, on one node count: 5 and 2,030 nodes,
-    # where the two per-size walks take 5 + 1 and 1,802 + 1,838.
+    # order of that size's own walk, on one node count: 5 and 1,838 nodes,
+    # where the two per-size walks take 5 + 1 and 1,610 + 1,475.
     sizes = (3 * p - 2, 3 * p - 1)
     both = []
     _, walked, _ = _vectors((p, p), p, sizes[1], False, both.append, 10**8, math.inf, shortest=sizes[0])
@@ -751,11 +751,11 @@ def test_a_walk_over_a_range_of_lengths_merges_the_fixed_length_walks(moduli):
 
 
 def test_por2p_node_budget_is_one_cap_over_both_sizes():
-    # The one walk takes 2,030 nodes at p = 3, so a cap of 2,000 stops it,
-    # where each per-size walk alone (1,802 and 1,838 nodes) would fit.
+    # The one walk takes 1,838 nodes at p = 3, so a cap of 1,700 stops it,
+    # where each per-size walk alone (1,610 and 1,475 nodes) would fit.
     with pytest.raises(BudgetExceeded) as info:
-        check_lemma_por2p(3, count=5, budget=SearchBudget(max_nodes=2000))
-    assert str(info.value) == "node budget exhausted: 2001 nodes, 2000 allowed"
+        check_lemma_por2p(3, count=5, budget=SearchBudget(max_nodes=1700))
+    assert str(info.value) == "node budget exhausted: 1701 nodes, 1700 allowed"
 
 
 def test_enumerate_budget_abort():
@@ -1163,6 +1163,63 @@ def test_room_bounds_an_unplaced_cap_by_its_own_bound(moduli, t):
         seeded = _profile(moduli, t, length, None, 10**8, math.inf, seed=seed)
         assert seeded.zero == full.zero >> seed << seed, seed
         assert seeded.top == full.top if full.top >= seed else seeded.top < seed
+
+
+def test_nested_room_is_the_largest_prefix_sum_under_every_bound():
+    # Over tiny random per-element bounds and nested block caps, room[x] is
+    # the largest sum of m_0..m_x over every vector that keeps each bound,
+    # found by listing the vectors.
+    rng = random.Random(33)
+    for _ in range(40):
+        factors = rng.choice([[2, 2, 2], [2, 3], [3, 2], [2, 2], [4, 2], [2, 4], [6], [3, 3]])
+        order = math.prod(factors)
+        strides = list(itertools.accumulate(factors[:-1], lambda a, b: a * b))
+        levels = [(s, rng.randrange(6)) for s in strides]
+        bounds = [rng.randrange(3) for _ in range(order)]
+        best = [0] * order
+        for m in itertools.product(*(range(b + 1) for b in bounds)):
+            if all(sum(m[c:c + s]) <= cap for s, cap in levels for c in range(0, order, s)):
+                best = [max(x, y) for x, y in zip(best, itertools.accumulate(m))]
+        assert _nested_room(bounds, levels) == best, (bounds, levels)
+
+
+# Groups with a cyclic stride subgroup, at targets that exp(G) divides.
+COSET_CASES = [((4, 4), 4), ((4, 4), 8), ((2, 2, 4), 4), ((3, 3), 3), ((3, 3), 6)]
+
+
+@pytest.mark.parametrize("moduli, t", COSET_CASES, ids=str)
+def test_room_per_coset_keeps_every_length_and_witness(moduli, t):
+    # Room caps the copies in each coset of a cyclic stride subgroup H at
+    # t + |H| - 2. A walk seeded at 0 prunes nothing, so it is the oracle:
+    # each seeded profile lists the same failing lengths and s_t(G) from its
+    # seed, and at each length where some vector fails (zero-sum or any),
+    # the witness walk seeded there finds the first vector of that length
+    # of the walk over every length from 0.
+    order = math.prod(moduli)
+    assert _coset_caps(moduli, t)
+    length = (t - 1) * order
+    full = _profile(moduli, t, length, None, 10**8, math.inf)
+    for seed in range(1, full.top + 2):
+        seeded = _profile(moduli, t, length, None, 10**8, math.inf, seed=seed)
+        assert seeded.zero == full.zero >> seed << seed, seed
+        assert seeded.top == full.top if full.top >= seed else seeded.top < seed
+    for zero_sum in (True, False):
+        for size in range(full.top + 1):
+            if zero_sum and not full.zero >> size & 1:
+                continue  # no zero-sum vector of this size fails
+            first = _vectors(moduli, t, size, zero_sum, lambda v: sum(v) == size, 10**8, math.inf, shortest=0)[0]
+            assert first is not None
+            assert _vectors(moduli, t, size, zero_sum, lambda v: True, 10**8, math.inf)[0] == first, size
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_coset_cap_is_the_cyclic_constant_less_one(m):
+    # The cap per coset of a cyclic H = Z/m is s_t(Z/m) - 1 = t + m - 2, the
+    # largest length at which some multiset over Z/m has no zero-sum
+    # subsequence of length t, which the walk over Z/m finds.
+    for t in (m, 2 * m, 3 * m):
+        top = _profile((m,), t, (t - 1) * m, None, 10**8, math.inf).top
+        assert _coset_caps((m, m), t) == [(m, top)] and top == t + m - 2
 
 
 def test_egz_at_12_counts_the_leaves_from_its_size():
