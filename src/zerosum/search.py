@@ -28,10 +28,10 @@ caps and by the copies that each coset of a cyclic stride subgroup holds.
 One short uncapped walk then finds the first failing vector of the
 one length that needs it, in colex order; when exp(G) does not divide t,
 every length fails, and that walk alone answers a witness check. A claimed
-value v turns the order round: the uncapped walk runs first at v - 1, and
-when it finds a vector, the capped walk starts from v - 1 and skips what
-cannot reach it; a witness check starts from its size. Results do not
-depend on the claim, nor on how the work is partitioned across workers.
+value v only seeds the capped walk at v - 1, which skips what cannot reach
+it (the walk from 0 follows if it finds no failing length), and a witness
+check starts from its size. Results do not depend on the claim, nor on how
+the work is partitioned across workers.
 
 The unit of search is the chunk of vectors that share the last element's
 multiplicity, whose prefix is one fold of the pack (`add_copies`). The walk
@@ -665,8 +665,8 @@ def _profile(
     the identity, so a walk from chunk 0 has every length from the seed
     below v in `zero` by chunk v, and the walk's floor of v there changes no
     leaf. A walk seeded at L skips what cannot reach L (see `_walk`), and
-    its profile holds no length below L: it is exact from L up (`top`
-    included) when L itself fails for some multiset, zero-sum for `zero`.
+    its profile holds no length below L: `zero` is exact from any seed, and
+    `top` is exact whenever some multiset fails at or above the seed.
     The walk draws on the node budget that `spent` nodes left; the profile
     counts its own nodes only.
 
@@ -831,11 +831,10 @@ def brute_force_modified_constant(
     With a `pool`, the capped walk's chunks run on that executor; the
     witness walk is serial either way.
 
-    A claim c with 2 <= c <= (t - 1)|G| + 1 runs the witness walk at c - 1
-    first. If it finds a vector, c - 1 fails, and the capped walk seeded
-    there gives s' and s_t(G) from c - 1 up; that vector is the witness when
-    s' = c, and the witness walk runs again at s' - 1 otherwise. If it finds
-    none, the run walks as with no claim. So the claim moves only the stats.
+    A claim c with 2 <= c <= (t - 1)|G| + 1 seeds the capped walk at c - 1.
+    When that walk finds a failing zero-sum length, it gives s' and s_t(G);
+    when it finds none, the walk from 0 runs on the same budget. The witness
+    walk runs once, last, either way. So the claim moves only the stats.
     """
     if t < 1:
         raise ValueError(f"target length must be >= 1, got {t}")
@@ -848,23 +847,20 @@ def brute_force_modified_constant(
     start = time.monotonic()
     deadline = start + budget.max_seconds
     moduli, length = group.moduli, (t - 1) * group.order
-
-    def first(at: int, spent: int) -> tuple[tuple[int, ...] | None, int, int]:
-        return _vectors(moduli, t, at, True, lambda vector: True, budget.max_nodes, deadline, spent)
-
-    vector, nodes, leaves, seed = None, 0, 0, 0
-    if claimed_value is not None and 2 <= claimed_value <= length + 1:
-        vector, nodes, leaves = first(claimed_value - 1, 0)
-        seed = 0 if vector is None else claimed_value - 1
-    profile = _profile(moduli, t, length, pool, budget.max_nodes, deadline, spent=nodes, seed=seed)
-    nodes, leaves = nodes + profile.nodes, leaves + profile.leaves
+    seed = claimed_value - 1 if claimed_value is not None and 2 <= claimed_value <= length + 1 else 0
+    profile = _profile(moduli, t, length, pool, budget.max_nodes, deadline, seed=seed)
+    nodes, leaves = profile.nodes, profile.leaves
     # Length 0 always fails for t >= 1: the empty sequence is zero-sum and has
-    # no length-t subsequence.
+    # no length-t subsequence. So only a seeded walk can find none that fails.
+    if not profile.zero:
+        profile = _profile(moduli, t, length, pool, budget.max_nodes, deadline, spent=nodes)
+        nodes, leaves = nodes + profile.nodes, leaves + profile.leaves
     last_fail = profile.zero.bit_length() - 1
     computed = last_fail + 1
-    if vector is None or last_fail > seed:  # no vector yet at s' - 1
-        vector, nodes, more = first(last_fail, nodes)
-        leaves += more
+    vector, nodes, more = _vectors(
+        moduli, t, last_fail, True, lambda vector: True, budget.max_nodes, deadline, nodes
+    )
+    leaves += more
     stats = SearchStats(
         nodes_visited=nodes,
         sequences_checked=leaves,

@@ -653,8 +653,8 @@ def test_benchmark_scan_counters(moduli, t, value, witness, nodes, leaves):
 )
 def test_benchmark_scan_counters_with_the_claim(moduli, t, value, nodes, leaves):
     # The benchmark's scan passes the closed form as the claim, so its walks
-    # start at the claimed length: a witness walk at s' - 1, whose vector is
-    # the extremal witness, then the capped walk from s' - 1 up. The value,
+    # start at the claimed length: the capped walk from s' - 1 up, then a
+    # witness walk at s' - 1, whose vector is the extremal witness. The value,
     # window and witness are those of the run with no claim; only the
     # counters differ. In (Z/2)^4 the witness walk takes 15 nodes, and so
     # does the capped walk: chunk 0 reaches no leaf of length 16, and in
@@ -858,8 +858,8 @@ def test_budget_caps_the_whole_length(workers):
 
 
 def test_a_claimed_constant_draws_on_one_budget():
-    # s'(Z/8, 16) = 22 claimed: the witness walk at 21 and the capped walk
-    # seeded there take 20,490 nodes in all, so a cap one below trips at the
+    # s'(Z/8, 16) = 22 claimed: the capped walk seeded at 21 and the witness
+    # walk there take 20,490 nodes in all, so a cap one below trips at the
     # node past it, and a cap of exactly that many gives the value.
     def constant(max_nodes):
         return brute_force_modified_constant(
@@ -874,6 +874,56 @@ def test_a_claimed_constant_draws_on_one_budget():
     assert rep.computed_value == 22 and rep.stats.nodes_visited == total
 
 
+@functools.lru_cache(maxsize=None)
+def _unclaimed(moduli, t):
+    """The report of the run with no claim."""
+    return brute_force_modified_constant(make_group(list(moduli)), t)
+
+
+@pytest.mark.parametrize(
+    "moduli, t, claim, nodes",
+    [((12,), 12, 13, 209772), ((12,), 12, 19, 128014), ((12,), 12, 21, 308659),
+     ((3, 3, 3), 3, 16, 100929), ((3, 3, 3), 3, 20, 135370)],
+    ids=lambda c: str(c).replace(" ", ""),
+)
+def test_a_wrong_claim_costs_a_seeded_capped_walk(moduli, t, claim, nodes):
+    # s'(Z/12, 12) = 20 and s'((Z/3)^3, 3) = 19. A claim below the value
+    # seeds a capped walk that still finds s' - 1; one above it seeds a
+    # walk that finds no failing zero-sum length, so the walk from 0 runs
+    # after it. Either way one uncapped witness walk at s' - 1 runs last, so
+    # no claim costs an uncapped walk at a passing length.
+    plain = _unclaimed(moduli, t)
+    r = brute_force_modified_constant(make_group(list(moduli)), t, claimed_value=claim)
+    assert (r.computed_value, r.window, r.extremal_witness) == (plain.computed_value, plain.window, plain.extremal_witness)
+    assert r.discrepancy and r.stats.nodes_visited == nodes
+
+
+def test_every_determination_walks_capped_then_one_witness_walk(monkeypatch):
+    # Whatever the claim, the capped walks come first (two when a claim
+    # above s' = 6 seeds a walk that finds no failing length), then exactly
+    # one uncapped walk, which finds the witness.
+    import zerosum.search as search
+
+    calls = []
+
+    def record(name):
+        inner = getattr(search, name)
+
+        def walk(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(search, name, walk)
+
+    record("_profile")
+    record("_vectors")
+    for claim, walks in [(None, 1), (1, 1), (3, 1), (6, 1), (7, 2), (13, 2), (14, 1)]:
+        calls.clear()
+        r = search.brute_force_modified_constant(make_group([4]), 4, claimed_value=claim)
+        assert r.computed_value == 6
+        assert calls == ["_profile"] * walks + ["_vectors"]
+
+
 # Groups and targets that exp(G) divides, each walked quickly at every claim.
 CLAIM_CASES = [((1,), 1), ((1,), 3), ((2,), 2), ((3,), 3), ((4,), 4), ((4,), 8), ((6,), 6),
                ((2, 2), 2), ((2, 2), 4), ((2, 4), 4), ((3, 3), 3), ((2, 2, 2), 2)]
@@ -881,17 +931,19 @@ CLAIM_CASES = [((1,), 1), ((1,), 3), ((2,), 2), ((3,), 3), ((4,), 4), ((4,), 8),
 
 @pytest.mark.parametrize("moduli, t", CLAIM_CASES, ids=str)
 def test_a_claim_changes_only_the_counters(moduli, t):
-    # A claim v with 2 <= v <= (t - 1)|G| + 1 seeds the walk at v - 1 when
-    # v - 1 is a failing zero-sum length, so that the value is at least v. A
-    # claim at a passing length (a gap, or above s' - 1) costs one witness
-    # walk at v - 1 that finds nothing, then the walk with no claim; one
-    # outside that range costs nothing. Every claim gives the value, window
-    # and witness of the run with no claim, and a discrepancy exactly when it
-    # is not the value.
+    # A claim v with 2 <= v <= (t - 1)|G| + 1 seeds the capped walk at
+    # v - 1. When that walk finds no failing zero-sum length (the claim is
+    # above s'), the walk from 0 runs too; then one witness walk at s' - 1.
+    # A claim outside that range costs what no claim does. Every claim gives
+    # the value, window and witness of the run with no claim, and a
+    # discrepancy exactly when it is not the value.
     group = make_group(list(moduli))
     length = (t - 1) * group.order
     plain = brute_force_modified_constant(group, t)
     profile = _profile(group.moduli, t, length, None, 10**8, math.inf)
+    _, witness_nodes, witness_leaves = _vectors(
+        group.moduli, t, plain.computed_value - 1, True, lambda v: True, 10**8, math.inf
+    )
     seeded = 0
     for claim in [*range(1, plain.computed_value + 3), length + 2]:
         r = brute_force_modified_constant(group, t, claimed_value=claim)
@@ -899,12 +951,13 @@ def test_a_claim_changes_only_the_counters(moduli, t):
         assert r.claimed_value == claim and r.discrepancy == (claim != plain.computed_value)
         if not 2 <= claim <= length + 1:
             assert (r.stats.nodes_visited, r.stats.sequences_checked) == (plain.stats.nodes_visited, plain.stats.sequences_checked)
-        elif not profile.zero >> (claim - 1) & 1:
-            _, nodes, leaves = _vectors(group.moduli, t, claim - 1, True, lambda v: True, 10**8, math.inf)
-            assert r.stats.nodes_visited == plain.stats.nodes_visited + nodes
-            assert r.stats.sequences_checked == plain.stats.sequences_checked + leaves
-        else:
-            seeded += 1
+            continue
+        walk = _profile(group.moduli, t, length, None, 10**8, math.inf, seed=claim - 1)
+        nodes, leaves = walk.nodes + witness_nodes, walk.leaves + witness_leaves
+        if not walk.zero:
+            nodes, leaves = nodes + profile.nodes, leaves + profile.leaves
+        assert (r.stats.nodes_visited, r.stats.sequences_checked) == (nodes, leaves)
+        seeded += profile.zero >> (claim - 1) & 1
     assert seeded == bin(profile.zero >> 1).count("1")  # each failing length from 1 seeds once
 
 
