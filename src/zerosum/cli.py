@@ -393,6 +393,12 @@ def _add_sequence_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seq-file", help="file in sequence text or JSON format")
 
 
+def _add_budget_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget", type=int, help="node budget (default 1e8)")
+    p.add_argument("--time-limit", type=float, help="wall-clock budget in seconds")
+    p.add_argument("--workers", type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="zerosum",
@@ -439,9 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constant", help="brute-force a modified constant")
     p.add_argument("--group", required=True)
     p.add_argument("--t", type=int, required=True, help="target subsequence length")
-    p.add_argument("--budget", type=int, help="node budget (default 1e8)")
-    p.add_argument("--time-limit", type=float, help="wall-clock budget in seconds")
-    p.add_argument("--workers", type=int)
+    _add_budget_args(p)
     p.add_argument("--claimed-from", choices=["formula", "none"], default="none")
     p.set_defaults(fn=_cmd_constant)
 
@@ -453,9 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", help="n range, e.g. 2..10 (for conjecture: the rank r; for por2p: the prime)")
     p.add_argument("--t", help="t range for the cyclic suite, e.g. 1..2")
-    p.add_argument("--budget", type=int, help="node budget (default 1e8)")
-    p.add_argument("--time-limit", type=float, help="wall-clock budget in seconds")
-    p.add_argument("--workers", type=int)
+    _add_budget_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, help="sample count for sampled suites")
     p.add_argument("--extended", action="store_true", help="include the larger square case n = 4")

@@ -37,12 +37,13 @@ The unit of search is the chunk of vectors that share the last element's
 multiplicity, whose prefix is one fold of the pack (`add_copies`). The walk
 has two entry points: `_profile`, capped, over every length, and `_vectors`,
 over one length or a range, each length in colex order, which the witness and
-counterexample walks, enumeration and the lemma checks use (por2p's spans its
-two sizes). Every walk takes the chunks in order against one running node
-budget in the calling process; a pooled profile walk stops once it outgrows
-the cost of starting a pool, hands each chunk left to the caller's executor
-as the profile of that one chunk under the caller's cap table, and merges
-them in order. Nothing here starts a worker process itself."""
+counterexample walks, enumeration and the por2p check use (its walk spans
+two sizes); the lemma-3n check ranks its multisets in the same order. Every
+walk takes the chunks in order against one running node budget in the
+calling process; a pooled profile walk stops once it outgrows the cost of
+starting a pool, hands each chunk left to the caller's executor as the
+profile of that one chunk under the caller's cap table, and merges them in
+order. Nothing here starts a worker process itself."""
 
 from __future__ import annotations
 
@@ -53,8 +54,8 @@ import time
 from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence as Seq
+from itertools import accumulate, islice
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence as Seq
 
 from ._bitdp import get_pack, tile
 from .engine import _find, count_zero_sum_subseqs
@@ -990,81 +991,74 @@ def check_lemma_por2p(
 # ---------------------------------------------------------------------------
 # Recursive-lemma check at length 3n
 
-
-def _pick(index: int, blocks: Iterable[tuple[int, object]]) -> tuple[object, int]:
-    """The choice whose block of indices holds `index`, and the offset of
-    `index` into that block; `blocks` yields (size, choice) in index order."""
-    for size, choice in blocks:
-        if index < size:
-            return choice, index
-        index -= size
-    raise ValueError("index out of range")
+# `_zero_sum_ranks` maps at most this many ranks per peel of its table.
+_RANK_BATCH = 1024
 
 
-def _zero_sum_ranks(n: int, length: int, deadline: float) -> tuple[int, Callable[[int], list[int]]]:
+def _zero_sum_ranks(
+    n: int, length: int, deadline: float
+) -> tuple[int, Callable[[Iterable[int]], Iterator[list[int]]]]:
     """The number of zero-sum multisets of `length` elements over (Z/n)^2,
-    and the map from each index below it to one of them, a multiplicity
-    vector in the pack's index layout. Each such multiset has exactly one
-    index, so `rng.randrange(total)` draws them uniformly.
+    and `multisets`, which maps ranks below it to those multisets, as
+    multiplicity vectors in the pack's index layout. Rank i is the i-th one
+    in colex order, the order of a `_vectors` walk, so `range(total)` lists
+    each once and `rng.randrange(total)` draws them uniformly.
 
-    The elements fall into n classes by first coordinate. suffix[a][r][g]
-    counts the multisets of r elements whose first coordinates are >= a and
-    whose sum is g (a pack index); within[b][r][h] counts the multisets of r
-    elements of any one class whose second coordinates are >= b and sum to
-    h mod n. An index picks, class by class, the class's size r and second
-    sum h, then the class's multiplicities. The counts are exact integers.
-    Building the tables reads the deadline once per class.
+    One table, counts[r][g], holds the number of multisets of r elements that
+    sum to the element with pack index g; it is built by adding the elements
+    in index order, any number of copies of each. `multisets` takes its ranks
+    in batches of at most `_RANK_BATCH`. Each batch peels a copy of the table
+    from the top element down: table[r] -= table[r - 1] shifted by e, with r
+    descending, leaves the counts over the elements below e, and each rank
+    takes as many copies of e as the multisets with fewer copies skip. The
+    counts are exact integers. The build and each peel read the deadline
+    once per n elements.
     """
-    pack, order = get_pack((n, n), 0), n * n
+    order = n * n
 
-    def start(width: int) -> list[list[int]]:  # the empty multiset only
-        return [[1] + [0] * (width - 1)] + [[0] * width for _ in range(length)]
+    def minus(e: int) -> list[int]:  # minus(e)[g] is the index of g - e
+        a, b = divmod(e, n)
+        return [(g // n - a) % n * n + (g - b) % n for g in range(order)]
 
-    def add(table: list[list[int]], minus: list[int]) -> list[list[int]]:
-        # Any number of copies of one more element; minus[g] is g minus it.
-        rows = [table[0]]
-        for row in table[1:]:
-            prev = rows[-1]
-            rows.append([x + prev[j] for x, j in zip(row, minus)])
-        return rows
-
-    within = [start(n)]
-    for b in range(n - 1, -1, -1):
-        within.append(add(within[-1], [(h - b) % n for h in range(n)]))
-    within.reverse()
-    suffix = [start(order)]
-    for a in range(n - 1, -1, -1):
-        if time.monotonic() > deadline:
+    def tick(e: int) -> None:
+        if e % n == 0 and time.monotonic() > deadline:
             raise BudgetExceeded("wall-clock budget exhausted")
-        table = suffix[-1]
-        for b in range(n):
-            table = add(table, pack.plus(pack.index((-a % n, -b % n))))
-        suffix.append(table)
-    suffix.reverse()
-    sizes = within[0]
 
-    def multiset(index: int) -> list[int]:
-        mults = [0] * order
-        # The classes from a on hold `left` elements that sum to (g1, g2).
-        left, g1, g2 = length, 0, 0
-        for a in range(n):
-            rest = suffix[a + 1]
-            (r, h), index = _pick(index, (
-                (ways * rest[left - r][(g1 - a * r) % n * n + (g2 - h) % n], (r, h))
-                for r in range(left + 1) for h, ways in enumerate(sizes[r])
-            ))
-            index, inner = divmod(index, sizes[r][h])
-            left, g1, g2 = left - r, (g1 - a * r) % n, (g2 - h) % n
-            for b in range(n):
-                if not r:
-                    break
-                below = within[b + 1]
-                m, inner = _pick(inner, ((below[r - m][(h - m * b) % n], m) for m in range(r + 1)))
-                mults[a * n + b] = m
-                r, h = r - m, (h - m * b) % n
-        return mults
+    table = [[1] + [0] * (order - 1)] + [[0] * order for _ in range(length)]
+    for e in range(order):
+        tick(e)
+        shift = minus(e)
+        for r in range(1, length + 1):
+            prev = table[r - 1]
+            table[r] = [x + prev[j] for x, j in zip(table[r], shift)]
+    total = table[length][0]
 
-    return suffix[0][length][0], multiset
+    def multisets(ranks: Iterable[int]) -> Iterator[list[int]]:
+        ranks = iter(ranks)
+        while batch := list(islice(ranks, _RANK_BATCH)):
+            if not all(0 <= i < total for i in batch):
+                raise ValueError("index out of range")
+            # Per rank: its rank among the multisets left, their size and
+            # sum, and the vector so far.
+            states = [[i, length, 0, [0] * order] for i in batch]
+            rows = list(table)
+            for e in range(order - 1, 0, -1):
+                tick(e + 1)
+                shift = minus(e)
+                for r in range(length, 0, -1):
+                    prev = rows[r - 1]
+                    rows[r] = [x - prev[j] for x, j in zip(rows[r], shift)]
+                for state in states:
+                    i, left, g, mults = state
+                    while i >= (skip := rows[left][g]):
+                        i, left, g = i - skip, left - 1, shift[g]
+                        mults[e] += 1
+                    state[:3] = i, left, g
+            for _, left, _, mults in states:
+                mults[0] = left
+                yield mults
+
+    return total, multisets
 
 
 def check_lemma_3n(
@@ -1076,9 +1070,10 @@ def check_lemma_3n(
     """Zero-sum multisets of size 3n over (Z/n)^2 always yield a length-n
     witness, and the block-recursive extractor succeeds on each of them.
 
-    Exhaustive when the instance space is desk-sized (n <= 3), in the order
-    of `enumerate_multisets`, and otherwise `samples` uniform draws, one
-    `_zero_sum_ranks` index each; every draw counts against the node budget.
+    Exhaustive when the instance space is desk-sized (n <= 3), every
+    `_zero_sum_ranks` rank in turn, which is the order of
+    `enumerate_multisets`, and otherwise `samples` uniform ranks; each
+    multiset checked, in either mode, counts against the node budget.
     `_find` and the extractor's `_square_3n` run on counts, each witness is
     validated once by a `Witness`'s rules (a failure, the program's fault,
     raises AssertionError), and only a counterexample's text builds a
@@ -1092,13 +1087,16 @@ def check_lemma_3n(
     start = time.monotonic()
     group = make_group([n, n])
     moduli, elements = group.moduli, list(group.elements())
-    length, deadline = 3 * n, start + budget.max_seconds
+    deadline = start + budget.max_seconds
     checked = violations = 0
     counterexample = None
     exhaustive = n <= 3
-
-    def run_one(mults: list[int]) -> None:
-        nonlocal checked, violations, counterexample
+    rng = random.Random(seed)
+    total, multisets = _zero_sum_ranks(n, 3 * n, deadline)
+    ranks = range(total) if exhaustive else (rng.randrange(total) for _ in range(samples))
+    for draws, mults in enumerate(multisets(ranks), 1):
+        if draws > budget.max_nodes or time.monotonic() > deadline:
+            raise BudgetExceeded(f"sampling budget exhausted after {draws} draws")
         checked += 1
         items = [(el, m) for el, m in zip(elements, mults) if m]
         counts = dict(items)
@@ -1107,19 +1105,9 @@ def check_lemma_3n(
             violations += 1
             if counterexample is None:
                 counterexample = "engine found no witness in " + serialize_sequence(Sequence._of(group, counts))
-            return
+            continue
         for witness in (found, _found(_square_3n(moduli, items, n), "block selection")):
             _check_witness(moduli, witness, counts, n, error=AssertionError)
-
-    if exhaustive:  # as enumerate_multisets, in its order
-        _vectors(moduli, length + 1, length, True, run_one, budget.max_nodes, deadline)
-    else:
-        rng = random.Random(seed)
-        total, multiset = _zero_sum_ranks(n, length, deadline)
-        for draws in range(1, samples + 1):
-            if draws > budget.max_nodes or time.monotonic() > deadline:
-                raise BudgetExceeded(f"sampling budget exhausted after {draws} draws")
-            run_one(multiset(rng.randrange(total)))
 
     return PropertyReport(
         name="lemma3n",

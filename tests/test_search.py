@@ -706,9 +706,9 @@ def test_zero_sum_walk_is_the_full_walk_filtered_by_sum(moduli, lengths):
 
 
 def test_lemma3n_exhaustive_walk_counters():
-    # The exhaustive lemma-3n walk at n = 3 (length 9, target 10, zero-sum
-    # only) lists the golden 2,710 multisets; the prefix cut keeps its node
-    # count at 11,475.
+    # The kernel's zero-sum walk over the multisets of lemma 3n at n = 3
+    # (length 9, target 10, which no subsequence reaches) lists the golden
+    # 2,710 multisets; the prefix cut keeps its node count at 11,475.
     vectors = []
     _, nodes, leaves = _vectors((3, 3), 10, 9, True, vectors.append, 10**8, math.inf)
     assert (nodes, leaves, len(vectors)) == (11475, 8110, 2710)
@@ -1453,9 +1453,8 @@ def test_lemma3n_counts_check_agrees_with_public_path_sampled(monkeypatch, n, se
     # The same draws, each tested for 3n elements and a zero sum with the
     # group's own arithmetic.
     rng, elements, drawn = random.Random(seed), list(group.elements()), []
-    total, multiset = search._zero_sum_ranks(n, 3 * n, math.inf)
-    for _ in range(200):
-        mults = multiset(rng.randrange(total))
+    total, multisets = search._zero_sum_ranks(n, 3 * n, math.inf)
+    for mults in multisets(rng.randrange(total) for _ in range(200)):
         total_sum = group.identity()
         for el, m in zip(elements, mults):
             total_sum = group.add(total_sum, group.scale(el, m))
@@ -1468,21 +1467,39 @@ def test_lemma3n_counts_check_agrees_with_public_path_sampled(monkeypatch, n, se
 
 @pytest.mark.parametrize("n, golden", [(2, 24), (3, 2710)])
 def test_zero_sum_ranks_list_the_walk_once(n, golden):
-    # Every index below `total` maps to a different zero-sum multiset, and
-    # together they are the walk's: the golden `checked` of lemma3n at n.
+    # The ranks below `total` list the walk's zero-sum multisets in the
+    # walk's colex order, the golden `checked` of lemma3n at n.
     import zerosum.search as search
 
     group = make_group([n, n])
-    total, multiset = search._zero_sum_ranks(n, 3 * n, math.inf)
-    ranked = [
-        tuple((el, m) for el, m in zip(group.elements(), multiset(i)) if m) for i in range(total)
-    ]
+    total, multisets = search._zero_sum_ranks(n, 3 * n, math.inf)
+    ranked = [tuple((el, m) for el, m in zip(group.elements(), v) if m) for v in multisets(range(total))]
     walk = []
     enumerate_multisets(group, 3 * n, lambda seq: walk.append(tuple(seq.items())))
-    assert total == len(set(ranked)) == len(walk) == golden
-    assert set(ranked) == set(walk)
+    assert total == len(walk) == golden
+    assert ranked == walk
     with pytest.raises(ValueError, match="index out of range"):
-        multiset(total)
+        list(multisets([total]))
+
+
+def test_zero_sum_ranks_of_one_element():
+    # Over the trivial group the one multiset of three elements is (0,0)^3.
+    import zerosum.search as search
+
+    total, multisets = search._zero_sum_ranks(1, 3, math.inf)
+    assert total == 1 and list(multisets(range(total))) == [[3]]
+
+
+def test_zero_sum_ranks_in_batches_are_ranks_alone():
+    # 3,000 seeded ranks at n = 2 span three batches of the peel; each comes
+    # out as the vector of ranking it alone.
+    import zerosum.search as search
+
+    total, multisets = search._zero_sum_ranks(2, 6, math.inf)
+    rng = random.Random(7)
+    ranks = [rng.randrange(total) for _ in range(3000)]
+    assert 3000 > 2 * search._RANK_BATCH
+    assert list(multisets(ranks)) == [next(multisets([i])) for i in ranks]
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -1514,15 +1531,29 @@ def test_lemma3n_sampling_budget_is_a_cap(monkeypatch):
         check_lemma_3n(6, samples=10, budget=SearchBudget(max_seconds=0))
     assert seen == []
     # A fake clock that moves one second per read: the start, then one read
-    # per class while the tables are built, then one per draw.
+    # per n elements while the table is built (reads 1-6), the same while
+    # the batch peels it (reads 7-12), then one per draw.
     reads = itertools.count()
     monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: next(reads)))
     with pytest.raises(BudgetExceeded, match=r"^wall-clock budget exhausted$"):
         check_lemma_3n(6, samples=10, budget=SearchBudget(max_seconds=5))
     reads = itertools.count()
+    with pytest.raises(BudgetExceeded, match=r"^wall-clock budget exhausted$"):
+        check_lemma_3n(6, samples=10, budget=SearchBudget(max_seconds=11))
+    assert seen == []
+    reads = itertools.count()
     with pytest.raises(BudgetExceeded, match=r"^sampling budget exhausted after 3 draws$"):
-        check_lemma_3n(6, samples=10, budget=SearchBudget(max_seconds=8))
+        check_lemma_3n(6, samples=10, budget=SearchBudget(max_seconds=14))
     assert len(seen) == 2
+
+
+def test_lemma3n_exhaustive_budget_counts_each_multiset():
+    # At n = 3 the check takes each of the 2,710 multisets once against the
+    # node budget, and one fewer refuses the last with the sampled line.
+    with pytest.raises(BudgetExceeded, match=r"^sampling budget exhausted after 2710 draws$"):
+        check_lemma_3n(3, budget=SearchBudget(max_nodes=2709))
+    rep = check_lemma_3n(3, budget=SearchBudget(max_nodes=2710))
+    assert rep.passed and rep.checked == 2710
 
 
 # What the check must raise, or report, when one witness search returns a bad
@@ -1552,7 +1583,7 @@ def test_lemma3n_validates_each_witness(monkeypatch, search_name, bad, n, sample
         rep = check_lemma_3n(n, **kw)
         assert not rep.passed and rep.violations == rep.checked == (24 if n == 2 else samples)
         assert rep.counterexample == "engine found no witness in " + (
-            "Z/2^2: (0,0)^6" if n == 2 else "Z/4^2: (0,0) (0,1) (0,3) (1,0) (1,1) (2,2)^6 (2,3)"
+            "Z/2^2: (0,0)^6" if n == 2 else "Z/4^2: (0,1) (0,3) (1,2)^4 (1,3)^2 (2,3)^2 (3,2)^2"
         )
         return
     with pytest.raises(error) as info:
